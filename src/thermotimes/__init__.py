@@ -12,7 +12,6 @@ from .errors import (
     CapExceeded,
     ConfigError,
     DegenerateSpectrum,
-    DimensionCap,
     DimensionMismatch,
     EmptyEnsemble,
     ErgodicityViolation,
@@ -35,7 +34,6 @@ from .model import (
     dipole_data,
     free_spin_chain,
     free_spin_system,
-    system_from_family,
     system_from_json,
 )
 from .lba import (
@@ -81,7 +79,6 @@ __all__ = [
     "DecouplingCheck",
     "DegenerateSpectrum",
     "DegeneracyReport",
-    "DimensionCap",
     "DimensionMismatch",
     "DipoleData",
     "EmptyEnsemble",
@@ -123,7 +120,6 @@ __all__ = [
     "lba_liouvillian",
     "pauli_matrix",
     "qome_spectrum",
-    "system_from_family",
     "system_from_json",
     "thermal_rates",
     "thermalization_times",

@@ -13,8 +13,7 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,18 +25,14 @@ from .ensemble import (
     ensemble_times_numeric,
     free_spins_times,
 )
-from .errors import (
-    CapExceeded,
-    ConfigError,
-    DimensionCap,
-    ThermotimesError,
-)
+from .errors import CapExceeded, ConfigError, ThermotimesError
 from .model import (
     QubitSystem,
     diagonalize,
     dipole_data,
     free_spin_chain,
     free_spin_system,
+    single_site_operator,
     system_from_json,
 )
 from .qome import LIOUVILLIAN_CAP, TOL_IMAG, TOL_ZERO, build_liouvillian, qome_spectrum
@@ -83,10 +78,7 @@ class RunConfig:
     tol_zero: float = TOL_ZERO
     tol_imag: float = TOL_IMAG
     output: str = "csv"
-    seed: int = 0
     include_timings: bool = False
-    lba_cap: int = 8192
-    qome_cap: int = LIOUVILLIAN_CAP
     beta_grid: Optional[tuple] = None
     Gamma_grid: Optional[tuple] = None
 
@@ -125,7 +117,6 @@ class RunConfig:
         output = raw.get("output", "csv")
         if output not in ("csv", "json"):
             raise ConfigError(f"output must be 'csv' or 'json', got {output!r}")
-        caps = raw.get("caps", {})
         grid = {}
         for key in ("beta_grid", "Gamma_grid"):
             if key in raw:
@@ -143,10 +134,7 @@ class RunConfig:
             tol_zero=float(tols.get("tol_zero", TOL_ZERO)),
             tol_imag=float(tols.get("tol_imag", TOL_IMAG)),
             output=output,
-            seed=int(raw.get("seed", 0)),
             include_timings=bool(raw.get("include_timings", False)),
-            lba_cap=int(caps.get("lba_numeric", 8192)),
-            qome_cap=int(caps.get("qome", LIOUVILLIAN_CAP)),
             beta_grid=grid.get("beta_grid"),
             Gamma_grid=grid.get("Gamma_grid"),
         )
@@ -189,27 +177,21 @@ def _composite_system(config: RunConfig, N: int) -> QubitSystem:
     """The ensemble as one composite qubit register (QOME route)."""
     if config.family == "custom_hamiltonian":
         member, _, _ = _custom_member(config)
-        K, H = member.K, member.H
-        H_total = np.zeros((2 ** (K * N),) * 2, dtype=complex)
-        for i in range(N):
-            left = 2 ** (K * i)
-            right = 2 ** (K * (N - 1 - i))
-            H_total += np.kron(np.kron(np.eye(left), H), np.eye(right))
-        return QubitSystem(K=K * N, H=H_total, gamma=config.gamma)
+        H_total = sum(single_site_operator(N, i, member.H) for i in range(N))
+        return QubitSystem(K=member.K * N, H=H_total, gamma=config.gamma)
     return QubitSystem(K=N, H=free_spin_chain(_field_strengths(config, N)), gamma=config.gamma)
 
 
 def _run_qome(config: RunConfig, N: int):
     system = _composite_system(config, N)
-    if system.dim**2 > config.qome_cap:
+    if system.dim**2 > LIOUVILLIAN_CAP:
         raise CapExceeded(
-            f"QOME dimension {system.dim**2} for N={N} exceeds cap {config.qome_cap}"
+            f"QOME dimension {system.dim**2} for N={N} exceeds cap {LIOUVILLIAN_CAP}"
         )
     spec = diagonalize(system, require_nondegenerate=False)
     dip = dipole_data(system, spec)
     t0 = time.perf_counter()
-    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol,
-                          cap=config.qome_cap)
+    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol)
     spectrum = qome_spectrum(L, tol_zero=config.tol_zero, tol_imag=config.tol_imag)
     wall = time.perf_counter() - t0
     return spectrum, wall
@@ -228,7 +210,7 @@ def _run_method(config: RunConfig, N: int, method: str) -> dict:
     elif method == "lba_numeric":
         spec = _ensemble_spec(config, N)
         t0 = time.perf_counter()
-        times = ensemble_times_numeric(spec, cap=config.lba_cap)
+        times = ensemble_times_numeric(spec)
         wall = time.perf_counter() - t0
         record.update(tau_P=times.tau_P, tau_Q=times.tau_Q, tau=times.tau)
     elif method == "qome":
@@ -247,10 +229,8 @@ def _run_method(config: RunConfig, N: int, method: str) -> dict:
 
 
 def analyze_records(config: RunConfig) -> list:
-    """One record per (N, method); N-rows run concurrently, order is stable."""
-    jobs = [(N, m) for N in config.N_list for m in config.methods]
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        return list(pool.map(lambda nm: _run_method(config, *nm), jobs))
+    """One record per (N, method), ordered by N and then by method."""
+    return [_run_method(config, N, m) for N in config.N_list for m in config.methods]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +272,6 @@ def write_records_json(records: Sequence[dict], config: RunConfig, path: str) ->
             "gamma": config.gamma,
             "Gamma": config.Gamma,
             "methods": list(config.methods),
-            "seed": config.seed,
         },
         "records": [
             {key: _jsonable(val) for key, val in rec.items()} for rec in records
@@ -351,7 +330,7 @@ def table1_rows(
         row["lba_tauP"], row["lba_tauQ"] = times.tau_P, times.tau_Q
         if N in TABLE1_SMALL_N:
             t0 = time.perf_counter()
-            num = ensemble_times_numeric(_ensemble_spec(config, N), cap=8192)
+            num = ensemble_times_numeric(_ensemble_spec(config, N))
             row["lba_cpu_s"] = round(time.perf_counter() - t0, 3)
             row["lba_num_tauP"], row["lba_num_tauQ"] = num.tau_P, num.tau_Q
         if N in TABLE1_SMALL_N and N <= max_qome_n:
@@ -373,8 +352,8 @@ def cmd_table1(
     energy_tol: Optional[float] = None,
 ) -> str:
     """Emit the reference table as CSV."""
-    if max_qome_n > 6:
-        raise CapExceeded("the dense QOME route is capped at 6 spins")
+    if 4**max_qome_n > LIOUVILLIAN_CAP:
+        raise CapExceeded(f"QOME dimension 4**{max_qome_n} exceeds cap {LIOUVILLIAN_CAP}")
     rows = table1_rows(max_qome_n=max_qome_n, energy_tol=energy_tol)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -405,8 +384,6 @@ def sweep_records(config: RunConfig) -> list:
     method = config.methods[0]
 
     def run_point(value):
-        from dataclasses import replace
-
         point = replace(
             config,
             beta=value if key == "beta" else config.beta,
@@ -417,8 +394,7 @@ def sweep_records(config: RunConfig) -> list:
         rec = _run_method(point, point.N_list[0], method)
         return {key: value, **{k: rec[k] for k in ("tau_P", "tau_Q", "tau", "wall_s")}}
 
-    with ThreadPoolExecutor(max_workers=min(4, len(grid))) as pool:
-        return list(pool.map(run_point, grid))
+    return [run_point(value) for value in grid]
 
 
 def cmd_sweep(config_path: str, out_path: Optional[str] = None) -> str:
@@ -473,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, DimensionCap) as exc:
+    except CapExceeded as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return 3
     except ThermotimesError as exc:

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    DimensionCap,
+    CapExceeded,
     DimensionMismatch,
     EmptyEnsemble,
     NonPositiveBeta,
@@ -23,11 +23,9 @@ from .errors import (
 )
 from .lba import (
     PauliMatrix,
-    _boltzmann_weight,
-    _thermal_weight,
+    _blackbody_weight,
+    gibbs_state,
     pauli_matrix,
-    pauli_matrix_from_rate_matrix,
-    symmetrized_rate_matrix,
     thermal_rates,
     thermalization_times,
 )
@@ -133,11 +131,21 @@ def ensemble_times(spec: EnsembleSpec) -> EnsembleTimes:
     )
 
 
+def _kronecker_sum(mats: Sequence[np.ndarray]) -> sp.csr_matrix:
+    """Sparse Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn of square matrices."""
+    out = sp.csr_matrix(mats[0])
+    for X in mats[1:]:
+        out = sp.kron(out, sp.identity(X.shape[0], format="csr"), format="csr") \
+            + sp.kron(sp.identity(out.shape[0], format="csr"), sp.csr_matrix(X), format="csr")
+    return out
+
+
 def compose_rate_matrix(pms: Sequence[PauliMatrix], cap: int = COMPOSE_CAP) -> PauliMatrix:
     """Explicit Kronecker sum A(x)I(x)... + ... + I(x)...(x)A of member rate matrices.
 
-    The eigenvalues of the result are all sums of one eigenvalue per member.
-    A single member is returned unchanged.
+    The symmetrized matrix S is the Kronecker sum of the member S matrices,
+    so the eigenvalues of the result are all sums of one eigenvalue per
+    member. A single member is returned unchanged.
     """
     if not pms:
         raise EmptyEnsemble("compose_rate_matrix needs at least one member")
@@ -149,13 +157,21 @@ def compose_rate_matrix(pms: Sequence[PauliMatrix], cap: int = COMPOSE_CAP) -> P
     for pm in pms:
         total *= pm.M
     if total > cap:
-        raise DimensionCap(f"product dimension {total} exceeds cap {cap}")
-    A = pms[0].A
+        raise CapExceeded(f"product dimension {total} exceeds cap {cap}")
     energies = pms[0].energies
     for pm in pms[1:]:
-        A = np.kron(A, np.eye(pm.M)) + np.kron(np.eye(A.shape[0]), pm.A)
         energies = (energies[:, None] + pm.energies[None, :]).ravel()
-    return pauli_matrix_from_rate_matrix(A, energies, pms[0].beta)
+    S = _kronecker_sum([pm.S for pm in pms]).toarray()
+    mu, V = np.linalg.eigh(S)
+    return PauliMatrix(
+        A=_kronecker_sum([pm.A for pm in pms]).toarray(),
+        S=S,
+        energies=energies,
+        beta=pms[0].beta,
+        eigenvalues=mu,
+        eigenvectors=V,
+        stationary=gibbs_state(energies, pms[0].beta),
+    )
 
 
 def _enumerate_escape_rates(parts) -> np.ndarray:
@@ -185,17 +201,9 @@ def ensemble_times_numeric(spec: EnsembleSpec, cap: int = 8192) -> EnsembleTimes
     for member, _, _, _ in parts:
         dim *= member.spectrum.M ** member.count
     if dim > cap:
-        raise DimensionCap(f"product dimension {dim} exceeds cap {cap}")
+        raise CapExceeded(f"product dimension {dim} exceeds cap {cap}")
 
-    S = None
-    for member, rates, _, _ in parts:
-        S_i = sp.csr_matrix(symmetrized_rate_matrix(rates))
-        for _ in range(member.count):
-            if S is None:
-                S = S_i.copy()
-            else:
-                S = sp.kron(S, sp.identity(S_i.shape[0], format="csr"), format="csr") \
-                    + sp.kron(sp.identity(S.shape[0], format="csr"), S_i, format="csr")
+    S = _kronecker_sum([pm.S for member, _, pm, _ in parts for _ in range(member.count)])
     if dim <= DENSE_EIG_LIMIT:
         mu = np.linalg.eigvalsh(S.toarray())
         mu2 = float(np.sort(mu)[1])
@@ -238,11 +246,13 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     if gamma <= 0:
         raise NonPositiveField(f"gamma must be > 0, got {gamma}")
     cube = gamma * (2.0 * G) ** 3
-    tanh = np.tanh(beta * G)
+    x = beta * G
+    tanh = np.tanh(x)
     tau_P = float(np.max(tanh / (2.0 * cube)))
-    B_min = cube * np.exp(-beta * G) / np.sinh(beta * G)
+    # e^{-x}/sinh(x) and cosh/sinh without forming either overflowing hyperbolic
+    B_min = 2.0 * cube * np.exp(-2.0 * x) / (-np.expm1(-2.0 * x))
     total = B_min.sum()
-    bracket = cube * np.cosh(beta * G) / np.sinh(beta * G) + (total - B_min)
+    bracket = cube / tanh + (total - B_min)
     tau_Q = float(np.max(1.0 / bracket))
     return EnsembleTimes(
         tau_P=tau_P,
@@ -326,7 +336,7 @@ def verify_product_basis_decoupling(
     (spec1, dip1), (spec2, dip2) = a, b
     M1, M2 = spec1.M, spec2.M
     if M1 * M2 > cap:
-        raise DimensionCap(f"product dimension {M1 * M2} exceeds cap {cap}")
+        raise CapExceeded(f"product dimension {M1 * M2} exceeds cap {cap}")
     if basis == "product":
         T = np.eye(M1 * M2, dtype=complex)
     elif basis == "bell":
@@ -346,8 +356,8 @@ def verify_product_basis_decoupling(
     np.fill_diagonal(D2, 0.0)
 
     gaps = E2[:, None] - E2[None, :]
-    C2 = D2 * _thermal_weight(gaps, beta)
-    B2 = (D2 * _boltzmann_weight(gaps, beta)).sum(axis=0)
+    C2 = D2 * _blackbody_weight(gaps, beta)
+    B2 = (D2 * _blackbody_weight(gaps, beta, detailed_balance=True)).sum(axis=0)
 
     def one_body(M_a, M_b):
         # X[(m,n),(p,q)] = Xa[m,p] d_{n,q} + Xb[n,q] d_{m,p}

@@ -37,16 +37,12 @@ class NegativeTime(ThermotimesError):
     """Evolution times must be nonnegative."""
 
 
-class DimensionCap(ThermotimesError):
-    """Explicit product-space construction would exceed the dimension cap."""
-
-
 class EmptyEnsemble(ThermotimesError):
     """An ensemble needs at least one member system."""
 
 
 class CapExceeded(ThermotimesError):
-    """Requested computation exceeds the configured size cap."""
+    """An explicit product-space or Liouvillian construction would exceed its size cap."""
 
 
 class ConfigError(ThermotimesError):

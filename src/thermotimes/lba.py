@@ -35,37 +35,22 @@ ZERO_EIGENVALUE_RTOL = 1e-10
 SMALL_X = 1e-8
 
 
-def _thermal_weight(gaps: np.ndarray, beta: float) -> np.ndarray:
-    """|dE|^3 / (2 sinh(beta |dE| / 2)), elementwise and overflow-safe.
+def _blackbody_weight(gaps: np.ndarray, beta: float, detailed_balance: bool = False) -> np.ndarray:
+    """Blackbody weight |dE|^3 / (2 sinh(x / 2)) of each gap dE, with x = beta |dE|.
 
-    Written as |dE|^3 e^{-x/2} / (1 - e^{-x}) with x = beta |dE|, which stays
-    finite for arbitrarily large x; for x < SMALL_X the series
-    |dE|^3 (1/x - x/24) is used, and the zero-gap limit is 0.
+    Written as |dE|^3 e^{-x/2} / (1 - e^{-x}), which stays finite for
+    arbitrarily large x; for x < SMALL_X the series |dE|^3 (1/x - x/24) is
+    used, and the zero-gap limit is 0. With ``detailed_balance`` the weight
+    carries the Boltzmann factor e^{-beta dE / 2} of W~[m, n], folded into the
+    one exponential (-x uphill, 0 downhill) so that no rate can overflow.
     """
     gaps = np.asarray(gaps, dtype=float)
     a = np.abs(gaps)
     x = beta * a
+    shift = -beta * gaps / 2.0 if detailed_balance else 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        direct = a**3 * np.exp(-x / 2.0) / (-np.expm1(-x))
-        series = a**3 * (1.0 / x - x / 24.0)
-    out = np.where(x < SMALL_X, series, direct)
-    return np.where(x == 0.0, 0.0, out)
-
-
-def _boltzmann_weight(gaps: np.ndarray, beta: float) -> np.ndarray:
-    """W~[m, n]: thermal weight times the detailed-balance Boltzmann factor.
-
-    Equals _thermal_weight(dE) * exp(-beta dE / 2) but evaluated in a single
-    exponential so that uphill/downhill rates never overflow: the combined
-    exponent is -x for positive gaps and 0 for negative ones.
-    """
-    gaps = np.asarray(gaps, dtype=float)
-    a = np.abs(gaps)
-    x = beta * a
-    expo = np.where(gaps > 0, -x, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        direct = a**3 * np.exp(expo) / (-np.expm1(-x))
-        series = a**3 * (1.0 / x - x / 24.0) * np.exp(-beta * gaps / 2.0)
+        direct = a**3 * np.exp(-x / 2.0 + shift) / (-np.expm1(-x))
+        series = a**3 * (1.0 / x - x / 24.0) * np.exp(shift)
     out = np.where(x < SMALL_X, series, direct)
     return np.where(x == 0.0, 0.0, out)
 
@@ -123,8 +108,8 @@ def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateDat
         )
     E = spec.energies
     gaps = E[:, None] - E[None, :]
-    C = dip.D * _thermal_weight(gaps, beta)
-    L2 = dip.D * _boltzmann_weight(gaps, beta)
+    C = dip.D * _blackbody_weight(gaps, beta)
+    L2 = dip.D * _blackbody_weight(gaps, beta, detailed_balance=True)
     B = L2.sum(axis=0)
     return RateData(beta=float(beta), C=C, L2=L2, B=B)
 
@@ -141,6 +126,7 @@ class PauliMatrix:
     """
 
     A: np.ndarray
+    S: np.ndarray
     energies: np.ndarray
     beta: float
     eigenvalues: np.ndarray
@@ -173,35 +159,12 @@ def pauli_matrix(rates: RateData, spec: EnergySpectrum) -> PauliMatrix:
     mu, V = np.linalg.eigh(S)
     return PauliMatrix(
         A=A,
+        S=S,
         energies=spec.energies.copy(),
         beta=rates.beta,
         eigenvalues=mu,
         eigenvectors=V,
         stationary=gibbs_state(spec, rates.beta),
-    )
-
-
-def pauli_matrix_from_rate_matrix(A: np.ndarray, energies: np.ndarray, beta: float) -> PauliMatrix:
-    """PauliMatrix for an explicitly assembled rate matrix (e.g. a Kronecker sum).
-
-    The symmetrization uses energies shifted to their midpoint so the
-    similarity scaling cannot overflow.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if A.shape != (len(energies), len(energies)):
-        raise DimensionMismatch(f"A has shape {A.shape} for {len(energies)} energies")
-    shifted = energies - (energies.max() + energies.min()) / 2.0
-    w = np.exp(beta * shifted / 2.0)
-    S = A * (w[:, None] / w[None, :])
-    S = (S + S.T) / 2.0
-    mu, V = np.linalg.eigh(S)
-    return PauliMatrix(
-        A=A,
-        energies=energies.copy(),
-        beta=float(beta),
-        eigenvalues=mu,
-        eigenvectors=V,
-        stationary=gibbs_state(energies, beta),
     )
 
 

@@ -27,10 +27,15 @@ DEGENERACY_RTOL = 1e-9
 
 
 def single_site_operator(K: int, site: int, op: np.ndarray) -> np.ndarray:
-    """Embed a one-qubit operator acting on ``site`` into the 2**K space."""
+    """Embed ``op``, acting on site ``site``, into the product space of K equal sites.
+
+    Each site has the dimension of ``op``: a one-qubit operator lands in the
+    2**K space, a block acting on k qubits in the 2**(k K) space.
+    """
+    eye = np.eye(op.shape[0], dtype=complex)
     out = np.array([[1.0 + 0.0j]])
     for j in range(K):
-        out = np.kron(out, op if j == site else np.eye(2, dtype=complex))
+        out = np.kron(out, op if j == site else eye)
     return out
 
 
@@ -346,23 +351,6 @@ def degeneracy_report(energies: Sequence[float], tol: float) -> DegeneracyReport
 # ---------------------------------------------------------------------------
 # external input format
 # ---------------------------------------------------------------------------
-
-def system_from_family(name: str, parameters: dict, gamma: float = 1.0) -> QubitSystem:
-    """Build a QubitSystem from a built-in family name plus parameters.
-
-    Families: "free_spin" (one spin, parameter Gamma) and "free_spin_chain"
-    (independent spins in local x fields, parameter Gammas).
-    """
-    if name == "free_spin":
-        Gamma = float(parameters["Gamma"])
-        if Gamma <= 0:
-            raise NonPositiveField(f"Gamma must be > 0, got {Gamma}")
-        return QubitSystem(K=1, H=-Gamma * PAULI_X, gamma=gamma)
-    if name == "free_spin_chain":
-        Gammas = parameters["Gammas"]
-        return QubitSystem(K=len(Gammas), H=free_spin_chain(Gammas), gamma=gamma)
-    raise DimensionMismatch(f"unknown Hamiltonian family {name!r}")
-
 
 def system_from_json(obj: dict, gamma: float = 1.0) -> QubitSystem:
     """Build a QubitSystem from {"dim": n, "re": [[...]], "im": [[...]]}.

@@ -24,7 +24,7 @@ from .errors import (
     NonPositiveBeta,
     NoOscillatoryEigenvalue,
 )
-from .lba import _boltzmann_weight
+from .lba import _blackbody_weight
 from .model import (
     DEGENERACY_RTOL,
     DegeneracyReport,
@@ -66,19 +66,6 @@ class Liouvillian:
     @property
     def M(self) -> int:
         return int(math.isqrt(self.dim))
-
-    @property
-    def index_map(self) -> Tuple[Tuple[int, int], ...]:
-        """Density-matrix element (m, n) of every row, in row order."""
-        return tuple(divmod(idx, self.M) for idx in range(self.dim))
-
-    def index(self, m: int, n: int) -> int:
-        """Row index of density-matrix element (m, n)."""
-        return m * self.M + n
-
-    def pair(self, idx: int) -> Tuple[int, int]:
-        """Density-matrix element (m, n) living at row ``idx``."""
-        return divmod(idx, self.M)
 
 
 def _gap_structure(energies: np.ndarray, tol: float):
@@ -132,7 +119,7 @@ def build_liouvillian(
         energy_tol = DEGENERACY_RTOL * max(float(E[-1] - E[0]), 1.0)
 
     lev_ids, rep, gap_ids, gap_rep = _gap_structure(E, energy_tol)
-    Wt = _boltzmann_weight(gap_rep, beta)
+    Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
     gamma = dip.gamma
     same_level = lev_ids[:, None] == lev_ids[None, :]
 

@@ -15,7 +15,7 @@ from thermotimes.ensemble import (
     verify_product_basis_decoupling,
 )
 from thermotimes.errors import (
-    DimensionCap,
+    CapExceeded,
     EmptyEnsemble,
     NonPositiveBeta,
     NonPositiveField,
@@ -62,7 +62,7 @@ def test_compose_eigenvalues_are_pairwise_sums():
 
 def test_compose_respects_cap():
     pm, _ = spin_pauli(1.0, 1.0)
-    with pytest.raises(DimensionCap):
+    with pytest.raises(CapExceeded):
         compose_rate_matrix([pm] * 3, cap=4)
 
 
@@ -158,6 +158,20 @@ def test_free_spins_times_input_validation():
         free_spins_times([1.0], beta=0.0)
 
 
+def test_free_spins_times_finite_at_low_temperature():
+    # beta * Gamma = 800 overflows cosh and sinh; the closed forms must not
+    for Gs in ([1.0] * 10, 1.0 + np.sin(np.arange(10) * np.pi / np.sqrt(2.0)) / 2.0):
+        for N in range(1, 11):
+            analytic = free_spins_times(Gs[:N], beta=800.0)
+            assert all(math.isfinite(t) for t in (analytic.tau_P, analytic.tau_Q, analytic.tau))
+            assert analytic.tau == max(analytic.tau_P, analytic.tau_Q)
+            spec = EnsembleSpec(tuple(spin_member(G) for G in Gs[:N]), beta=800.0)
+            numeric = ensemble_times_numeric(spec)
+            assert analytic.tau_P == pytest.approx(numeric.tau_P, rel=1e-9)
+            assert analytic.tau_Q == pytest.approx(numeric.tau_Q, rel=1e-12)
+            assert analytic.tau == pytest.approx(numeric.tau, rel=1e-9)
+
+
 def test_numeric_path_matches_analytic():
     Gs = 1.0 + np.sin(np.arange(6) * np.pi / np.sqrt(2.0)) / 2.0
     spec = EnsembleSpec(tuple(spin_member(G) for G in Gs), beta=1.0)
@@ -169,7 +183,7 @@ def test_numeric_path_matches_analytic():
 
 def test_numeric_path_respects_cap():
     spec = EnsembleSpec((spin_member(1.0, count=4),), beta=1.0)
-    with pytest.raises(DimensionCap):
+    with pytest.raises(CapExceeded):
         ensemble_times_numeric(spec, cap=8)
 
 
@@ -238,6 +252,18 @@ def test_composed_zero_eigenvalue_unique():
         assert int(np.sum(mu < 1e-10 * mu.max())) == 1
 
 
+def test_compose_at_low_temperature():
+    # at beta = 2000 the Gibbs similarity factor e^{beta E / 2} overflows;
+    # the composed symmetrization must not depend on it
+    pm, _ = spin_pauli(1.0, 2000.0)
+    for n in (2, 3):
+        composed = compose_rate_matrix([pm] * n)
+        sums = np.sort([sum(c) for c in itertools.product(pm.eigenvalues, repeat=n)])
+        mu = composed.eigenvalues
+        assert np.abs(mu - sums).max() <= 1e-10 * sums.max()
+        assert int(np.sum(mu < 1e-10 * mu.max())) == 1
+
+
 def test_empty_ensemble_rejected():
     with pytest.raises(EmptyEnsemble):
         EnsembleSpec((), beta=1.0)
@@ -301,7 +327,7 @@ def test_decoupling_respects_cap():
     rng = np.random.default_rng(38)
     a = synthetic_system(rng, 9)
     b = synthetic_system(rng, 9)
-    with pytest.raises(DimensionCap):
+    with pytest.raises(CapExceeded):
         verify_product_basis_decoupling(a, b, beta=1.0)
 
 

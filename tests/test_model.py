@@ -20,6 +20,7 @@ from thermotimes.model import (
     equality_classes,
     free_spin_chain,
     free_spin_system,
+    single_site_operator,
     system_from_json,
     total_spin_operator,
 )
@@ -217,6 +218,13 @@ def test_total_spin_operator_shape():
     np.testing.assert_allclose(S, expected)
 
 
+def test_single_site_operator_embeds_blocks():
+    # a two-qubit block on the middle of three sites: I_4 (x) op (x) I_4
+    op = np.kron(PAULI_X, PAULI_Z) + 0.5j * np.kron(PAULI_Y, np.eye(2))
+    expected = np.kron(np.kron(np.eye(4), op), np.eye(4))
+    np.testing.assert_array_equal(single_site_operator(3, 1, op), expected)
+
+
 def test_system_from_json_roundtrip():
     H = np.array([[0.0, 1.0], [1.0, 0.5]])
     sys_ = system_from_json({"dim": 2, "re": H.tolist()}, gamma=2.0)
@@ -226,20 +234,6 @@ def test_system_from_json_roundtrip():
         {"dim": 2, "re": [[0, 0], [0, 0]], "im": [[0, -1], [1, 0]]}
     )
     np.testing.assert_allclose(sys_c.H, PAULI_Y)
-
-
-def test_system_from_family():
-    from thermotimes.model import system_from_family
-
-    single = system_from_family("free_spin", {"Gamma": 1.0})
-    np.testing.assert_allclose(single.H, -PAULI_X)
-    chain = system_from_family("free_spin_chain", {"Gammas": [1.0, 0.5]}, gamma=2.0)
-    assert chain.K == 2 and chain.gamma == 2.0
-    np.testing.assert_allclose(chain.H, free_spin_chain([1.0, 0.5]))
-    with pytest.raises(DimensionMismatch):
-        system_from_family("nope", {})
-    with pytest.raises(NonPositiveField):
-        system_from_family("free_spin", {"Gamma": -1.0})
 
 
 def test_system_from_json_rejects_bad_input():

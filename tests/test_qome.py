@@ -258,12 +258,3 @@ def test_equivalence_theorem_times_also_agree():
     spectrum = qome_spectrum(build_liouvillian(spec, dip, beta))
     assert spectrum.tau_P == pytest.approx(lba.tau_P, rel=1e-8)
     assert spectrum.tau_Q == pytest.approx(lba.tau_Q, rel=1e-8)
-
-
-def test_liouvillian_index_map():
-    L = composite_liouvillian([1.0])
-    assert L.index(1, 0) == 2
-    assert L.pair(2) == (1, 0)
-    assert L.dim == 4 and L.M == 2
-    assert L.index_map == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert all(L.index(*L.pair(i)) == i for i in range(L.dim))
