@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .model import (
     single_site_operator,
     system_from_json,
 )
-from .qome import LIOUVILLIAN_CAP, TOL_IMAG, TOL_ZERO, build_liouvillian, qome_spectrum
+from .qome import LIOUVILLIAN_CAP, TOL_ZERO, build_liouvillian, qome_spectrum
 
 FAMILIES = ("free_spins_uniform", "free_spins_modulated", "custom_hamiltonian")
 METHODS = ("lba_analytic", "lba_numeric", "qome")
@@ -76,7 +76,6 @@ class RunConfig:
     hamiltonian: Optional[dict] = None
     energy_tol: Optional[float] = None
     tol_zero: float = TOL_ZERO
-    tol_imag: float = TOL_IMAG
     output: str = "csv"
     include_timings: bool = False
     beta_grid: Optional[tuple] = None
@@ -86,6 +85,15 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        tols = raw.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ConfigError("tolerances must be a JSON object")
+        tol_keys = {"energy_tol", "tol_zero"}
+        top_keys = {f.name for f in fields(cls)} - tol_keys | {"N", "tolerances"}
+        unknown = sorted(set(raw) - top_keys) \
+            + sorted(f"tolerances.{k}" for k in set(tols) - tol_keys)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         family = raw.get("family")
         if family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -113,7 +121,6 @@ class RunConfig:
         hamiltonian = raw.get("hamiltonian")
         if family == "custom_hamiltonian" and hamiltonian is None:
             raise ConfigError("custom_hamiltonian requires a 'hamiltonian' object")
-        tols = raw.get("tolerances", {})
         output = raw.get("output", "csv")
         if output not in ("csv", "json"):
             raise ConfigError(f"output must be 'csv' or 'json', got {output!r}")
@@ -132,7 +139,6 @@ class RunConfig:
             hamiltonian=hamiltonian,
             energy_tol=tols.get("energy_tol"),
             tol_zero=float(tols.get("tol_zero", TOL_ZERO)),
-            tol_imag=float(tols.get("tol_imag", TOL_IMAG)),
             output=output,
             include_timings=bool(raw.get("include_timings", False)),
             beta_grid=grid.get("beta_grid"),
@@ -192,7 +198,7 @@ def _run_qome(config: RunConfig, N: int):
     dip = dipole_data(system, spec)
     t0 = time.perf_counter()
     L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol)
-    spectrum = qome_spectrum(L, tol_zero=config.tol_zero, tol_imag=config.tol_imag)
+    spectrum = qome_spectrum(L, tol_zero=config.tol_zero)
     wall = time.perf_counter() - t0
     return spectrum, wall
 

@@ -162,14 +162,12 @@ def compose_rate_matrix(pms: Sequence[PauliMatrix], cap: int = COMPOSE_CAP) -> P
     for pm in pms[1:]:
         energies = (energies[:, None] + pm.energies[None, :]).ravel()
     S = _kronecker_sum([pm.S for pm in pms]).toarray()
-    mu, V = np.linalg.eigh(S)
     return PauliMatrix(
         A=_kronecker_sum([pm.A for pm in pms]).toarray(),
         S=S,
         energies=energies,
         beta=pms[0].beta,
-        eigenvalues=mu,
-        eigenvectors=V,
+        eigenvalues=np.linalg.eigvalsh(S),
         stationary=gibbs_state(energies, pms[0].beta),
     )
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     DegenerateSpectrum,
@@ -116,13 +117,12 @@ def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateDat
 
 @dataclass(frozen=True)
 class PauliMatrix:
-    """Population rate matrix A with its spectral decomposition.
+    """Population rate matrix A with its ascending eigenvalues.
 
-    The eigenproblem is solved through the similar real-symmetric matrix
+    The eigenvalues are those of the similar real-symmetric matrix
     S = diag(B) - C (the detailed-balance symmetrization P A P^-1 with
-    P = diag(e^{beta E_m / 2})), so the eigenvalues are real by construction.
-    ``eigenvectors`` are the orthonormal eigenvectors of S; ``stationary``
-    is the Gibbs distribution.
+    P = diag(e^{beta E_m / 2})), so they are real by construction.
+    ``stationary`` is the Gibbs distribution.
     """
 
     A: np.ndarray
@@ -130,7 +130,6 @@ class PauliMatrix:
     energies: np.ndarray
     beta: float
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     stationary: np.ndarray
 
     @property
@@ -156,14 +155,12 @@ def pauli_matrix(rates: RateData, spec: EnergySpectrum) -> PauliMatrix:
         )
     A = np.diag(rates.B) - rates.L2
     S = symmetrized_rate_matrix(rates)
-    mu, V = np.linalg.eigh(S)
     return PauliMatrix(
         A=A,
         S=S,
         energies=spec.energies.copy(),
         beta=rates.beta,
-        eigenvalues=mu,
-        eigenvectors=V,
+        eigenvalues=np.linalg.eigvalsh(S),
         stationary=gibbs_state(spec, rates.beta),
     )
 
@@ -231,8 +228,8 @@ def decoherence_rates(rates: RateData, eff_energies: Optional[Sequence[float]] =
 def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Closed-form state at time t: populations and coherences evolve decoupled.
 
-    Populations follow p(t) = exp(-A t) p(0) through the symmetrized spectral
-    decomposition; each off-diagonal element decays as exp(-mu[m, n] t).
+    Populations follow p(t) = exp(-A t) p(0), a stochastic matrix for every
+    temperature; each off-diagonal element decays as exp(-mu[m, n] t).
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
@@ -247,11 +244,7 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
     if np.linalg.eigvalsh(rho0).min() < -1e-10:
         raise InvalidDensityMatrix("rho0 is not positive semidefinite to 1e-10")
 
-    shifted = pm.energies - (pm.energies.max() + pm.energies.min()) / 2.0
-    w = np.exp(pm.beta * shifted / 2.0)  # P A P^-1 = S with P = diag(w)
-    y = pm.eigenvectors.T @ (w * np.diag(rho0).real)
-    p_t = (pm.eigenvectors @ (np.exp(-pm.eigenvalues * t) * y)) / w
-
+    p_t = expm(-pm.A * t) @ np.diag(rho0).real
     rho_t = rho0 * np.exp(-mu * t)
     np.fill_diagonal(rho_t, p_t)
     return rho_t
@@ -273,11 +266,7 @@ def lba_liouvillian(
     M = spec.M
     E = spec.energies if eff_energies is None else np.asarray(eff_energies, float)
     B = rates.B
-    L4 = np.zeros((M, M, M, M), dtype=complex)
-    for m in range(M):
-        for n in range(M):
-            L4[m, n, m, n] = -1.0j * (E[m] - E[n]) - 0.5 * (B[m] + B[n])
-    for m in range(M):
-        for k in range(M):
-            L4[m, m, k, k] += rates.L2[m, k]
-    return L4.reshape(M * M, M * M)
+    L = np.diag((-1.0j * (E[:, None] - E[None, :]) - 0.5 * (B[:, None] + B[None, :])).ravel())
+    populations = np.arange(M) * (M + 1)
+    L[np.ix_(populations, populations)] += rates.L2
+    return L

@@ -298,15 +298,44 @@ def equality_classes(values: np.ndarray, tol: float) -> np.ndarray:
     return ids
 
 
+def _gap_structure(energies: np.ndarray, tol: float):
+    """Level ids, gap ids and gap frequencies behind the master equation's deltas.
+
+    Levels within ``tol`` (chained) are replaced by their class mean, so
+    intended-equal gaps E_m - E_n (M x M arrays over (m, n)) are exactly
+    equal before they are classed; the zero-gap class has frequency 0.
+    """
+    lev_ids = equality_classes(energies, tol)
+    rep = np.empty_like(energies, dtype=float)
+    for c in np.unique(lev_ids):
+        rep[lev_ids == c] = energies[lev_ids == c].mean()
+    gaps = rep[:, None] - rep[None, :]
+    gap_ids = equality_classes(gaps.ravel(), tol).reshape(gaps.shape)
+    gap_rep = np.empty_like(gaps)
+    for c in np.unique(gap_ids):
+        mask = gap_ids == c
+        gap_rep[mask] = 0.0 if c == gap_ids[0, 0] else gaps[mask].mean()
+    return lev_ids, gap_ids, gap_rep
+
+
+def _pair_classes(ids: np.ndarray) -> tuple:
+    """Pairs (m, n), m != n, per class of an M x M id array, in id order; empty classes dropped."""
+    classes = (
+        tuple((int(m), int(n)) for m, n in np.argwhere(ids == c) if m != n)
+        for c in range(ids.max() + 1)
+    )
+    return tuple(pairs for pairs in classes if pairs)
+
+
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Level and gap degeneracy structure of an energy spectrum.
 
     ``level_classes`` partitions level indices by equal energy;
     ``gap_classes`` partitions ordered index pairs (m, n), m != n, by equal
-    energy difference E[m] - E[n]. A gap class with two distinct pairs means
-    the microscopically derived master equation groups several dyads into a
-    single jump operator.
+    energy difference E[m] - E[n], classed like the master equation's deltas.
+    A gap class with two distinct pairs means the microscopically derived
+    master equation groups several dyads into a single jump operator.
     """
 
     has_level_degeneracy: bool
@@ -321,24 +350,14 @@ def degeneracy_report(energies: Sequence[float], tol: float) -> DegeneracyReport
     if tol < 0:
         raise NonPositiveField("tol must be >= 0")
     E = np.asarray(energies, dtype=float)
-    M = len(E)
-    if M == 0:
+    if len(E) == 0:
         return DegeneracyReport(False, False, (), (), tol)
-    lev_ids = equality_classes(E, tol)
+    lev_ids, gap_ids, _ = _gap_structure(E, tol)
     level_classes = tuple(
         tuple(int(i) for i in np.flatnonzero(lev_ids == c))
         for c in range(lev_ids.max() + 1)
     )
-    pairs = [(m, n) for m in range(M) for n in range(M) if m != n]
-    if pairs:
-        gaps = np.array([E[m] - E[n] for m, n in pairs])
-        gap_ids = equality_classes(gaps, tol)
-        gap_classes = tuple(
-            tuple(pairs[i] for i in np.flatnonzero(gap_ids == c))
-            for c in range(gap_ids.max() + 1)
-        )
-    else:
-        gap_classes = ()
+    gap_classes = _pair_classes(gap_ids)
     return DegeneracyReport(
         has_level_degeneracy=any(len(c) > 1 for c in level_classes),
         has_gap_degeneracy=any(len(c) > 1 for c in gap_classes),

@@ -9,6 +9,12 @@ pathologies (degenerate steady states, size-dependent dissipation time,
 decoherence time not falling off with ensemble size). The Lamb-shift term is
 dropped throughout: its defining integral is ultraviolet divergent and it
 does not affect either characteristic time.
+
+The secular generator commutes with [H, .], so it is block diagonal by Bohr
+frequency (Buca & Prosen, NJP 14, 073007, 2012) and is built and diagonalized
+one block at a time: the omega = 0 block holds the populations and fixes the
+dissipation time, the other blocks hold the coherences and fix the
+decoherence time.
 """
 
 import math
@@ -30,36 +36,32 @@ from .model import (
     DegeneracyReport,
     DipoleData,
     EnergySpectrum,
-    equality_classes,
+    _gap_structure,
+    _pair_classes,
 )
 
-#: Default cap on the vectorized dimension M^2 of the dense Liouvillian.
+#: Default cap on the vectorized dimension M^2 of the Liouvillian.
 LIOUVILLIAN_CAP = 4096
 
-#: Relative thresholds classifying Liouvillian eigenvalues: an eigenvalue is
-#: "zero" below TOL_ZERO * scale and "oscillatory" when its imaginary part
-#: exceeds TOL_IMAG * scale, with scale the largest eigenvalue modulus.
+#: A Liouvillian eigenvalue counts as zero below TOL_ZERO * scale, with scale
+#: the largest eigenvalue modulus.
 TOL_ZERO = 1e-10
-TOL_IMAG = 1e-8
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense generator of the quantum optical master equation.
+    """Generator of the quantum optical master equation, one block per Bohr frequency.
 
-    Vectorization is row-major: element (m, n) of the density matrix sits at
-    index m*M + n. ``level_class_ids`` and ``gap_class_ids`` record which
-    energies and which gaps the Kronecker deltas treated as equal (within
-    ``energy_tol``); ``rep_energies`` are the per-class representative
-    energies actually used in the coefficients.
+    Element (m, n) of the density matrix sits at the row-major index m*M + n.
+    ``blocks`` holds one (omega, indices, matrix) entry per Bohr-frequency
+    class E_m - E_n = omega (omega exactly 0 for the populations), in
+    ascending omega: the indices of the class and the generator on them; the
+    Kronecker deltas treat energies within ``energy_tol`` as equal.
     """
 
     dim: int
-    matrix: np.ndarray
+    blocks: tuple
     energies: np.ndarray
-    rep_energies: np.ndarray
-    level_class_ids: np.ndarray
-    gap_class_ids: np.ndarray
     energy_tol: float
     beta: float
 
@@ -67,26 +69,13 @@ class Liouvillian:
     def M(self) -> int:
         return int(math.isqrt(self.dim))
 
-
-def _gap_structure(energies: np.ndarray, tol: float):
-    """Level classes, representative energies and gap classes for the deltas.
-
-    Representative energies make intended-equal quantities exactly equal, so
-    the delta gating, the thermal weights and the coherent frequencies can
-    never disagree with each other.
-    """
-    lev_ids = equality_classes(energies, tol)
-    rep = np.empty_like(energies, dtype=float)
-    for c in np.unique(lev_ids):
-        rep[lev_ids == c] = energies[lev_ids == c].mean()
-    gaps = rep[:, None] - rep[None, :]
-    gap_ids = equality_classes(gaps.ravel(), tol).reshape(gaps.shape)
-    gap_rep = np.empty_like(gaps)
-    zero_class = gap_ids[0, 0]  # the class holding the diagonal (zero) gaps
-    for c in np.unique(gap_ids):
-        mask = gap_ids == c
-        gap_rep[mask] = 0.0 if c == zero_class else gaps[mask].mean()
-    return lev_ids, rep, gap_ids, gap_rep
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense M^2 x M^2 generator, scattered from the blocks."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for _, idx, block in self.blocks:
+            out[np.ix_(idx, idx)] = block
+        return out
 
 
 def build_liouvillian(
@@ -96,14 +85,14 @@ def build_liouvillian(
     energy_tol: Optional[float] = None,
     cap: int = LIOUVILLIAN_CAP,
 ) -> Liouvillian:
-    """Assemble the M^2 x M^2 quantum optical master equation generator.
+    """Assemble the quantum optical master equation generator block by block.
 
-    The spectrum may be degenerate. The dissipator consists of two escape
-    sums gated by equality of level energies and a feeding term gated by
-    equality of energy gaps, all with the blackbody weight W~ and the squared
-    coupling gamma carried by the dipole data. Coefficients (including the
-    coherent frequencies) are evaluated on per-class representative energies,
-    so gating and weights can never disagree; see Liouvillian.rep_energies.
+    The spectrum may be degenerate. Within a Bohr-frequency class the
+    dissipator consists of two escape sums gated by equality of level energies
+    and a feeding term gated by equality of transition frequencies, all with
+    the blackbody weight W~ and the squared coupling gamma carried by the
+    dipole data; the coherent part is -i omega. Coefficients are evaluated on
+    per-class representative energies, so gating and weights never disagree.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
@@ -118,39 +107,42 @@ def build_liouvillian(
     if energy_tol is None:
         energy_tol = DEGENERACY_RTOL * max(float(E[-1] - E[0]), 1.0)
 
-    lev_ids, rep, gap_ids, gap_rep = _gap_structure(E, energy_tol)
+    lev_ids, gap_ids, gap_rep = _gap_structure(E, energy_tol)
     Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
     gamma = dip.gamma
-    same_level = lev_ids[:, None] == lev_ids[None, :]
 
     # escape coefficients Phi[k, m] = gamma sum_h sum_q d_h[q, k] conj(d_h[q, m]) W~[q, m]
     Phi = np.zeros((M, M), dtype=complex)
     for d in dip.amplitudes:
         Phi += d.T @ (np.conj(d) * Wt)
     Phi *= gamma
-    Phi_gated = Phi * same_level
+    Phi_gated = Phi * (lev_ids[:, None] == lev_ids[None, :])
+    Phi_gated_conj = Phi_gated.conj()
+    feeding = [(d * Wt, np.conj(d)) for d in dip.amplitudes]
 
-    # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on equal gaps
-    L4 = np.zeros((M, M, M, M), dtype=complex)
-    for d in dip.amplitudes:
-        L4 += gamma * np.einsum("mk,nj->mnkj", d * Wt, np.conj(d))
-    gate = gap_ids.T[:, None, :, None] == gap_ids.T[None, :, None, :]
-    L4 *= gate
-
-    for n in range(M):
-        L4[:, n, :, n] -= 0.5 * Phi_gated.T
-    for m in range(M):
-        L4[m, :, m, :] -= 0.5 * Phi_gated.conj().T
-    mm, nn = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
-    L4[mm, nn, mm, nn] += -1.0j * gap_rep[mm, nn]
+    blocks = []
+    class_of = gap_ids.ravel()
+    for c in range(class_of.max() + 1):
+        idx = np.flatnonzero(class_of == c)
+        m, n = np.divmod(idx, M)
+        # row a = (m, n) receives from column b = (k, j)
+        m_a, m_b, n_a, n_b = m[:, None], m[None, :], n[:, None], n[None, :]
+        # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
+        # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
+        # complex products like the dense outer product einsum("mk,nj->mnkj")
+        block = np.zeros((len(idx), len(idx)), dtype=complex)
+        for dW, d_conj in feeding:
+            block += gamma * np.einsum("ab,ab->ab", dW[m_a, m_b], d_conj[n_a, n_b])
+        block *= gap_ids[m_b, m_a] == gap_ids[n_b, n_a]
+        block -= 0.5 * Phi_gated[m_b, m_a] * (n_a == n_b)
+        block -= 0.5 * Phi_gated_conj[n_b, n_a] * (m_a == m_b)
+        block[np.diag_indices(len(idx))] += -1.0j * gap_rep[m, n]
+        blocks.append((float(gap_rep[m[0], n[0]]), idx, block))
 
     return Liouvillian(
         dim=M * M,
-        matrix=L4.reshape(M * M, M * M),
+        blocks=tuple(blocks),
         energies=E.copy(),
-        rep_energies=rep,
-        level_class_ids=lev_ids,
-        gap_class_ids=gap_ids,
         energy_tol=float(energy_tol),
         beta=float(beta),
     )
@@ -162,43 +154,39 @@ def jump_operator_groups(
     """Group the ordered index pairs (m, n), m != n, by transition frequency.
 
     The microscopic jump operator at frequency omega collects every dyad
-    |m><n| with E_n - E_m = omega; a group with more than one pair is exactly
-    the multi-dyad situation produced by level or gap degeneracies. Returns
-    (omega, pairs) entries sorted by omega.
+    |m><n| with E_n - E_m = omega, classed as the generator classes its gaps;
+    a group with more than one pair is exactly the multi-dyad situation
+    produced by level or gap degeneracies. Returns (omega, pairs) entries
+    sorted by omega.
     """
     E = np.asarray(energies, dtype=float)
-    M = len(E)
-    if tol is None:
-        tol = DEGENERACY_RTOL * max(float(E.max() - E.min()), 1.0) if M else 0.0
-    pairs = [(m, n) for m in range(M) for n in range(M) if m != n]
-    if not pairs:
+    if len(E) < 2:
         return []
-    omegas = np.array([E[n] - E[m] for m, n in pairs])
-    ids = equality_classes(omegas, tol)
-    groups = []
-    for c in range(ids.max() + 1):
-        idx = np.flatnonzero(ids == c)
-        groups.append((float(omegas[idx].mean()), tuple(pairs[i] for i in idx)))
-    groups.sort(key=lambda g: g[0])
-    return groups
+    if tol is None:
+        tol = DEGENERACY_RTOL * max(float(E.max() - E.min()), 1.0)
+    _, gap_ids, gap_rep = _gap_structure(E, tol)
+    # gap_ids.T classes the pair (m, n) by E_n - E_m, its transition frequency
+    return [(float(gap_rep.T[pairs[0]]), pairs) for pairs in _pair_classes(gap_ids.T)]
 
 
 @dataclass(frozen=True)
 class LiouvillianSpectrum:
     """Classified eigenvalues of the quantum optical master equation generator.
 
-    tau_P comes from the real eigenvalue of smallest nonzero modulus (which
-    may itself be degenerate: ``tau_P_multiplicity`` counts the copies),
-    tau_Q from the eigenvalue of smallest |Re| among those with nonzero
-    imaginary part; tau_Q is None when no oscillatory eigenvalue exists and
-    infinite when the slowest oscillatory mode is undamped.
+    tau_P comes from the nonzero eigenvalue of smallest |Re| in the omega = 0
+    block (which may itself be degenerate: ``tau_P_multiplicity`` counts the
+    copies) and ``zero_multiplicity`` counts that block's zero eigenvalues;
+    tau_Q comes from the eigenvalue of smallest |Re| in the omega != 0
+    blocks. tau_Q is None when there is no such block and infinite when the
+    slowest oscillatory mode is undamped. ``eigenvalues`` lists the block
+    spectra in block order.
     """
 
     eigenvalues: np.ndarray
     zero_multiplicity: int
     tau_P: Optional[float]
     tau_Q: Optional[float]
-    classification_tols: Tuple[float, float]
+    tol_zero: float
     scale: float
     tau_P_multiplicity: int = 1
 
@@ -206,36 +194,34 @@ class LiouvillianSpectrum:
 def qome_spectrum(
     L: Liouvillian,
     tol_zero: float = TOL_ZERO,
-    tol_imag: float = TOL_IMAG,
     require_oscillatory: bool = False,
 ) -> LiouvillianSpectrum:
-    """Diagonalize the Liouvillian and extract the characteristic times.
+    """Diagonalize the Liouvillian block by block and extract the characteristic times.
 
-    Raises NoDissipativeEigenvalue when no real nonzero eigenvalue exists
-    (e.g. a decoupled system); a missing oscillatory eigenvalue is reported
-    as tau_Q = None unless ``require_oscillatory`` is set.
+    Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
+    eigenvalue (e.g. a decoupled system); a missing oscillatory block is
+    reported as tau_Q = None unless ``require_oscillatory`` is set.
     """
-    ev = np.linalg.eigvals(L.matrix)
-    scale = float(np.abs(ev).max()) if len(ev) else 0.0
+    ev = np.concatenate([np.linalg.eigvals(block) for _, _, block in L.blocks])
+    static = np.concatenate([np.full(len(idx), omega == 0.0) for omega, idx, _ in L.blocks])
+    scale = float(np.abs(ev).max(initial=0.0))
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")
-    zero = np.abs(ev) < tol_zero * scale
-    real = (np.abs(ev.imag) < tol_imag * scale) & ~zero
-    osc = np.abs(ev.imag) >= tol_imag * scale
+    zero = static & (np.abs(ev) < tol_zero * scale)
+    osc = ev[~static]
 
-    if not real.any():
+    rates = np.abs(ev[static & ~zero].real)
+    if not len(rates):
         raise NoDissipativeEigenvalue(
-            "no real nonzero eigenvalue: dissipation time undefined"
+            "no nonzero population-sector eigenvalue: dissipation time undefined"
         )
-    slowest_real = float(np.abs(ev[real].real).min())
+    slowest_real = float(rates.min())
     tau_P = 1.0 / slowest_real
-    tau_P_mult = int(
-        np.sum(np.abs(np.abs(ev[real].real) - slowest_real) <= tol_zero * scale)
-    )
+    tau_P_mult = int(np.sum(np.abs(rates - slowest_real) <= tol_zero * scale))
 
     tau_Q: Optional[float]
-    if osc.any():
-        slowest = float(np.abs(ev[osc].real).min())
+    if len(osc):
+        slowest = float(np.abs(osc.real).min())
         tau_Q = math.inf if slowest < tol_zero * scale else 1.0 / slowest
     elif require_oscillatory:
         raise NoOscillatoryEigenvalue(
@@ -249,7 +235,7 @@ def qome_spectrum(
         zero_multiplicity=int(zero.sum()),
         tau_P=tau_P,
         tau_Q=tau_Q,
-        classification_tols=(tol_zero, tol_imag),
+        tol_zero=tol_zero,
         scale=scale,
         tau_P_multiplicity=tau_P_mult,
     )

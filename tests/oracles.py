@@ -8,7 +8,8 @@ structure via explicit loops over bra-ket sums.
 import numpy as np
 from scipy.linalg import expm
 
-from thermotimes.model import DipoleData, EnergySpectrum
+from thermotimes.lba import _blackbody_weight
+from thermotimes.model import DEGENERACY_RTOL, DipoleData, EnergySpectrum, _gap_structure
 
 
 def charpoly_eigvals(H):
@@ -116,3 +117,40 @@ def random_density_matrix(rng, M):
     G = rng.normal(size=(M, M)) + 1.0j * rng.normal(size=(M, M))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
+
+
+def dense_liouvillian(spec, dip, beta, energy_tol=None):
+    """The quantum optical master equation generator as one dense M^2 x M^2 array.
+
+    Fills the M^4 tensor L[m, n, k, j] (output (m, n), input (k, j)) over all
+    index quadruples and gates the feeding term on equal transition
+    frequencies alone, with no reference to Bohr-frequency blocks.
+    """
+    M = spec.M
+    E = spec.energies
+    if energy_tol is None:
+        energy_tol = DEGENERACY_RTOL * max(float(E[-1] - E[0]), 1.0)
+    lev_ids, gap_ids, gap_rep = _gap_structure(E, energy_tol)
+    Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
+    gamma = dip.gamma
+    same_level = lev_ids[:, None] == lev_ids[None, :]
+
+    Phi = np.zeros((M, M), dtype=complex)
+    for d in dip.amplitudes:
+        Phi += d.T @ (np.conj(d) * Wt)
+    Phi *= gamma
+    Phi_gated = Phi * same_level
+
+    L4 = np.zeros((M, M, M, M), dtype=complex)
+    for d in dip.amplitudes:
+        L4 += gamma * np.einsum("mk,nj->mnkj", d * Wt, np.conj(d))
+    gate = gap_ids.T[:, None, :, None] == gap_ids.T[None, :, None, :]
+    L4 *= gate
+
+    for n in range(M):
+        L4[:, n, :, n] -= 0.5 * Phi_gated.T
+    for m in range(M):
+        L4[m, :, m, :] -= 0.5 * Phi_gated.conj().T
+    mm, nn = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    L4[mm, nn, mm, nn] += -1.0j * gap_rep[mm, nn]
+    return L4.reshape(M * M, M * M)

@@ -1,12 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. Criterion 3's optional
-six-spin case (a minutes-scale dense complex eigensolve) is enabled by
-setting RUN_QOME_N6=1.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import itertools
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -130,10 +127,8 @@ def test_criterion_2_table_lba_large_n():
 
 
 def test_criterion_3_table_qome():
-    n_max = 6 if os.environ.get("RUN_QOME_N6") else 5
-    with criterion(3, f"reference table, microscopic route, N = 1..{n_max}"):
-        for N in range(1, n_max + 1):
-            tp, tq = TABLE_QOME[N]
+    with criterion(3, "reference table, microscopic route, N = 1..6"):
+        for N, (tp, tq) in TABLE_QOME.items():
             spectrum = qome_spectrum(composite_liouvillian(modulated_gammas(N)))
             assert_matches_printed(spectrum.tau_P, tp)
             assert_matches_printed(spectrum.tau_Q, tq)

@@ -55,6 +55,28 @@ def test_run_config_validation():
         )
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"N_lsit": [1, 2, 3]}, "N_lsit"),
+    ({"seed": 7}, "seed"),
+    ({"caps": {"qome": 4096}}, "caps"),
+    ({"tolerances": {"tol_imag": 1e-8}}, "tolerances.tol_imag"),
+])
+def test_unknown_config_keys_are_errors(tmp_path, extra, key):
+    raw = {"family": "free_spins_uniform", "Gamma": 1.0, **extra}
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(raw)
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_known_tolerance_keys_are_read():
+    config = RunConfig.from_dict({
+        "family": "free_spins_uniform", "Gamma": 1.0,
+        "tolerances": {"energy_tol": 1e-6, "tol_zero": 1e-11},
+    })
+    assert (config.energy_tol, config.tol_zero) == (1e-6, 1e-11)
+
+
 def test_analyze_uniform_single_row(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "family": "free_spins_uniform", "Gamma": 1.0, "N": 1, "beta": 1.0,

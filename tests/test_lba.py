@@ -324,6 +324,21 @@ def test_evolve_probability_conservation_and_monotonicity():
         prev = dist
 
 
+@pytest.mark.parametrize("beta", [400.0, 2000.0, 1e4])
+def test_evolve_keeps_trace_at_low_temperature(beta):
+    # a similarity transform by exp(beta E / 2) lost the ground-state
+    # population here (trace 0.852 at beta = 400, NaN from beta = 2000 on)
+    spec, _, rates = free_spin_rates(beta=beta)
+    pm = pauli_matrix(rates, spec)
+    mu = decoherence_rates(rates)
+    rho0 = np.diag([0.0, 1.0]).astype(complex)  # the excited level
+    for t in (0.01, 0.1, 10.0):
+        rho_t = evolve(pm, mu, rho0, t)
+        assert abs(np.trace(rho_t).real - 1.0) <= 1e-12
+        assert np.diag(rho_t).real.min() >= 0.0
+    assert np.abs(np.diag(rho_t) - pm.stationary).max() <= 1e-12
+
+
 def test_evolve_rejects_bad_inputs():
     spec, _, rates = free_spin_rates()
     pm = pauli_matrix(rates, spec)

@@ -31,7 +31,7 @@ from thermotimes.qome import (
     qome_spectrum,
 )
 
-from oracles import random_density_matrix, synthetic_system
+from oracles import dense_liouvillian, random_density_matrix, synthetic_system
 
 
 def modulated_gammas(N):
@@ -39,11 +39,14 @@ def modulated_gammas(N):
     return 1.0 + np.sin((i - 1) * np.pi / np.sqrt(2.0)) / 2.0
 
 
-def composite_liouvillian(Gammas, beta=1.0, energy_tol=None):
+def composite(Gammas):
     system = QubitSystem(K=len(Gammas), H=free_spin_chain(Gammas))
     spec = diagonalize(system, require_nondegenerate=False)
-    dip = dipole_data(system, spec)
-    return build_liouvillian(spec, dip, beta, energy_tol=energy_tol)
+    return spec, dipole_data(system, spec)
+
+
+def composite_liouvillian(Gammas, beta=1.0, energy_tol=None):
+    return build_liouvillian(*composite(Gammas), beta, energy_tol=energy_tol)
 
 
 def check_generator_health(L):
@@ -89,10 +92,9 @@ def test_qome_spectrum_purely_real_generator():
     from thermotimes.qome import Liouvillian
 
     L = Liouvillian(
-        dim=4, matrix=np.diag([0.0, -1.0, -1.0, -2.0]).astype(complex),
-        energies=np.array([0.0, 1.0]), rep_energies=np.array([0.0, 1.0]),
-        level_class_ids=np.array([0, 1]), gap_class_ids=np.zeros((2, 2), dtype=int),
-        energy_tol=1e-9, beta=1.0,
+        dim=4,
+        blocks=((0.0, np.arange(4), np.diag([0.0, -1.0, -1.0, -2.0]).astype(complex)),),
+        energies=np.array([0.0, 1.0]), energy_tol=1e-9, beta=1.0,
     )
     spectrum = qome_spectrum(L)
     assert spectrum.tau_P == pytest.approx(1.0)
@@ -258,3 +260,47 @@ def test_equivalence_theorem_times_also_agree():
     spectrum = qome_spectrum(build_liouvillian(spec, dip, beta))
     assert spectrum.tau_P == pytest.approx(lba.tau_P, rel=1e-8)
     assert spectrum.tau_Q == pytest.approx(lba.tau_Q, rel=1e-8)
+
+
+def test_blocks_scatter_to_the_dense_generator():
+    cases = [(composite(Gs), None) for N in range(1, 5) for Gs in (modulated_gammas(N), [1.0] * N)]
+    cases.append((composite(modulated_gammas(2)), 1.0))
+    rng = np.random.default_rng(303)
+    cases += [(synthetic_system(rng, 3 + trial % 3), None) for trial in range(10)]
+    for (spec, dip), energy_tol in cases:
+        for beta in (1e-3, 1.0, 100.0):
+            L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol)
+            assert np.array_equal(L.matrix, dense_liouvillian(spec, dip, beta, energy_tol))
+            covered = np.sort(np.concatenate([idx for _, idx, _ in L.blocks]))
+            assert np.array_equal(covered, np.arange(L.dim))
+            assert [omega for omega, _, _ in L.blocks].count(0.0) == 1
+
+
+def test_block_count_and_size_modulated_six_spins():
+    L = composite_liouvillian(modulated_gammas(6))
+    assert len(L.blocks) == 729
+    assert max(len(idx) for _, idx, _ in L.blocks) == 64
+
+
+def test_hot_strong_uniform_field_tau_P_matches_detailed_balance():
+    # one eigensolve of the whole generator splits its 42-fold zero cluster
+    # into rates as large as the slowest decay (tau_P 1.264e-9, not 4.76e-11)
+    beta, Gamma = 1e-3, 1e3
+    spectrum = qome_spectrum(composite_liouvillian([Gamma] * 5, beta=beta))
+    expected = free_spins_times([Gamma] * 5, beta=beta).tau_P
+    assert spectrum.tau_P == pytest.approx(expected, rel=1e-9)
+    assert spectrum.zero_multiplicity == 42
+
+
+def test_generator_healthy_when_transition_and_bohr_classes_chain_differently():
+    # at this tolerance the tolerance chains of the transition frequencies and
+    # of the Bohr frequencies differ; gating the feeding term on the former
+    # alone coupled different Bohr classes, broke the trace by 0.14 and gave
+    # eigenvalues with Re > 0
+    L = composite_liouvillian([1.48767, 0.91544, 0.68267], energy_tol=0.381)
+    M = L.M
+    A = L.matrix
+    diag_rows = [m * M + m for m in range(M)]
+    assert np.abs(A[diag_rows, :].sum(axis=0)).max() <= 1e-12 * np.abs(A).max()
+    for _, _, block in L.blocks:
+        assert np.linalg.eigvals(block).real.max() <= 1e-12 * np.abs(A).max()
