@@ -6,10 +6,11 @@ Three routes fill the columns:
 
   * analytic closed forms (any N, microseconds),
   * explicit product-space construction: symmetrized Kronecker-sum rate
-    matrix (sparse Lanczos for the largest sizes) plus escape-rate
-    enumeration (N <= 13),
-  * dense diagonalization of the quantum optical master equation
-    Liouvillian, dimension 4^N (N <= 5 here; 6 costs minutes).
+    matrix (dense eigensolve up to N = 8, a Gibbs-deflated Lanczos solve
+    from N = 9) plus escape-rate enumeration (N <= 13),
+  * the quantum optical master equation Liouvillian, dimension 4^N,
+    diagonalized one Bohr-frequency block at a time (N <= 5 here; the
+    table with N = 6 takes about a second).
 
 The same table is available from the command line as `thermotimes table1`.
 

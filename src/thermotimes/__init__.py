@@ -12,6 +12,7 @@ from .errors import (
     CapExceeded,
     ConfigError,
     DegenerateSpectrum,
+    DetailedBalanceViolation,
     DimensionMismatch,
     EmptyEnsemble,
     ErgodicityViolation,
@@ -79,6 +80,7 @@ __all__ = [
     "DecouplingCheck",
     "DegenerateSpectrum",
     "DegeneracyReport",
+    "DetailedBalanceViolation",
     "DimensionMismatch",
     "DipoleData",
     "EmptyEnsemble",

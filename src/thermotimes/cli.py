@@ -43,6 +43,9 @@ METHODS = ("lba_analytic", "lba_numeric", "qome")
 #: Field-strength law of the reference table: Gamma_i = 1 + sin((i-1) pi / sqrt(2)) / 2.
 MODULATION_FREQUENCY = math.pi / math.sqrt(2.0)
 
+#: Keys of the optional ``law`` object of free_spins_modulated (see modulated_gammas).
+LAW_KEYS = {"base", "amplitude", "frequency"}
+
 TABLE1_SMALL_N = range(1, 14)
 TABLE1_LARGE_N = (100, 1000, 10000, 100000)
 TABLE1_COLUMNS = (
@@ -88,12 +91,20 @@ class RunConfig:
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("tolerances must be a JSON object")
+        law = raw.get("law", {})
+        if not isinstance(law, dict):
+            raise ConfigError("law must be a JSON object")
         tol_keys = {"energy_tol", "tol_zero"}
         top_keys = {f.name for f in fields(cls)} - tol_keys | {"N", "tolerances"}
         unknown = sorted(set(raw) - top_keys) \
-            + sorted(f"tolerances.{k}" for k in set(tols) - tol_keys)
+            + sorted(f"tolerances.{k}" for k in set(tols) - tol_keys) \
+            + sorted(f"law.{k}" for k in set(law) - LAW_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in law.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ConfigError(f"law.{key} must be a finite number, got {value!r}")
         family = raw.get("family")
         if family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -135,7 +146,7 @@ class RunConfig:
             gamma=gamma,
             methods=methods,
             Gamma=Gamma,
-            law=dict(raw.get("law", {})),
+            law=dict(law),
             hamiltonian=hamiltonian,
             energy_tol=tols.get("energy_tol"),
             tol_zero=float(tols.get("tol_zero", TOL_ZERO)),

@@ -29,6 +29,10 @@ class ErgodicityViolation(ThermotimesError):
     """The rate matrix has a degenerate zero eigenvalue (no unique steady state)."""
 
 
+class DetailedBalanceViolation(ThermotimesError):
+    """A symmetrized rate matrix does not annihilate the square root of its Gibbs state."""
+
+
 class InvalidDensityMatrix(ThermotimesError):
     """Initial state is not Hermitian, unit-trace and positive semidefinite."""
 

@@ -6,6 +6,7 @@ structure via explicit loops over bra-ket sums.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from thermotimes.lba import _blackbody_weight
@@ -80,6 +81,19 @@ def fit_coherence_decay(L_super, rho0, M, t1, t2):
             if m != n and abs(rho0[m, n]) > 1e-12:
                 rates.append(np.log(abs(r1[m, n]) / abs(r2[m, n])) / (t2 - t1))
     return min(rates)
+
+
+def chained_kronecker_sum(mats):
+    """Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn by chained sparse products.
+
+    Each step forms out(x)I + I(x)X with two ``sp.kron`` calls; the reference
+    for the one-pass builder in the ensemble module.
+    """
+    out = sp.csr_matrix(mats[0])
+    for X in mats[1:]:
+        out = sp.kron(out, sp.identity(X.shape[0], format="csr"), format="csr") \
+            + sp.kron(sp.identity(out.shape[0], format="csr"), sp.csr_matrix(X), format="csr")
+    return out
 
 
 def random_hermitian(rng, M, scale=1.0):

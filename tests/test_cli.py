@@ -9,6 +9,7 @@ import pytest
 
 from thermotimes.cli import (
     RunConfig,
+    analyze_records,
     cmd_analyze,
     cmd_sweep,
     cmd_table1,
@@ -67,6 +68,28 @@ def test_unknown_config_keys_are_errors(tmp_path, extra, key):
         RunConfig.from_dict(raw)
     cfg = write_config(tmp_path, "c.json", raw)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("law, match", [
+    ({"amplitde": 0.0}, "law.amplitde"),
+    ([1, 2], "law must be a JSON object"),
+    ({"amplitude": "0.5"}, "law.amplitude must be a finite number"),
+    ({"base": float("nan")}, "law.base must be a finite number"),
+    ({"frequency": True}, "law.frequency must be a finite number"),
+])
+def test_malformed_law_is_a_config_error(tmp_path, law, match):
+    raw = {"family": "free_spins_modulated", "N": 3, "law": law}
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_dict(raw)
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_law_keys_are_read():
+    law = {"base": 2.0, "amplitude": 0, "frequency": 1.0}
+    config = RunConfig.from_dict({"family": "free_spins_modulated", "N": 3, "law": law})
+    uniform = RunConfig.from_dict({"family": "free_spins_uniform", "N": 3, "Gamma": 2.0})
+    assert analyze_records(config) == analyze_records(uniform)
 
 
 def test_known_tolerance_keys_are_read():

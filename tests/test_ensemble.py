@@ -1,9 +1,14 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thermotimes import ensemble
+from thermotimes.cli import modulated_gammas
 from thermotimes.ensemble import (
     EnsembleMember,
     EnsembleSpec,
@@ -16,14 +21,15 @@ from thermotimes.ensemble import (
 )
 from thermotimes.errors import (
     CapExceeded,
+    DetailedBalanceViolation,
     EmptyEnsemble,
     NonPositiveBeta,
     NonPositiveField,
 )
-from thermotimes.lba import pauli_matrix, thermal_rates, thermalization_times
+from thermotimes.lba import gibbs_state, pauli_matrix, thermal_rates, thermalization_times
 from thermotimes.model import free_spin_system
 
-from oracles import synthetic_system
+from oracles import chained_kronecker_sum, synthetic_system
 
 
 def spin_member(Gamma, gamma=1.0, count=1):
@@ -262,6 +268,72 @@ def test_compose_at_low_temperature():
         mu = composed.eigenvalues
         assert np.abs(mu - sums).max() <= 1e-10 * sums.max()
         assert int(np.sum(mu < 1e-10 * mu.max())) == 1
+
+
+def _random_symmetric_factor(rng, M):
+    X = rng.normal(size=(M, M))
+    zero = rng.random((M, M)) < 0.3
+    X[zero | zero.T] = 0.0
+    return X + X.T
+
+
+def test_kronecker_sum_equals_chained_reference():
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for _ in range(3):
+            mats = [_random_symmetric_factor(rng, int(rng.choice([2, 3]))) for _ in range(n)]
+            assert np.array_equal(
+                ensemble._kronecker_sum(mats).toarray(), chained_kronecker_sum(mats).toarray()
+            )
+    pms = []
+    for M in (2, 3, 4):
+        spec, dip = synthetic_system(rng, M)
+        pms.append(pauli_matrix(thermal_rates(spec, dip, 0.7), spec))
+    composed = compose_rate_matrix(pms)
+    assert np.array_equal(composed.S, chained_kronecker_sum([pm.S for pm in pms]).toarray())
+    assert np.array_equal(composed.A, chained_kronecker_sum([pm.A for pm in pms]).toarray())
+
+
+def _spin_ensemble(Gs, beta):
+    return EnsembleSpec(tuple(spin_member(G) for G in Gs), beta=beta)
+
+
+def _assert_routes_agree(spec):
+    numeric, analytic = ensemble_times_numeric(spec), ensemble_times(spec)
+    for key in ("tau_P", "tau_Q", "tau"):
+        assert getattr(numeric, key) == pytest.approx(getattr(analytic, key), rel=1e-9), key
+
+
+@pytest.mark.parametrize("beta", [200.0, 1e3, 1e4])
+def test_numeric_route_matches_closed_form_at_low_temperature(beta):
+    # the Lanczos branch once returned a tau_P 8.4% short here from N = 11 up
+    for N in range(9, 14):
+        _assert_routes_agree(_spin_ensemble(modulated_gammas(N), beta))
+    _assert_routes_agree(EnsembleSpec((spin_member(1.0, count=11),), beta=beta))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_beta=st.floats(min_value=-3.0, max_value=4.0),
+    log_Gamma=st.floats(min_value=-3.0, max_value=3.0),
+    N=st.integers(min_value=9, max_value=12),
+    modulated=st.booleans(),
+)
+def test_numeric_route_property(log_beta, log_Gamma, N, modulated):
+    beta, Gamma = 10.0 ** log_beta, 10.0 ** log_Gamma
+    Gs = Gamma * (modulated_gammas(N) if modulated else np.ones(N))
+    _assert_routes_agree(_spin_ensemble(Gs, beta))
+    pms = [spin_pauli(G, beta)[0] for G in Gs]
+    S = chained_kronecker_sum([pm.S for pm in pms])
+    q = np.sqrt(gibbs_state(functools.reduce(np.add.outer, [pm.energies for pm in pms]).ravel(), beta))
+    c = abs(S).sum(axis=1).max()
+    assert np.abs(S @ q).max() <= 1e-12 * c
+
+
+def test_numeric_route_checks_the_gibbs_null_vector(monkeypatch):
+    monkeypatch.setattr(ensemble, "gibbs_state", lambda E, beta: gibbs_state(E, 2.0 * beta))
+    with pytest.raises(DetailedBalanceViolation):
+        ensemble_times_numeric(_spin_ensemble(modulated_gammas(9), 1.0))
 
 
 def test_empty_ensemble_rejected():
