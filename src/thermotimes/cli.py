@@ -52,6 +52,7 @@ TABLE1_COLUMNS = (
     "N", "lba_tauP", "lba_tauQ", "lba_num_tauP", "lba_num_tauQ",
     "lba_cpu_s", "qome_tauP", "qome_tauQ", "qome_cpu_s", "warnings",
 )
+ANALYZE_COLUMNS = ("N", "method", "tau_P", "tau_Q", "tau", "qome_zero_multiplicity", "wall_s")
 
 
 def modulated_gammas(
@@ -101,72 +102,80 @@ class RunConfig:
             + sorted(f"law.{k}" for k in set(law) - LAW_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in law.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
-                raise ConfigError(f"law.{key} must be a finite number, got {value!r}")
         family = raw.get("family")
         if family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
         if "N_list" in raw:
-            N_list = tuple(int(n) for n in raw["N_list"])
+            N_list = _numbers(raw, "N_list", integer=True)
         else:
-            N_list = (int(raw.get("N", 1)),)
-        if not N_list or any(n < 1 for n in N_list):
-            raise ConfigError(f"ensemble sizes must be >= 1, got {N_list}")
-        beta = float(raw.get("beta", 1.0))
-        if not (math.isfinite(beta) and beta > 0):
-            raise ConfigError(f"beta must be positive and finite, got {beta}")
-        gamma = float(raw.get("gamma", 1.0))
-        if gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {gamma}")
-        methods = tuple(raw.get("methods", ("lba_analytic",)))
-        bad = [m for m in methods if m not in METHODS]
-        if bad or not methods:
-            raise ConfigError(f"methods must be a nonempty subset of {METHODS}, got {methods}")
+            N_list = (_number("N", raw.get("N", 1), integer=True),)
+        methods = raw.get("methods", ["lba_analytic"])
+        if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
+            raise ConfigError(f"methods must be a nonempty subset of {METHODS}, got {methods!r}")
         Gamma = raw.get("Gamma")
-        if family == "free_spins_uniform":
-            if Gamma is None or float(Gamma) <= 0:
-                raise ConfigError("free_spins_uniform requires Gamma > 0")
-            Gamma = float(Gamma)
+        if Gamma is not None:
+            Gamma = _number("Gamma", Gamma)
+        elif family == "free_spins_uniform":
+            raise ConfigError("free_spins_uniform requires Gamma > 0")
         hamiltonian = raw.get("hamiltonian")
         if family == "custom_hamiltonian" and hamiltonian is None:
             raise ConfigError("custom_hamiltonian requires a 'hamiltonian' object")
+        energy_tol = tols.get("energy_tol")
+        if energy_tol is not None:
+            energy_tol = _number("tolerances.energy_tol", energy_tol, ">= 0")
         output = raw.get("output", "csv")
         if output not in ("csv", "json"):
             raise ConfigError(f"output must be 'csv' or 'json', got {output!r}")
-        grid = {}
-        for key in ("beta_grid", "Gamma_grid"):
-            if key in raw:
-                grid[key] = tuple(float(x) for x in raw[key])
+        include_timings = raw.get("include_timings", False)
+        if not isinstance(include_timings, bool):
+            raise ConfigError(f"include_timings must be true or false, got {include_timings!r}")
         return cls(
             family=family,
             N_list=N_list,
-            beta=beta,
-            gamma=gamma,
-            methods=methods,
+            beta=_number("beta", raw.get("beta", 1.0)),
+            gamma=_number("gamma", raw.get("gamma", 1.0)),
+            methods=tuple(methods),
             Gamma=Gamma,
-            law=dict(law),
+            law={key: _number(f"law.{key}", value, "") for key, value in law.items()},
             hamiltonian=hamiltonian,
-            energy_tol=tols.get("energy_tol"),
-            tol_zero=float(tols.get("tol_zero", TOL_ZERO)),
+            energy_tol=energy_tol,
+            tol_zero=_number("tolerances.tol_zero", tols.get("tol_zero", TOL_ZERO)),
             output=output,
-            include_timings=bool(raw.get("include_timings", False)),
-            beta_grid=grid.get("beta_grid"),
-            Gamma_grid=grid.get("Gamma_grid"),
+            include_timings=include_timings,
+            beta_grid=_numbers(raw, "beta_grid") if "beta_grid" in raw else None,
+            Gamma_grid=_numbers(raw, "Gamma_grid") if "Gamma_grid" in raw else None,
         )
+
+
+_RULES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, "": lambda x: True}
+
+
+def _number(key: str, value, rule: str = "> 0", integer: bool = False):
+    """The one rule for config numbers: a finite JSON number (never a bool or
+    a string), an integer if ``integer``, that satisfies ``rule``."""
+    try:
+        ok = isinstance(value, int if integer else (int, float)) \
+            and not isinstance(value, bool) and math.isfinite(value) and _RULES[rule](value)
+    except OverflowError:  # an integer literal beyond the float range
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{key} must be {kind} {rule}".rstrip() + f", got {value!r}")
+    return value if integer else float(value)
+
+
+def _numbers(raw: dict, key: str, integer: bool = False) -> tuple:
+    """A nonempty JSON array of numbers, each checked by ``_number`` as ``key[i]``."""
+    values = raw[key]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key} must be a nonempty JSON array, got {values!r}")
+    return tuple(_number(f"{key}[{i}]", x, integer=integer) for i, x in enumerate(values))
 
 
 def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
     if config.family == "free_spins_uniform":
         return np.full(N, config.Gamma, dtype=float)
-    law = config.law
-    return modulated_gammas(
-        N,
-        base=float(law.get("base", 1.0)),
-        amplitude=float(law.get("amplitude", 0.5)),
-        frequency=float(law.get("frequency", MODULATION_FREQUENCY)),
-    )
+    return modulated_gammas(N, **config.law)
 
 
 def _custom_member(config: RunConfig):
@@ -190,21 +199,28 @@ def _ensemble_spec(config: RunConfig, N: int) -> EnsembleSpec:
     return EnsembleSpec(members=members, beta=config.beta)
 
 
+def _check_qome_size(member_dim: int, N: int) -> None:
+    """Refuse a QOME run of N members before anything is built: its Liouvillian
+    acts on (member_dim^N)^2 entries, which must not exceed LIOUVILLIAN_CAP."""
+    if 2 * N * math.log2(member_dim) > math.log2(LIOUVILLIAN_CAP):
+        raise CapExceeded(
+            f"QOME dimension {member_dim}^{2 * N} for N={N} exceeds cap {LIOUVILLIAN_CAP}"
+        )
+
+
 def _composite_system(config: RunConfig, N: int) -> QubitSystem:
-    """The ensemble as one composite qubit register (QOME route)."""
+    """The ensemble as one composite qubit register (QOME route), size-checked first."""
     if config.family == "custom_hamiltonian":
         member, _, _ = _custom_member(config)
+        _check_qome_size(member.dim, N)
         H_total = sum(single_site_operator(N, i, member.H) for i in range(N))
         return QubitSystem(K=member.K * N, H=H_total, gamma=config.gamma)
+    _check_qome_size(2, N)
     return QubitSystem(K=N, H=free_spin_chain(_field_strengths(config, N)), gamma=config.gamma)
 
 
 def _run_qome(config: RunConfig, N: int):
     system = _composite_system(config, N)
-    if system.dim**2 > LIOUVILLIAN_CAP:
-        raise CapExceeded(
-            f"QOME dimension {system.dim**2} for N={N} exceeds cap {LIOUVILLIAN_CAP}"
-        )
     spec = diagonalize(system, require_nondegenerate=False)
     dip = dipole_data(system, spec)
     t0 = time.perf_counter()
@@ -271,13 +287,13 @@ def _jsonable(value):
     return value
 
 
-def write_records_csv(records: Sequence[dict], path: str) -> None:
-    columns = ("N", "method", "tau_P", "tau_Q", "tau", "qome_zero_multiplicity", "wall_s")
+def write_csv(rows: Sequence[dict], columns: Sequence[str], path: str) -> None:
+    """One header line, then one line per row; missing cells are empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_fmt(rec.get(c)) for c in columns])
+        for row in rows:
+            writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
 def write_records_json(records: Sequence[dict], config: RunConfig, path: str) -> None:
@@ -303,21 +319,25 @@ def write_records_json(records: Sequence[dict], config: RunConfig, path: str) ->
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _load_config(path: str) -> RunConfig:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return RunConfig.from_dict(raw)
+
+
 def cmd_analyze(config_path: str, out_path: Optional[str] = None) -> str:
     """Run the configured methods over the configured sizes; write the report."""
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    config = RunConfig.from_dict(raw)
+    config = _load_config(config_path)
     records = analyze_records(config)
     if out_path is None:
-        out_path = "analyze_report." + ("json" if config.output == "json" else "csv")
+        out_path = "analyze_report." + config.output
     if config.output == "json":
         write_records_json(records, config, out_path)
     else:
-        write_records_csv(records, out_path)
+        write_csv(records, ANALYZE_COLUMNS, out_path)
     return out_path
 
 
@@ -336,27 +356,25 @@ def table1_rows(
     """
     config = RunConfig(
         family="free_spins_modulated", N_list=(1,), beta=beta, gamma=gamma,
-        energy_tol=energy_tol,
+        energy_tol=energy_tol, include_timings=True,
     )
     rows = []
     for N in list(TABLE1_SMALL_N) + list(TABLE1_LARGE_N):
-        row = {c: None for c in TABLE1_COLUMNS}
-        row["N"] = N
+        lba = _run_method(config, N, "lba_analytic")
+        row = {**dict.fromkeys(TABLE1_COLUMNS), "N": N,
+               "lba_tauP": lba["tau_P"], "lba_tauQ": lba["tau_Q"]}
         warnings = []
-        times = free_spins_times(_field_strengths(config, N), beta, gamma)
-        row["lba_tauP"], row["lba_tauQ"] = times.tau_P, times.tau_Q
         if N in TABLE1_SMALL_N:
-            t0 = time.perf_counter()
-            num = ensemble_times_numeric(_ensemble_spec(config, N))
-            row["lba_cpu_s"] = round(time.perf_counter() - t0, 3)
-            row["lba_num_tauP"], row["lba_num_tauQ"] = num.tau_P, num.tau_Q
+            num = _run_method(config, N, "lba_numeric")
+            row.update(lba_num_tauP=num["tau_P"], lba_num_tauQ=num["tau_Q"],
+                       lba_cpu_s=round(num["wall_s"], 3))
         if N in TABLE1_SMALL_N and N <= max_qome_n:
-            spectrum, wall = _run_qome(config, N)
-            row["qome_tauP"], row["qome_tauQ"] = spectrum.tau_P, spectrum.tau_Q
-            row["qome_cpu_s"] = round(wall, 3)
-            if spectrum.zero_multiplicity > 1:
+            qome = _run_method(config, N, "qome")
+            row.update(qome_tauP=qome["tau_P"], qome_tauQ=qome["tau_Q"],
+                       qome_cpu_s=round(qome["wall_s"], 3))
+            if qome["qome_zero_multiplicity"] > 1:
                 warnings.append("qome_multiple_steady_states")
-            if spectrum.tau_Q is not None and math.isinf(spectrum.tau_Q):
+            if qome["tau_Q"] is not None and math.isinf(qome["tau_Q"]):
                 warnings.append("qome_undamped_coherence")
         row["warnings"] = ";".join(warnings) if warnings else None
         rows.append(row)
@@ -369,14 +387,10 @@ def cmd_table1(
     energy_tol: Optional[float] = None,
 ) -> str:
     """Emit the reference table as CSV."""
-    if 4**max_qome_n > LIOUVILLIAN_CAP:
-        raise CapExceeded(f"QOME dimension 4**{max_qome_n} exceeds cap {LIOUVILLIAN_CAP}")
-    rows = table1_rows(max_qome_n=max_qome_n, energy_tol=energy_tol)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE1_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in TABLE1_COLUMNS])
+    if energy_tol is not None:
+        energy_tol = _number("--energy-tol", energy_tol, ">= 0")
+    _check_qome_size(2, max_qome_n)
+    write_csv(table1_rows(max_qome_n=max_qome_n, energy_tol=energy_tol), TABLE1_COLUMNS, out_path)
     return out_path
 
 
@@ -386,28 +400,16 @@ def sweep_records(config: RunConfig) -> list:
         raise ConfigError("provide either beta_grid or Gamma_grid, not both")
     if config.beta_grid is not None:
         key, grid = "beta", sorted(config.beta_grid)
-        if any(b <= 0 for b in grid):
-            raise ConfigError("all beta grid points must be > 0")
     elif config.Gamma_grid is not None:
         key, grid = "Gamma", sorted(config.Gamma_grid)
-        if any(g <= 0 for g in grid):
-            raise ConfigError("all Gamma grid points must be > 0")
     else:
         raise ConfigError("sweep needs a beta_grid or a Gamma_grid")
-    if not grid:
-        raise ConfigError("the sweep grid is empty")
     if len(config.methods) != 1:
         raise ConfigError("sweep supports exactly one method per run")
     method = config.methods[0]
 
     def run_point(value):
-        point = replace(
-            config,
-            beta=value if key == "beta" else config.beta,
-            Gamma=value if key == "Gamma" else config.Gamma,
-            beta_grid=None,
-            Gamma_grid=None,
-        )
+        point = replace(config, beta_grid=None, Gamma_grid=None, **{key: value})
         rec = _run_method(point, point.N_list[0], method)
         return {key: value, **{k: rec[k] for k in ("tau_P", "tau_Q", "tau", "wall_s")}}
 
@@ -415,22 +417,11 @@ def sweep_records(config: RunConfig) -> list:
 
 
 def cmd_sweep(config_path: str, out_path: Optional[str] = None) -> str:
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    config = RunConfig.from_dict(raw)
-    records = sweep_records(config)
+    config = _load_config(config_path)
     key = "beta" if config.beta_grid is not None else "Gamma"
     if out_path is None:
         out_path = "sweep_report.csv"
-    columns = (key, "tau_P", "tau_Q", "tau", "wall_s")
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_fmt(rec.get(c)) for c in columns])
+    write_csv(sweep_records(config), (key, "tau_P", "tau_Q", "tau", "wall_s"), out_path)
     return out_path
 
 

@@ -35,8 +35,11 @@ from .lba import (
 )
 from .model import DipoleData, EnergySpectrum
 
-#: Default cap on the explicit product-space dimension.
+#: Caps on the explicit product-space dimension: the dense composed rate
+#: matrix, the sparse verification path and the two-system decoupling check.
 COMPOSE_CAP = 4096
+NUMERIC_CAP = 8192
+DECOUPLING_CAP = 64
 
 #: Above this dimension the explicit path switches from a dense eigensolve to
 #: a Lanczos solve for the smallest eigenvalue of the Gibbs-deflated S. On two
@@ -183,7 +186,7 @@ def _kronecker_sum(mats: Sequence[np.ndarray]) -> sp.csr_matrix:
     )
 
 
-def compose_rate_matrix(pms: Sequence[PauliMatrix], cap: int = COMPOSE_CAP) -> PauliMatrix:
+def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
     """Explicit Kronecker sum A(x)I(x)... + ... + I(x)...(x)A of member rate matrices.
 
     The symmetrized matrix S is the Kronecker sum of the member S matrices,
@@ -199,8 +202,8 @@ def compose_rate_matrix(pms: Sequence[PauliMatrix], cap: int = COMPOSE_CAP) -> P
     total = 1
     for pm in pms:
         total *= pm.M
-    if total > cap:
-        raise CapExceeded(f"product dimension {total} exceeds cap {cap}")
+    if total > COMPOSE_CAP:
+        raise CapExceeded(f"product dimension {total} exceeds cap {COMPOSE_CAP}")
     energies = _product_sum([pm.energies for pm in pms])
     S = _kronecker_sum([pm.S for pm in pms]).toarray()
     return PauliMatrix(
@@ -219,7 +222,7 @@ def _deterministic_start(dim: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def ensemble_times_numeric(spec: EnsembleSpec, cap: int = 8192) -> EnsembleTimes:
+def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     """Verification path: explicit product-space rate matrix and escape rates.
 
     mu2 comes from the symmetrized Kronecker-sum matrix S. Up to
@@ -236,8 +239,8 @@ def ensemble_times_numeric(spec: EnsembleSpec, cap: int = 8192) -> EnsembleTimes
     dim = 1
     for member, _, _, _ in parts:
         dim *= member.spectrum.M ** member.count
-    if dim > cap:
-        raise CapExceeded(f"product dimension {dim} exceeds cap {cap}")
+    if dim > NUMERIC_CAP:
+        raise CapExceeded(f"product dimension {dim} exceeds cap {NUMERIC_CAP}")
 
     copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
     S = _kronecker_sum([pm.S for _, pm in copies])
@@ -363,7 +366,6 @@ def verify_product_basis_decoupling(
     b: Optional[Tuple[EnergySpectrum, DipoleData]],
     beta: float,
     basis: str = "product",
-    cap: int = 64,
     tol: float = 1e-12,
 ) -> DecouplingCheck:
     """Measure the two-system dipole elements and test the one-body decoupling.
@@ -383,8 +385,8 @@ def verify_product_basis_decoupling(
         )
     (spec1, dip1), (spec2, dip2) = a, b
     M1, M2 = spec1.M, spec2.M
-    if M1 * M2 > cap:
-        raise CapExceeded(f"product dimension {M1 * M2} exceeds cap {cap}")
+    if M1 * M2 > DECOUPLING_CAP:
+        raise CapExceeded(f"product dimension {M1 * M2} exceeds cap {DECOUPLING_CAP}")
     if basis == "product":
         T = np.eye(M1 * M2, dtype=complex)
     elif basis == "bell":

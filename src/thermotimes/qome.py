@@ -40,7 +40,7 @@ from .model import (
     _pair_classes,
 )
 
-#: Default cap on the vectorized dimension M^2 of the Liouvillian.
+#: Cap on the vectorized dimension M^2 of the Liouvillian.
 LIOUVILLIAN_CAP = 4096
 
 #: A Liouvillian eigenvalue counts as zero below TOL_ZERO * scale, with scale
@@ -83,7 +83,6 @@ def build_liouvillian(
     dip: DipoleData,
     beta: float,
     energy_tol: Optional[float] = None,
-    cap: int = LIOUVILLIAN_CAP,
 ) -> Liouvillian:
     """Assemble the quantum optical master equation generator block by block.
 
@@ -101,8 +100,8 @@ def build_liouvillian(
         raise DimensionMismatch(
             f"dipole dimension {dip.M} does not match spectrum dimension {M}"
         )
-    if M * M > cap:
-        raise CapExceeded(f"vectorized dimension {M * M} exceeds cap {cap}")
+    if M * M > LIOUVILLIAN_CAP:
+        raise CapExceeded(f"vectorized dimension {M * M} exceeds cap {LIOUVILLIAN_CAP}")
     E = spec.energies
     if energy_tol is None:
         energy_tol = DEGENERACY_RTOL * max(float(E[-1] - E[0]), 1.0)

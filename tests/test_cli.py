@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from thermotimes import cli
 from thermotimes.cli import (
     RunConfig,
     analyze_records,
@@ -83,6 +86,50 @@ def test_malformed_law_is_a_config_error(tmp_path, law, match):
         RunConfig.from_dict(raw)
     cfg = write_config(tmp_path, "c.json", raw)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("analyze", {"gamma": "nan"}, "gamma"),
+    ("analyze", {"Gamma": "nan"}, "Gamma"),
+    ("analyze", {"Gamma": "inf"}, "Gamma"),
+    ("analyze", {"Gamma": float("inf")}, "Gamma"),
+    ("analyze", {"tolerances": {"energy_tol": -1}}, "tolerances.energy_tol"),
+    ("analyze", {"tolerances": {"tol_zero": "x"}}, "tolerances.tol_zero"),
+    ("analyze", {"N_list": ["a"]}, "N_list[0]"),
+    ("analyze", {"N_list": [2.7]}, "N_list[0]"),
+    ("analyze", {"beta_grid": ["x"]}, "beta_grid[0]"),
+    ("analyze", {"include_timings": "false"}, "include_timings"),
+    ("sweep", {"beta_grid": [1.0, "inf"]}, "beta_grid[1]"),
+])
+def test_malformed_numbers_are_config_errors(tmp_path, command, extra, key):
+    raw = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 2, "methods": ["qome"], **extra}
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        RunConfig.from_dict(raw)
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("raw, builder", [
+    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 12}, "free_spin_chain"),
+    ({"family": "custom_hamiltonian", "N": 4,
+      "hamiltonian": {"dim": 4, "re": np.diag([0.0, 1.0, 2.5, 4.2]).tolist()}},
+     "single_site_operator"),
+])
+def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, raw, builder):
+    def refuse(*args):
+        raise AssertionError("the composite Hamiltonian was built")
+
+    monkeypatch.setattr(cli, builder, refuse)
+    cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["qome"]})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
+
+
+def test_readme_config_examples_are_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(examples) >= 2
+    for example in examples:
+        RunConfig.from_dict(json.loads(example))
 
 
 def test_law_keys_are_read():
@@ -272,6 +319,12 @@ def test_main_exit_codes(tmp_path):
     })
     assert main(["analyze", "--config", good,
                  "--out", str(tmp_path / "ok.csv")]) == 0
+
+
+@pytest.mark.parametrize("energy_tol", ["-1", "nan"])
+def test_table1_energy_tol_follows_the_number_rule(tmp_path, energy_tol):
+    out = str(tmp_path / "t.csv")
+    assert main(["table1", "--max-qome-n", "2", "--energy-tol", energy_tol, "--out", out]) == 2
 
 
 def test_main_table1_runs(tmp_path):

@@ -66,10 +66,11 @@ def test_compose_eigenvalues_are_pairwise_sums():
     assert np.abs(composed.eigenvalues - sums).max() < 1e-10 * scale
 
 
-def test_compose_respects_cap():
+def test_compose_respects_cap(monkeypatch):
+    monkeypatch.setattr(ensemble, "COMPOSE_CAP", 4)
     pm, _ = spin_pauli(1.0, 1.0)
     with pytest.raises(CapExceeded):
-        compose_rate_matrix([pm] * 3, cap=4)
+        compose_rate_matrix([pm] * 3)
 
 
 def test_compose_requires_matching_beta():
@@ -187,10 +188,11 @@ def test_numeric_path_matches_analytic():
     assert numeric.tau_Q == pytest.approx(analytic.tau_Q, rel=1e-12)
 
 
-def test_numeric_path_respects_cap():
+def test_numeric_path_respects_cap(monkeypatch):
+    monkeypatch.setattr(ensemble, "NUMERIC_CAP", 8)
     spec = EnsembleSpec((spin_member(1.0, count=4),), beta=1.0)
     with pytest.raises(CapExceeded):
-        ensemble_times_numeric(spec, cap=8)
+        ensemble_times_numeric(spec)
 
 
 def test_tau_p_independent_of_ensemble_size():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermotimes.errors import (
     DegenerateSpectrum,
@@ -9,6 +11,7 @@ from thermotimes.errors import (
     InvalidDensityMatrix,
     NegativeTime,
     NonPositiveBeta,
+    ThermotimesError,
 )
 from thermotimes.lba import (
     decoherence_rates,
@@ -35,11 +38,11 @@ def free_spin_rates(Gamma=1.0, gamma=1.0, beta=1.0):
     return spec, dip, thermal_rates(spec, dip, beta)
 
 
-def three_level_case():
-    # E = (0, 1, 2.3) with unit off-diagonal dipole couplings
-    E = np.array([0.0, 1.0, 2.3])
+def three_level_case(scale=1.0):
+    # E = scale * (0, 1, 2.3) with unit off-diagonal dipole couplings
+    E = scale * np.array([0.0, 1.0, 2.3])
     spec = EnergySpectrum(M=3, energies=E, eigenbasis=np.eye(3, dtype=complex),
-                          degeneracy_tol=1e-9 * 2.3)
+                          degeneracy_tol=1e-9 * E[-1])
     ones = np.ones((3, 3)) - np.eye(3)
     # amplitudes consistent with D: put everything into one axis
     d = np.sqrt(ones).astype(complex)
@@ -337,6 +340,33 @@ def test_evolve_keeps_trace_at_low_temperature(beta):
         assert abs(np.trace(rho_t).real - 1.0) <= 1e-12
         assert np.diag(rho_t).real.min() >= 0.0
     assert np.abs(np.diag(rho_t) - pm.stationary).max() <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log_beta=st.floats(min_value=-3.0, max_value=4.0),
+    log_Gamma=st.floats(min_value=-3.0, max_value=3.0),
+    t_over_tau=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+    three_levels=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_evolve_property(log_beta, log_Gamma, t_over_tau, three_levels, seed):
+    # one spin of field Gamma, or three levels Gamma * (0, 1, 2.3), from a
+    # random initial state: the evolved state is a density matrix
+    beta, Gamma = 10.0 ** log_beta, 10.0 ** log_Gamma
+    spec, dip = three_level_case(Gamma) if three_levels else free_spin_system(Gamma)
+    rho0 = random_density_matrix(np.random.default_rng(seed), spec.M)
+    try:
+        rates = thermal_rates(spec, dip, beta)
+        pm = pauli_matrix(rates, spec)
+        tau = thermalization_times(pm, rates).tau
+        rho_t = evolve(pm, decoherence_rates(rates), rho0, t_over_tau * tau)
+    except ThermotimesError:
+        return  # a typed refusal is an allowed outcome
+    assert np.isfinite(rho_t).all()
+    assert abs(np.trace(rho_t) - 1.0) <= 1e-10
+    assert np.abs(rho_t - rho_t.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
 
 
 def test_evolve_rejects_bad_inputs():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from thermotimes import qome
 from thermotimes.ensemble import free_spins_times
 from thermotimes.errors import (
     CapExceeded,
@@ -199,10 +200,11 @@ def test_energy_tol_merges_near_degenerate_gaps():
     assert widened.zero_multiplicity > 1
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(qome, "LIOUVILLIAN_CAP", 2)
     spec, dip = free_spin_system(1.0)
     with pytest.raises(CapExceeded):
-        build_liouvillian(spec, dip, 1.0, cap=2)
+        build_liouvillian(spec, dip, 1.0)
 
 
 def test_compare_modulated_pair():
