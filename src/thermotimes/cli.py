@@ -33,6 +33,7 @@ from .model import (
     free_spin_chain,
     free_spin_system,
     single_site_operator,
+    spin_sector_system,
     system_from_json,
 )
 from .qome import LIOUVILLIAN_CAP, TOL_ZERO, build_liouvillian, qome_spectrum
@@ -117,9 +118,15 @@ class RunConfig:
             Gamma = _number("Gamma", Gamma)
         elif family == "free_spins_uniform":
             raise ConfigError("free_spins_uniform requires Gamma > 0")
+        gamma = _number("gamma", raw.get("gamma", 1.0))
         hamiltonian = raw.get("hamiltonian")
-        if family == "custom_hamiltonian" and hamiltonian is None:
-            raise ConfigError("custom_hamiltonian requires a 'hamiltonian' object")
+        if family == "custom_hamiltonian":
+            if hamiltonian is None:
+                raise ConfigError("custom_hamiltonian requires a 'hamiltonian' object")
+            try:
+                system_from_json(hamiltonian, gamma=gamma)
+            except ThermotimesError as exc:
+                raise ConfigError(f"hamiltonian: {exc}") from exc
         energy_tol = tols.get("energy_tol")
         if energy_tol is not None:
             energy_tol = _number("tolerances.energy_tol", energy_tol, ">= 0")
@@ -133,7 +140,7 @@ class RunConfig:
             family=family,
             N_list=N_list,
             beta=_number("beta", raw.get("beta", 1.0)),
-            gamma=_number("gamma", raw.get("gamma", 1.0)),
+            gamma=gamma,
             methods=tuple(methods),
             Gamma=Gamma,
             law={key: _number(f"law.{key}", value, "") for key, value in law.items()},
@@ -209,7 +216,8 @@ def _check_qome_size(member_dim: int, N: int) -> None:
 
 
 def _composite_system(config: RunConfig, N: int) -> QubitSystem:
-    """The ensemble as one composite qubit register (QOME route), size-checked first."""
+    """The ensemble as one composite qubit register (QOME route of the modulated
+    and custom families), size-checked first."""
     if config.family == "custom_hamiltonian":
         member, _, _ = _custom_member(config)
         _check_qome_size(member.dim, N)
@@ -220,11 +228,18 @@ def _composite_system(config: RunConfig, N: int) -> QubitSystem:
 
 
 def _run_qome(config: RunConfig, N: int):
-    system = _composite_system(config, N)
-    spec = diagonalize(system, require_nondegenerate=False)
-    dip = dipole_data(system, spec)
+    """QOME spectrum of N members: identical spins go through their total-spin
+    sectors, every other ensemble through the composite register."""
+    if config.family == "free_spins_uniform":
+        _check_qome_size(2, N)
+        spec, dip, sectors = spin_sector_system(N, config.Gamma, config.gamma)
+    else:
+        system = _composite_system(config, N)
+        spec = diagonalize(system, require_nondegenerate=False)
+        dip = dipole_data(system, spec)
+        sectors = None
     t0 = time.perf_counter()
-    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol)
+    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol, sectors=sectors)
     spectrum = qome_spectrum(L, tol_zero=config.tol_zero)
     wall = time.perf_counter() - t0
     return spectrum, wall

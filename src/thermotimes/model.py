@@ -4,6 +4,7 @@ Units: hbar = k_B = 1 throughout. The dipole coupling constant gamma absorbs
 all physical prefactors and multiplies the squared dipole matrix D.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -271,6 +272,48 @@ def free_spin_system(Gamma: float, gamma: float = 1.0):
     return spec, DipoleData(d_x=d_x, d_y=d_y, d_z=d_z, D=D, gamma=gamma)
 
 
+def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
+    """N identical spins in a uniform field, reduced to one copy of each total-spin sector.
+
+    H = -Gamma sum_i sigma_i^x = -2 Gamma J_x and the collective dipoles
+    2 J_h act only on the total-spin factor of C^(2^N) = sum_J C^(2J+1) x
+    C^(d_J), so the system is represented on the direct sum of the sectors
+    J = N/2, N/2 - 1, ..., one copy each, in the basis |J, m_x> (no numerical
+    diagonalization; the eigenbasis is the identity). Returns (spectrum,
+    dipoles, sectors) with ``sectors`` = (sector index of each level, exact
+    integer multiplicity d_J = C(N, N/2-J) - C(N, N/2-J-1) of each sector).
+    """
+    if N < 1:
+        raise DimensionMismatch(f"N must be >= 1, got {N}")
+    if Gamma <= 0:
+        raise NonPositiveField(f"Gamma must be > 0, got {Gamma}")
+    if gamma <= 0:
+        raise NonPositiveField(f"gamma must be > 0, got {gamma}")
+    ks = range(N // 2 + 1)
+    mult = tuple(math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in ks)
+    # 2m_x of every level, m_x = J, J-1, ..., -J within each sector 2J = N - 2k
+    two_m = np.concatenate([np.arange(N - 2 * k, -(N - 2 * k) - 1, -2) for k in ks])
+    sector = np.concatenate([np.full(N - 2 * k + 1, k) for k in ks])
+    # <m+1| J_y + i J_z |m> = sqrt(J(J+1) - m(m+1)), x the quantization axis,
+    # couples level i+1 to level i; it vanishes where level i+1 opens a sector (m = J)
+    two_J, t = N - 2 * sector[1:], two_m[1:]
+    J_plus = np.diag(0.5 * np.sqrt(two_J * (two_J + 2) - t * (t + 2)), 1).astype(complex)
+    order = np.argsort(-two_m, kind="stable")  # ascending energy -Gamma 2m_x
+    amps = [np.diag(two_m).astype(complex), J_plus + J_plus.T, -1.0j * (J_plus - J_plus.T)]
+    amps = [d[np.ix_(order, order)] for d in amps]
+    M = len(order)
+    spec = EnergySpectrum(
+        M=M,
+        energies=Gamma * -two_m[order],
+        eigenbasis=np.eye(M, dtype=complex),
+        degeneracy_tol=DEGENERACY_RTOL * 2 * N * Gamma,
+    )
+    D = gamma * sum(np.abs(d) ** 2 for d in amps)
+    np.fill_diagonal(D, 0.0)
+    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], D=D, gamma=gamma)
+    return spec, dip, (sector[order], mult)
+
+
 # ---------------------------------------------------------------------------
 # degeneracy diagnostics
 # ---------------------------------------------------------------------------
@@ -304,7 +347,10 @@ def _gap_structure(energies: np.ndarray, tol: float):
     Levels within ``tol`` (chained) are replaced by their class mean, so
     intended-equal gaps E_m - E_n (M x M arrays over (m, n)) are exactly
     equal before they are classed; the zero-gap class has frequency 0.
+    Raises NonPositiveField unless ``tol`` is finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise NonPositiveField(f"energy tolerance must be finite and >= 0, got {tol}")
     lev_ids = equality_classes(energies, tol)
     rep = np.empty_like(energies, dtype=float)
     for c in np.unique(lev_ids):
@@ -347,12 +393,10 @@ class DegeneracyReport:
 
 def degeneracy_report(energies: Sequence[float], tol: float) -> DegeneracyReport:
     """Detect level and gap degeneracies with tolerance ``tol``."""
-    if tol < 0:
-        raise NonPositiveField("tol must be >= 0")
     E = np.asarray(energies, dtype=float)
+    lev_ids, gap_ids, _ = _gap_structure(E, tol)
     if len(E) == 0:
         return DegeneracyReport(False, False, (), (), tol)
-    lev_ids, gap_ids, _ = _gap_structure(E, tol)
     level_classes = tuple(
         tuple(int(i) for i in np.flatnonzero(lev_ids == c))
         for c in range(lev_ids.max() + 1)
@@ -379,13 +423,15 @@ def system_from_json(obj: dict, gamma: float = 1.0) -> QubitSystem:
     try:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed Hamiltonian object: {exc}") from exc
-    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionMismatch(
             f"re/im must be {dim}x{dim} matrices, got {re.shape} and {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DimensionMismatch("re/im entries must be finite numbers")
     K = dim.bit_length() - 1
     if dim < 2 or 2**K != dim:
         raise DimensionMismatch(f"dim must be a power of two >= 2, got {dim}")

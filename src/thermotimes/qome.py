@@ -15,6 +15,13 @@ frequency (Buca & Prosen, NJP 14, 073007, 2012) and is built and diagonalized
 one block at a time: the omega = 0 block holds the populations and fixes the
 dissipation time, the other blocks hold the coherences and fix the
 decoherence time.
+
+Identical spins in a uniform field take the total-spin sector route: on the
+system of ``model.spin_sector_system`` (one copy of each sector J) every
+Bohr block splits further by sector pair (J, J'), and each part's spectrum
+counts d_J d_J' times, its multiplicity in the 2^N register (Chase &
+Geremia, PRA 78, 052101, 2008). Any other system is built as a composite
+register, where every block counts once.
 """
 
 import math
@@ -56,7 +63,10 @@ class Liouvillian:
     ``blocks`` holds one (omega, indices, matrix) entry per Bohr-frequency
     class E_m - E_n = omega (omega exactly 0 for the populations), in
     ascending omega: the indices of the class and the generator on them; the
-    Kronecker deltas treat energies within ``energy_tol`` as equal.
+    Kronecker deltas treat energies within ``energy_tol`` as equal. On a
+    spin-sector system each class is split further by sector pair, and
+    ``weights`` holds the integer multiplicity d_J d_J' of each block's
+    spectrum in the full system (None: every block counts once).
     """
 
     dim: int
@@ -64,6 +74,7 @@ class Liouvillian:
     energies: np.ndarray
     energy_tol: float
     beta: float
+    weights: Optional[tuple] = None
 
     @property
     def M(self) -> int:
@@ -83,6 +94,7 @@ def build_liouvillian(
     dip: DipoleData,
     beta: float,
     energy_tol: Optional[float] = None,
+    sectors: Optional[tuple] = None,
 ) -> Liouvillian:
     """Assemble the quantum optical master equation generator block by block.
 
@@ -92,6 +104,12 @@ def build_liouvillian(
     the blackbody weight W~ and the squared coupling gamma carried by the
     dipole data; the coherent part is -i omega. Coefficients are evaluated on
     per-class representative energies, so gating and weights never disagree.
+
+    ``sectors`` = (sector of each level, multiplicity of each sector), as
+    returned by :func:`spin_sector_system`, splits every class by the sector
+    pair (sector(m), sector(n)) and weights each part by the product of the
+    two multiplicities. The split is exact: the dipoles are block diagonal by
+    sector, so no entry couples two sector pairs.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
@@ -119,10 +137,14 @@ def build_liouvillian(
     Phi_gated_conj = Phi_gated.conj()
     feeding = [(d * Wt, np.conj(d)) for d in dip.amplitudes]
 
-    blocks = []
-    class_of = gap_ids.ravel()
-    for c in range(class_of.max() + 1):
-        idx = np.flatnonzero(class_of == c)
+    # one block per Bohr class, on a spin-sector system one per class and sector pair
+    level_sector, mult = sectors if sectors is not None else (np.zeros(M, dtype=int), (1,))
+    S = len(mult)
+    pair_of = (level_sector[:, None] * S + level_sector[None, :]).ravel()
+    key = gap_ids.ravel() * S * S + pair_of
+    blocks, weights = [], []
+    for c in np.unique(key):
+        idx = np.flatnonzero(key == c)
         m, n = np.divmod(idx, M)
         # row a = (m, n) receives from column b = (k, j)
         m_a, m_b, n_a, n_b = m[:, None], m[None, :], n[:, None], n[None, :]
@@ -137,6 +159,7 @@ def build_liouvillian(
         block -= 0.5 * Phi_gated_conj[n_b, n_a] * (m_a == m_b)
         block[np.diag_indices(len(idx))] += -1.0j * gap_rep[m, n]
         blocks.append((float(gap_rep[m[0], n[0]]), idx, block))
+        weights.append(mult[c % (S * S) // S] * mult[c % S])
 
     return Liouvillian(
         dim=M * M,
@@ -144,6 +167,7 @@ def build_liouvillian(
         energies=E.copy(),
         energy_tol=float(energy_tol),
         beta=float(beta),
+        weights=tuple(weights),
     )
 
 
@@ -178,7 +202,8 @@ class LiouvillianSpectrum:
     tau_Q comes from the eigenvalue of smallest |Re| in the omega != 0
     blocks. tau_Q is None when there is no such block and infinite when the
     slowest oscillatory mode is undamped. ``eigenvalues`` lists the block
-    spectra in block order.
+    spectra in block order, each once; the two multiplicities count every
+    eigenvalue with its block's weight (exact integers).
     """
 
     eigenvalues: np.ndarray
@@ -203,6 +228,9 @@ def qome_spectrum(
     """
     ev = np.concatenate([np.linalg.eigvals(block) for _, _, block in L.blocks])
     static = np.concatenate([np.full(len(idx), omega == 0.0) for omega, idx, _ in L.blocks])
+    weights = L.weights if L.weights is not None else (1,) * len(L.blocks)
+    # Python-int weights keep the counts exact however large d_J d_J' grows
+    weight = np.repeat(np.array(weights, dtype=object), [len(idx) for _, idx, _ in L.blocks])
     scale = float(np.abs(ev).max(initial=0.0))
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")
@@ -216,7 +244,7 @@ def qome_spectrum(
         )
     slowest_real = float(rates.min())
     tau_P = 1.0 / slowest_real
-    tau_P_mult = int(np.sum(np.abs(rates - slowest_real) <= tol_zero * scale))
+    tau_P_mult = int(weight[static & ~zero][np.abs(rates - slowest_real) <= tol_zero * scale].sum())
 
     tau_Q: Optional[float]
     if len(osc):
@@ -231,7 +259,7 @@ def qome_spectrum(
 
     return LiouvillianSpectrum(
         eigenvalues=ev,
-        zero_multiplicity=int(zero.sum()),
+        zero_multiplicity=int(weight[zero].sum()),
         tau_P=tau_P,
         tau_Q=tau_Q,
         tol_zero=tol_zero,

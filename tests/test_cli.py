@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from thermotimes import cli
+from thermotimes import cli, model
 from thermotimes.cli import (
     RunConfig,
     analyze_records,
@@ -122,6 +122,39 @@ def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, ra
     monkeypatch.setattr(cli, builder, refuse)
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["qome"]})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
+
+
+@pytest.mark.parametrize("hamiltonian", [
+    {"dim": 2, "re": "x"},
+    {"dim": 3, "re": np.eye(3).tolist()},
+    {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]},
+    [[0.0, 1.0], [1.0, 0.0]],
+])
+def test_malformed_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
+    raw = {"family": "custom_hamiltonian", "N": 1, "hamiltonian": hamiltonian}
+    with pytest.raises(ConfigError, match="hamiltonian"):
+        RunConfig.from_dict(raw)
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_uniform_qome_never_builds_the_composite(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the composite register was built")
+
+    for target, name in ((cli, "free_spin_chain"), (cli, "diagonalize"),
+                         (model, "total_spin_operator")):
+        monkeypatch.setattr(target, name, refuse)
+    cfg = write_config(tmp_path, "c.json", {
+        "family": "free_spins_uniform", "Gamma": 1.0, "N_list": [1, 2, 3, 4, 5, 6],
+        "methods": ["qome"], "output": "json",
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", "--config", cfg, "--out", out]) == 0
+    with open(out) as fh:
+        records = json.load(fh)["records"]
+    assert [r["qome_zero_multiplicity"] for r in records] == [1, 2, 5, 14, 42, 132]
+    assert all(r["tau_P"] == pytest.approx(0.0476, abs=1e-4) for r in records)
 
 
 def test_readme_config_examples_are_valid():

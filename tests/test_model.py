@@ -25,6 +25,8 @@ from thermotimes.model import (
     total_spin_operator,
 )
 
+from thermotimes.qome import build_liouvillian, jump_operator_groups
+
 from oracles import brute_force_dipole, charpoly_eigvals
 
 
@@ -243,3 +245,21 @@ def test_system_from_json_rejects_bad_input():
         system_from_json({"re": [[0.0]]})
     with pytest.raises(NonHermitian):
         system_from_json({"dim": 2, "re": [[0, 1], [0, 0]]})
+    for bad in ({"dim": 2, "re": [[1, 0], [0, float("nan")]]},
+                {"dim": 2, "re": [[1, 0], [0, -1]], "im": "x"},
+                {"dim": -2, "re": [[0.0]]}):
+        with pytest.raises(DimensionMismatch):
+            system_from_json(bad)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_energy_tolerance_is_checked_once(tol):
+    # build_liouvillian raised a raw IndexError at -1 and, at nan, built a
+    # vanishing generator; every user of the gap partition now refuses all three
+    with pytest.raises(NonPositiveField, match="energy tolerance"):
+        build_liouvillian(*free_spin_system(1.0), 1.0, energy_tol=tol)
+    for check in (degeneracy_report, jump_operator_groups):
+        with pytest.raises(NonPositiveField, match="energy tolerance"):
+            check([-1.0, 1.0], tol)
+    with pytest.raises(NonPositiveField):
+        degeneracy_report([], tol)

@@ -24,6 +24,7 @@ from thermotimes.model import (
     dipole_data,
     free_spin_chain,
     free_spin_system,
+    spin_sector_system,
 )
 from thermotimes.qome import (
     build_liouvillian,
@@ -265,17 +266,23 @@ def test_equivalence_theorem_times_also_agree():
 
 
 def test_blocks_scatter_to_the_dense_generator():
-    cases = [(composite(Gs), None) for N in range(1, 5) for Gs in (modulated_gammas(N), [1.0] * N)]
-    cases.append((composite(modulated_gammas(2)), 1.0))
+    cases = [(*composite(Gs), None, None) for N in range(1, 5)
+             for Gs in (modulated_gammas(N), [1.0] * N)]
+    cases.append((*composite(modulated_gammas(2)), None, 1.0))
     rng = np.random.default_rng(303)
-    cases += [(synthetic_system(rng, 3 + trial % 3), None) for trial in range(10)]
-    for (spec, dip), energy_tol in cases:
+    cases += [(*synthetic_system(rng, 3 + trial % 3), None, None) for trial in range(10)]
+    # split by sector pair, the blocks still scatter to the whole generator
+    cases += [(*spin_sector_system(N, 0.8), None) for N in range(1, 6)]
+    for spec, dip, sectors, energy_tol in cases:
         for beta in (1e-3, 1.0, 100.0):
-            L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol)
+            L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol, sectors=sectors)
             assert np.array_equal(L.matrix, dense_liouvillian(spec, dip, beta, energy_tol))
             covered = np.sort(np.concatenate([idx for _, idx, _ in L.blocks]))
             assert np.array_equal(covered, np.arange(L.dim))
-            assert [omega for omega, _, _ in L.blocks].count(0.0) == 1
+            assert len(L.weights) == len(L.blocks)
+            if sectors is None:
+                assert [omega for omega, _, _ in L.blocks].count(0.0) == 1
+                assert set(L.weights) == {1}
 
 
 def test_block_count_and_size_modulated_six_spins():
