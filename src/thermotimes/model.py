@@ -326,19 +326,18 @@ def equality_classes(values: np.ndarray, tol: float) -> np.ndarray:
     class instead of depending on comparison order.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    ids = np.empty(n, dtype=int)
-    if n == 0:
-        return ids
     order = np.argsort(values, kind="stable")
-    cid = 0
-    prev = values[order[0]]
-    for idx in order:
-        if values[idx] - prev > tol:
-            cid += 1
-        ids[idx] = cid
-        prev = values[idx]
+    ids = np.empty(len(values), dtype=int)
+    ids[order] = np.cumsum(np.diff(values[order], prepend=values[order[:1]]) > tol)
     return ids
+
+
+def _class_means(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mean of ``x`` over each class of ``ids`` (0, 1, ...), indexed by id: a stable
+    sort by id leaves x[ids == c] in order as one segment, so each mean is bit-identical."""
+    x = x[np.argsort(ids, kind="stable")]
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    return np.array([x[start:end].mean() for start, end in zip([0] + ends, ends)])
 
 
 def _gap_structure(energies: np.ndarray, tol: float):
@@ -352,16 +351,12 @@ def _gap_structure(energies: np.ndarray, tol: float):
     if not (math.isfinite(tol) and tol >= 0):
         raise NonPositiveField(f"energy tolerance must be finite and >= 0, got {tol}")
     lev_ids = equality_classes(energies, tol)
-    rep = np.empty_like(energies, dtype=float)
-    for c in np.unique(lev_ids):
-        rep[lev_ids == c] = energies[lev_ids == c].mean()
+    rep = _class_means(energies, lev_ids)[lev_ids]
     gaps = rep[:, None] - rep[None, :]
     gap_ids = equality_classes(gaps.ravel(), tol).reshape(gaps.shape)
-    gap_rep = np.empty_like(gaps)
-    for c in np.unique(gap_ids):
-        mask = gap_ids == c
-        gap_rep[mask] = 0.0 if c == gap_ids[0, 0] else gaps[mask].mean()
-    return lev_ids, gap_ids, gap_rep
+    gap_means = _class_means(gaps.ravel(), gap_ids.ravel())
+    gap_means[gap_ids.diagonal()] = 0.0  # the class of the zero gaps E_m - E_m
+    return lev_ids, gap_ids, gap_means[gap_ids]
 
 
 def _pair_classes(ids: np.ndarray) -> tuple:
@@ -418,13 +413,18 @@ def degeneracy_report(energies: Sequence[float], tol: float) -> DegeneracyReport
 def system_from_json(obj: dict, gamma: float = 1.0) -> QubitSystem:
     """Build a QubitSystem from {"dim": n, "re": [[...]], "im": [[...]]}.
 
-    ``dim`` must be a power of two; ``im`` may be omitted for real matrices.
+    ``dim`` must be an integer power of two and every entry a number, never a
+    bool or a string; ``im`` may be omitted for real matrices.
     """
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
-    except (KeyError, TypeError, ValueError) as exc:
+        numbers = [dim] + [x for key in ("re", "im") if key in obj for row in obj[key] for x in row]
+        if not isinstance(dim, int) or any(
+                isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
+            raise TypeError("dim must be a JSON integer and every re/im entry a JSON number")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"malformed Hamiltonian object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionMismatch(

@@ -11,10 +11,11 @@ dropped throughout: its defining integral is ultraviolet divergent and it
 does not affect either characteristic time.
 
 The secular generator commutes with [H, .], so it is block diagonal by Bohr
-frequency (Buca & Prosen, NJP 14, 073007, 2012) and is built and diagonalized
-one block at a time: the omega = 0 block holds the populations and fixes the
-dissipation time, the other blocks hold the coherences and fix the
-decoherence time.
+frequency (Buca & Prosen, NJP 14, 073007, 2012): the omega = 0 block holds the
+populations and fixes the dissipation time, the other blocks hold the
+coherences and fix the decoherence time. All blocks are gathered at once and
+solved by one batched eigensolve per size, a coherence block without its
+-i omega diagonal so that its slow rates keep their own precision.
 
 Identical spins in a uniform field take the total-spin sector route: on the
 system of ``model.spin_sector_system`` (one copy of each sector J) every
@@ -62,11 +63,12 @@ class Liouvillian:
     Element (m, n) of the density matrix sits at the row-major index m*M + n.
     ``blocks`` holds one (omega, indices, matrix) entry per Bohr-frequency
     class E_m - E_n = omega (omega exactly 0 for the populations), in
-    ascending omega: the indices of the class and the generator on them; the
-    Kronecker deltas treat energies within ``energy_tol`` as equal. On a
-    spin-sector system each class is split further by sector pair, and
-    ``weights`` holds the integer multiplicity d_J d_J' of each block's
-    spectrum in the full system (None: every block counts once).
+    ascending omega: the indices of the class, ascending, and the generator on
+    them, a view into one array that holds every block; the Kronecker deltas
+    treat energies within ``energy_tol`` as equal. On a spin-sector system
+    each class is split further by sector pair, and ``weights`` holds the
+    integer multiplicity d_J d_J' of each block's spectrum in the full system
+    (None: every block counts once).
     """
 
     dim: int
@@ -96,14 +98,16 @@ def build_liouvillian(
     energy_tol: Optional[float] = None,
     sectors: Optional[tuple] = None,
 ) -> Liouvillian:
-    """Assemble the quantum optical master equation generator block by block.
+    """Assemble the quantum optical master equation generator, all blocks in one pass.
 
-    The spectrum may be degenerate. Within a Bohr-frequency class the
-    dissipator consists of two escape sums gated by equality of level energies
-    and a feeding term gated by equality of transition frequencies, all with
-    the blackbody weight W~ and the squared coupling gamma carried by the
-    dipole data; the coherent part is -i omega. Coefficients are evaluated on
-    per-class representative energies, so gating and weights never disagree.
+    A stable sort groups the indices by block and one gather yields all their
+    entries, with no loop over blocks. The spectrum may be degenerate. Within a
+    Bohr-frequency class the dissipator consists of two escape sums gated by
+    equality of level energies and a feeding term gated by equality of
+    transition frequencies, all with the blackbody weight W~ and the squared
+    coupling gamma carried by the dipole data; the coherent part is -i omega.
+    Coefficients are evaluated on per-class representative energies, so gating
+    and weights never disagree.
 
     ``sectors`` = (sector of each level, multiplicity of each sector), as
     returned by :func:`spin_sector_system`, splits every class by the sector
@@ -134,40 +138,46 @@ def build_liouvillian(
         Phi += d.T @ (np.conj(d) * Wt)
     Phi *= gamma
     Phi_gated = Phi * (lev_ids[:, None] == lev_ids[None, :])
-    Phi_gated_conj = Phi_gated.conj()
-    feeding = [(d * Wt, np.conj(d)) for d in dip.amplitudes]
 
     # one block per Bohr class, on a spin-sector system one per class and sector pair
     level_sector, mult = sectors if sectors is not None else (np.zeros(M, dtype=int), (1,))
     S = len(mult)
     pair_of = (level_sector[:, None] * S + level_sector[None, :]).ravel()
     key = gap_ids.ravel() * S * S + pair_of
-    blocks, weights = [], []
-    for c in np.unique(key):
-        idx = np.flatnonzero(key == c)
-        m, n = np.divmod(idx, M)
-        # row a = (m, n) receives from column b = (k, j)
-        m_a, m_b, n_a, n_b = m[:, None], m[None, :], n[:, None], n[None, :]
-        # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
-        # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
-        # complex products like the dense outer product einsum("mk,nj->mnkj")
-        block = np.zeros((len(idx), len(idx)), dtype=complex)
-        for dW, d_conj in feeding:
-            block += gamma * np.einsum("ab,ab->ab", dW[m_a, m_b], d_conj[n_a, n_b])
-        block *= gap_ids[m_b, m_a] == gap_ids[n_b, n_a]
-        block -= 0.5 * Phi_gated[m_b, m_a] * (n_a == n_b)
-        block -= 0.5 * Phi_gated_conj[n_b, n_a] * (m_a == m_b)
-        block[np.diag_indices(len(idx))] += -1.0j * gap_rep[m, n]
-        blocks.append((float(gap_rep[m[0], n[0]]), idx, block))
-        weights.append(mult[c % (S * S) // S] * mult[c % S])
+    order = np.argsort(key, kind="stable")
+    keys, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+    # all entries at once: entry p of row r (the r-th sorted index) reads column p - shift[r];
+    # row (m, n) receives from column (k, j), gathered by the flat indices mm = (m, k), nn = (n, j)
+    m, n = np.divmod(order, M)
+    width = np.repeat(sizes, sizes)
+    shift = np.cumsum(width) - width - np.repeat(starts, sizes)
+    col = np.arange(width.sum()) - np.repeat(shift, width)
+    mm, nn = np.repeat(m * M, width) + m[col], np.repeat(n * M, width) + n[col]
+    same = np.eye(M, dtype=bool).ravel()  # same[mm] is m == k
+    # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
+    # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
+    # complex products like the dense outer product einsum("mk,nj->mnkj")
+    entries = np.zeros(len(col), dtype=complex)
+    for d in dip.amplitudes:
+        entries += gamma * np.einsum("i,i->i", (d * Wt).ravel()[mm], np.conj(d).ravel()[nn])
+    entries *= gap_ids.T.ravel()[mm] == gap_ids.T.ravel()[nn]
+    entries -= 0.5 * Phi_gated.T.ravel()[mm] * same[nn]
+    entries -= 0.5 * Phi_gated.conj().T.ravel()[nn] * same[mm]
+    entries[np.arange(M * M) + shift] += -1.0j * gap_rep.ravel()[order]  # the diagonals
+    omegas, ends = gap_rep.ravel()[order[starts]], np.cumsum(sizes * sizes)
+    blocks = tuple(
+        (omega, order[start:start + size], entries[end - size * size:end].reshape(size, size))
+        for omega, start, size, end in zip(*(x.tolist() for x in (omegas, starts, sizes, ends)))
+    )
+    weights = tuple(mult[p // S] * mult[p % S] for p in (keys % (S * S)).tolist())
 
     return Liouvillian(
         dim=M * M,
-        blocks=tuple(blocks),
+        blocks=blocks,
         energies=E.copy(),
         energy_tol=float(energy_tol),
         beta=float(beta),
-        weights=tuple(weights),
+        weights=weights,
     )
 
 
@@ -220,17 +230,27 @@ def qome_spectrum(
     tol_zero: float = TOL_ZERO,
     require_oscillatory: bool = False,
 ) -> LiouvillianSpectrum:
-    """Diagonalize the Liouvillian block by block and extract the characteristic times.
+    """Diagonalize the Liouvillian per block size and extract the characteristic times.
 
     Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
     eigenvalue (e.g. a decoupled system); a missing oscillatory block is
     reported as tau_Q = None unless ``require_oscillatory`` is set.
     """
-    ev = np.concatenate([np.linalg.eigvals(block) for _, _, block in L.blocks])
-    static = np.concatenate([np.full(len(idx), omega == 0.0) for omega, idx, _ in L.blocks])
+    omegas, sizes = map(np.array, zip(*((omega, len(idx)) for omega, idx, _ in L.blocks)))
+    ev = np.empty(sizes.sum(), dtype=complex)
+    # one batched eigensolve per block size, eigenvalues put back in block order;
+    # a coherence block is solved with its -i omega diagonal taken out, so that a
+    # slow rate is not lost to round-off of |omega| (the populations go as they are)
+    for size in np.unique(sizes):
+        k = np.flatnonzero(sizes == size)
+        stack = np.stack([L.blocks[i][2] for i in k])
+        osc, diag, shift = np.flatnonzero(omegas[k]), np.arange(size), 1j * omegas[k, None]
+        stack[osc[:, None], diag, diag] += shift[osc]
+        ev[(np.cumsum(sizes) - size)[k, None] + diag] = np.linalg.eigvals(stack) - shift
+    static = np.repeat(omegas == 0.0, sizes)
     weights = L.weights if L.weights is not None else (1,) * len(L.blocks)
     # Python-int weights keep the counts exact however large d_J d_J' grows
-    weight = np.repeat(np.array(weights, dtype=object), [len(idx) for _, idx, _ in L.blocks])
+    weight = np.repeat(np.array(weights, dtype=object), sizes)
     scale = float(np.abs(ev).max(initial=0.0))
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 via characteristic polynomials, decay rates via matrix exponentials, product
-structure via explicit loops over bra-ket sums.
+structure via explicit loops over bra-ket sums, degeneracy classes via one
+loop step per element and one mask per class.
 """
 
 import numpy as np
@@ -10,7 +11,49 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from thermotimes.lba import _blackbody_weight
-from thermotimes.model import DEGENERACY_RTOL, DipoleData, EnergySpectrum, _gap_structure
+from thermotimes.model import DEGENERACY_RTOL, DipoleData, EnergySpectrum
+
+
+def loop_equality_classes(values, tol):
+    """Class ids of ``values`` under chained |x - y| <= tol, one sorted element at a time.
+
+    The reference for the sort-and-cumsum ``model.equality_classes``: walks the
+    stably sorted values and opens a new class at every step larger than tol.
+    """
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    ids = np.empty(n, dtype=int)
+    if n == 0:
+        return ids
+    order = np.argsort(values, kind="stable")
+    cid = 0
+    prev = values[order[0]]
+    for idx in order:
+        if values[idx] - prev > tol:
+            cid += 1
+        ids[idx] = cid
+        prev = values[idx]
+    return ids
+
+
+def loop_gap_structure(energies, tol):
+    """Level ids, gap ids and gap frequencies with one mask per class.
+
+    The reference for ``model._gap_structure``: each level class is replaced
+    by the mean of ``energies[mask]``, each gap class by the mean of
+    ``gaps[mask]``, and the class of the zero gap by exactly 0.
+    """
+    lev_ids = loop_equality_classes(energies, tol)
+    rep = np.empty_like(energies, dtype=float)
+    for c in np.unique(lev_ids):
+        rep[lev_ids == c] = energies[lev_ids == c].mean()
+    gaps = rep[:, None] - rep[None, :]
+    gap_ids = loop_equality_classes(gaps.ravel(), tol).reshape(gaps.shape)
+    gap_rep = np.empty_like(gaps)
+    for c in np.unique(gap_ids):
+        mask = gap_ids == c
+        gap_rep[mask] = 0.0 if c == gap_ids[0, 0] else gaps[mask].mean()
+    return lev_ids, gap_ids, gap_rep
 
 
 def charpoly_eigvals(H):
@@ -144,7 +187,7 @@ def dense_liouvillian(spec, dip, beta, energy_tol=None):
     E = spec.energies
     if energy_tol is None:
         energy_tol = DEGENERACY_RTOL * max(float(E[-1] - E[0]), 1.0)
-    lev_ids, gap_ids, gap_rep = _gap_structure(E, energy_tol)
+    lev_ids, gap_ids, gap_rep = loop_gap_structure(E, energy_tol)
     Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
     gamma = dip.gamma
     same_level = lev_ids[:, None] == lev_ids[None, :]

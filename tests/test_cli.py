@@ -129,6 +129,11 @@ def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, ra
     {"dim": 3, "re": np.eye(3).tolist()},
     {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]},
     [[0.0, 1.0], [1.0, 0.0]],
+    # the config number rule holds inside the matrix too: these ran as the free spin
+    {"dim": "2", "re": [["0", "-1"], ["-1", "0"]]},
+    {"dim": 2.7, "re": [[0, -1], [-1, 0]]},
+    {"dim": True, "re": [[0]]},
+    {"dim": 2, "re": [[0, -1], [-1, 0]], "im": [[False, 0], [0, 0]]},
 ])
 def test_malformed_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
     raw = {"family": "custom_hamiltonian", "N": 1, "hamiltonian": hamiltonian}

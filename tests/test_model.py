@@ -14,6 +14,7 @@ from thermotimes.model import (
     PAULI_Y,
     PAULI_Z,
     QubitSystem,
+    _gap_structure,
     degeneracy_report,
     diagonalize,
     dipole_data,
@@ -27,7 +28,12 @@ from thermotimes.model import (
 
 from thermotimes.qome import build_liouvillian, jump_operator_groups
 
-from oracles import brute_force_dipole, charpoly_eigvals
+from oracles import (
+    brute_force_dipole,
+    charpoly_eigvals,
+    loop_equality_classes,
+    loop_gap_structure,
+)
 
 
 def test_qubit_system_rejects_non_hermitian():
@@ -184,6 +190,43 @@ def test_equality_classes_partition(values, tol):
                 assert ids[i] == ids[j]
 
 
+@st.composite
+def class_inputs(draw):
+    """Values for the degeneracy classes: random, chained across the tolerance,
+    or drawn from a few exactly repeated levels, in shuffled order."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    n = draw(st.integers(min_value=0, max_value=10))
+    kind = draw(st.sampled_from(["random", "chained", "repeated"]))
+    if kind == "random":
+        values = draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
+    elif kind == "chained":
+        # steps just below, at and just above tol chain some neighbours and split others
+        steps = draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 3.0]),
+                              min_size=n, max_size=n))
+        values = list(draw(st.floats(-5, 5)) + np.cumsum(np.array(steps) * tol))
+    else:
+        levels = draw(st.lists(st.floats(-5, 5), min_size=1, max_size=3))
+        values = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    return np.array(draw(st.permutations(values)), dtype=float), tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_inputs())
+def test_vectorized_classes_match_the_loop_oracle(inputs):
+    values, tol = inputs
+    assert np.array_equal(equality_classes(values, tol), loop_equality_classes(values, tol))
+    # level ids, gap ids and representatives, bit for bit
+    for got, want in zip(_gap_structure(values, tol), loop_gap_structure(values, tol)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_vectorized_classes_on_empty_input():
+    empty = np.array([])
+    assert np.array_equal(equality_classes(empty, 0.0), loop_equality_classes(empty, 0.0))
+    for got, want in zip(_gap_structure(empty, 0.0), loop_gap_structure(empty, 0.0)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+
+
 def test_dipole_symmetric_zero_diagonal_property():
     rng = np.random.default_rng(5)
     for K in (1, 2, 3):
@@ -247,7 +290,10 @@ def test_system_from_json_rejects_bad_input():
         system_from_json({"dim": 2, "re": [[0, 1], [0, 0]]})
     for bad in ({"dim": 2, "re": [[1, 0], [0, float("nan")]]},
                 {"dim": 2, "re": [[1, 0], [0, -1]], "im": "x"},
-                {"dim": -2, "re": [[0.0]]}):
+                {"dim": -2, "re": [[0.0]]},
+                {"dim": "2", "re": [["0", "1"], ["1", "0"]]},
+                {"dim": 2.0, "re": [[0, 1], [1, 0]]},
+                {"dim": 2, "re": [[0, 10**400], [10**400, 0]]}):
         with pytest.raises(DimensionMismatch):
             system_from_json(bad)
 

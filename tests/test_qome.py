@@ -291,6 +291,45 @@ def test_block_count_and_size_modulated_six_spins():
     assert max(len(idx) for _, idx, _ in L.blocks) == 64
 
 
+def test_blocks_are_solved_as_stated():
+    # the populations block as it is, every coherence block with its -i omega
+    # diagonal taken out before the solve and put back on the eigenvalues
+    for spec, dip, sectors in [(*composite(modulated_gammas(3)), None),
+                               (*composite([1.0] * 3), None), spin_sector_system(4, 0.3)]:
+        L = build_liouvillian(spec, dip, 2.0, sectors=sectors)
+        ev = qome_spectrum(L).eigenvalues
+        start = 0
+        for omega, idx, block in L.blocks:
+            shifted = block.copy()
+            if omega != 0.0:
+                shifted[np.diag_indices(len(idx))] += 1j * omega
+            want = np.linalg.eigvals(shifted) - (1j * omega if omega != 0.0 else 0.0)
+            assert np.array_equal(ev[start:start + len(idx)], want)
+            start += len(idx)
+        assert start == len(ev)
+
+
+def test_no_loop_over_blocks_in_assembly_or_solve(monkeypatch):
+    # 729 Bohr blocks: the assembly makes one einsum per dipole component and the
+    # solve one eigvals call per distinct block size, whatever the block count
+    spec, dip = composite(modulated_gammas(6))
+    calls = {"einsum": 0, "eigvals": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qome.np, "einsum", counted("einsum", qome.np.einsum))
+    monkeypatch.setattr(qome.np.linalg, "eigvals", counted("eigvals", qome.np.linalg.eigvals))
+    L = build_liouvillian(spec, dip, 1.0)
+    assert len(L.blocks) == 729 and calls["einsum"] == 3
+    qome_spectrum(L)
+    sizes = {len(idx) for _, idx, _ in L.blocks}
+    assert calls["eigvals"] == len(sizes) < 10
+
+
 def test_hot_strong_uniform_field_tau_P_matches_detailed_balance():
     # one eigensolve of the whole generator splits its 42-fold zero cluster
     # into rates as large as the slowest decay (tau_P 1.264e-9, not 4.76e-11)

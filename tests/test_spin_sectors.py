@@ -132,3 +132,12 @@ def test_one_spin_sector_system_is_the_free_spin():
     assert np.array_equal(spec.energies, ref_spec.energies)
     assert np.array_equal(dip.D, ref_dip.D)
     assert level_sector.tolist() == [0, 0] and mult == (1,)
+
+
+def test_slow_coherence_rate_keeps_its_own_precision():
+    # the slowest coherence rate here, 1.8e-8, sits in a block with |omega| = 0.1;
+    # solved with its -i omega diagonal in place it was resolved only to round-off
+    # of |omega| (tau_Q 55060064.7301). Reference: a 40-digit mpmath eigensolve of
+    # the same coherence blocks.
+    _, spectrum = sector_route(6, 100.0, 0.05)
+    assert spectrum.tau_Q == pytest.approx(55060064.64391887, rel=1e-11, abs=0)
