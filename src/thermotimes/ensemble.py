@@ -5,17 +5,17 @@ the ensemble rate matrix is the Kronecker sum of the member rate matrices,
 and the product-space escape rates are sums of member escape rates. Two
 routes are provided: closed forms valid for any N (production path) and the
 explicit product-space construction (verification path, capped in size).
-The verification path reads mu2 from the sparse Kronecker sum S: a dense
+The verification path reads mu2 from the Kronecker sum S: a dense numpy
 eigensolve for small products, and above DENSE_EIG_LIMIT a one-eigenvalue
-Lanczos solve with the exact null vector sqrt(Gibbs) shifted out of the way.
+Lanczos solve on a sparse S with the exact null vector sqrt(Gibbs) shifted out
+of the way. Only that Lanczos branch imports scipy, at the point of use, so
+the closed forms and small products run on numpy alone.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     CapExceeded,
@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     EmptyEnsemble,
     NonPositiveBeta,
-    NonPositiveField,
 )
 from .lba import (
     PauliMatrix,
@@ -33,7 +32,7 @@ from .lba import (
     thermal_rates,
     thermalization_times,
 )
-from .model import DipoleData, EnergySpectrum
+from .model import DipoleData, EnergySpectrum, _check_positive
 
 #: Caps on the explicit product-space dimension: the dense composed rate
 #: matrix, the sparse verification path and the two-system decoupling check.
@@ -41,10 +40,11 @@ COMPOSE_CAP = 4096
 NUMERIC_CAP = 8192
 DECOUPLING_CAP = 64
 
-#: Above this dimension the explicit path switches from a dense eigensolve to
-#: a Lanczos solve for the smallest eigenvalue of the Gibbs-deflated S. On two
-#: cores both take 5-9 ms at 256; at 512 and 1024 the dense solve is about 3x
-#: and 9x slower.
+#: Above this dimension the explicit path switches from a dense numpy
+#: eigensolve to a scipy Lanczos solve for the smallest eigenvalue of the
+#: Gibbs-deflated sparse S; only products above it load scipy. On two cores
+#: both solves take 5-9 ms at 256; at 512 and 1024 the dense solve is about
+#: 3x and 9x slower.
 DENSE_EIG_LIMIT = 256
 
 #: The Gibbs null vector q of S must satisfy |S q|_inf <= this fraction of the
@@ -157,12 +157,12 @@ def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _kronecker_sum(mats: Sequence[np.ndarray]) -> sp.csr_matrix:
-    """Sparse Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn of square matrices.
+def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
+    """(dim, rows, cols, vals) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn.
 
     An off-diagonal entry of the sum comes from exactly one factor, so all of
-    them are scattered in one pass; the diagonal is the product sum of the
-    factor diagonals.
+    them are scattered in one pass with no index repeated; the diagonal is the
+    product sum of the factor diagonals.
     """
     dim = int(np.prod([X.shape[0] for X in mats]))
     rows, cols = [np.arange(dim)], [np.arange(dim)]
@@ -180,10 +180,23 @@ def _kronecker_sum(mats: Sequence[np.ndarray]) -> sp.csr_matrix:
         cols.append((base[:, None] + b * right).ravel())
         vals.append(np.tile(X[a, b], base.size))
         left *= m
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+    return dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense Kronecker sum of square matrices, its entries scattered into zeros."""
+    dim, rows, cols, vals = _kronecker_sum_entries(mats)
+    out = np.zeros((dim, dim))
+    out[rows, cols] = vals
+    return out
+
+
+def _sparse_kronecker_sum(mats: Sequence[np.ndarray]):
+    """The same Kronecker sum as a scipy.sparse CSR matrix, for the Lanczos branch."""
+    import scipy.sparse as sp
+
+    dim, rows, cols, vals = _kronecker_sum_entries(mats)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
@@ -205,9 +218,9 @@ def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
     if total > COMPOSE_CAP:
         raise CapExceeded(f"product dimension {total} exceeds cap {COMPOSE_CAP}")
     energies = _product_sum([pm.energies for pm in pms])
-    S = _kronecker_sum([pm.S for pm in pms]).toarray()
+    S = _kronecker_sum([pm.S for pm in pms])
     return PauliMatrix(
-        A=_kronecker_sum([pm.A for pm in pms]).toarray(),
+        A=_kronecker_sum([pm.A for pm in pms]),
         S=S,
         energies=energies,
         beta=pms[0].beta,
@@ -226,11 +239,11 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     """Verification path: explicit product-space rate matrix and escape rates.
 
     mu2 comes from the symmetrized Kronecker-sum matrix S. Up to
-    DENSE_EIG_LIMIT it is the second eigenvalue of a dense eigensolve. Above
-    it, detailed balance gives S the exact null vector q = sqrt(Gibbs); adding
-    c q q^T, with c the largest absolute row sum of S (a Gershgorin bound),
-    lifts that zero above the spectrum, and Lanczos returns mu2 as the one
-    smallest eigenvalue. tau_Q comes from enumerating the two smallest
+    DENSE_EIG_LIMIT it is the second eigenvalue of a dense numpy eigensolve.
+    Above it, S is built sparse, and detailed balance gives it the exact null
+    vector q = sqrt(Gibbs); adding c q q^T, with c the largest absolute row
+    sum of S (a Gershgorin bound), lifts that zero above the spectrum, and
+    Lanczos returns mu2 as the one smallest eigenvalue. tau_Q comes from enumerating the two smallest
     product-space escape rates.
 
     Raises DetailedBalanceViolation if |S q|_inf exceeds NULL_VECTOR_RTOL * c.
@@ -243,11 +256,13 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
         raise CapExceeded(f"product dimension {dim} exceeds cap {NUMERIC_CAP}")
 
     copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
-    S = _kronecker_sum([pm.S for _, pm in copies])
     if dim <= DENSE_EIG_LIMIT:
-        mu = np.linalg.eigvalsh(S.toarray())
+        mu = np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))
         mu2 = float(np.sort(mu)[1])
     else:
+        import scipy.sparse.linalg as spla
+
+        S = _sparse_kronecker_sum([pm.S for _, pm in copies])
         q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), spec.beta))
         c = float(abs(S).sum(axis=1).max())
         residual = float(np.abs(S @ q).max())
@@ -290,12 +305,10 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     G = np.asarray(Gammas, dtype=float)
     if G.size == 0:
         raise EmptyEnsemble("need at least one spin")
-    if np.any(G <= 0):
-        raise NonPositiveField("all Gamma_i must be > 0")
+    _check_positive("every Gamma_i", G)
     if not (np.isfinite(beta) and beta > 0):
         raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
-    if gamma <= 0:
-        raise NonPositiveField(f"gamma must be > 0, got {gamma}")
+    _check_positive("gamma", gamma)
     cube = gamma * (2.0 * G) ** 3
     x = beta * G
     tanh = np.tanh(x)

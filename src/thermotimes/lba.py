@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateSpectrum,
@@ -229,10 +228,11 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
     """Closed-form state at time t: populations and coherences evolve decoupled.
 
     Populations follow p(t) = exp(-A t) p(0), a stochastic matrix for every
-    temperature; each off-diagonal element decays as exp(-mu[m, n] t).
+    temperature; each off-diagonal element decays as exp(-mu[m, n] t). This
+    is the one function of the module that loads scipy (for ``expm``).
     """
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise NegativeTime(f"t must be finite and >= 0, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     M = pm.M
     if rho0.shape != (M, M) or mu.shape != (M, M):
@@ -243,6 +243,8 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
         raise InvalidDensityMatrix("rho0 does not have unit trace to 1e-10")
     if np.linalg.eigvalsh(rho0).min() < -1e-10:
         raise InvalidDensityMatrix("rho0 is not positive semidefinite to 1e-10")
+
+    from scipy.linalg import expm
 
     p_t = expm(-pm.A * t) @ np.diag(rho0).real
     rho_t = rho0 * np.exp(-mu * t)

@@ -27,6 +27,17 @@ PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 DEGENERACY_RTOL = 1e-9
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise NonPositiveField unless ``value`` (a number or an array) is finite and > 0.
+
+    The one rule for field strengths, coupling constants and tolerances that
+    must be positive: a NaN or an infinity is refused like a zero.
+    """
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
+
+
 def single_site_operator(K: int, site: int, op: np.ndarray) -> np.ndarray:
     """Embed ``op``, acting on site ``site``, into the product space of K equal sites.
 
@@ -53,8 +64,7 @@ def total_spin_operator(K: int, axis: str) -> np.ndarray:
 def free_spin_chain(Gammas: Sequence[float]) -> np.ndarray:
     """Hamiltonian -sum_i Gamma_i sigma_i^x of K independent spins in local x fields."""
     Gammas = np.asarray(Gammas, dtype=float)
-    if np.any(Gammas <= 0):
-        raise NonPositiveField("all field strengths Gamma_i must be > 0")
+    _check_positive("every field strength Gamma_i", Gammas)
     K = len(Gammas)
     dim = 2**K
     H = np.zeros((dim, dim), dtype=complex)
@@ -78,8 +88,7 @@ class QubitSystem:
     def __post_init__(self):
         if self.K < 1:
             raise DimensionMismatch(f"K must be >= 1, got {self.K}")
-        if self.gamma <= 0:
-            raise NonPositiveField(f"gamma must be > 0, got {self.gamma}")
+        _check_positive("gamma", self.gamma)
         H = np.asarray(self.H, dtype=complex)
         dim = 2**self.K
         if H.shape != (dim, dim):
@@ -253,10 +262,8 @@ def free_spin_system(Gamma: float, gamma: float = 1.0):
     In that basis sigma^x is diagonal and the squared dipole element between
     the two levels is 2 gamma. No numerical diagonalization is involved.
     """
-    if Gamma <= 0:
-        raise NonPositiveField(f"Gamma must be > 0, got {Gamma}")
-    if gamma <= 0:
-        raise NonPositiveField(f"gamma must be > 0, got {gamma}")
+    _check_positive("Gamma", Gamma)
+    _check_positive("gamma", gamma)
     s = 1.0 / np.sqrt(2.0)
     U = np.array([[s, s], [s, -s]], dtype=complex)  # columns |+>, |->
     spec = EnergySpectrum(
@@ -285,10 +292,8 @@ def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
     """
     if N < 1:
         raise DimensionMismatch(f"N must be >= 1, got {N}")
-    if Gamma <= 0:
-        raise NonPositiveField(f"Gamma must be > 0, got {Gamma}")
-    if gamma <= 0:
-        raise NonPositiveField(f"gamma must be > 0, got {gamma}")
+    _check_positive("Gamma", Gamma)
+    _check_positive("gamma", gamma)
     ks = range(N // 2 + 1)
     mult = tuple(math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in ks)
     # 2m_x of every level, m_x = J, J-1, ..., -J within each sector 2J = N - 2k

@@ -44,6 +44,7 @@ from .model import (
     DegeneracyReport,
     DipoleData,
     EnergySpectrum,
+    _check_positive,
     _gap_structure,
     _pair_classes,
 )
@@ -234,8 +235,10 @@ def qome_spectrum(
 
     Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
     eigenvalue (e.g. a decoupled system); a missing oscillatory block is
-    reported as tau_Q = None unless ``require_oscillatory`` is set.
+    reported as tau_Q = None unless ``require_oscillatory`` is set, and
+    NonPositiveField unless ``tol_zero`` is finite and > 0.
     """
+    _check_positive("tol_zero", tol_zero)
     omegas, sizes = map(np.array, zip(*((omega, len(idx)) for omega, idx, _ in L.blocks)))
     ev = np.empty(sizes.sum(), dtype=complex)
     # one batched eigensolve per block size, eigenvalues put back in block order;

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -363,6 +366,37 @@ def test_main_exit_codes(tmp_path):
 def test_table1_energy_tol_follows_the_number_rule(tmp_path, energy_tol):
     out = str(tmp_path / "t.csv")
     assert main(["table1", "--max-qome-n", "2", "--energy-tol", energy_tol, "--out", out]) == 2
+
+
+IMPORT_PROBE = """
+import json, sys
+loaded = ["scipy" in sys.modules]
+from thermotimes.cli import RunConfig, analyze_records
+for config in json.loads(sys.argv[1]):
+    analyze_records(RunConfig.from_dict(config))
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def scipy_loaded_after(configs):
+    """Whether scipy is in sys.modules after importing thermotimes and after each analyze run,
+    measured in a fresh interpreter (this test process has imported scipy itself)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(configs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_scipy_loads_only_for_large_products():
+    uniform = {"family": "free_spins_uniform", "Gamma": 1.0, "beta": 1.0,
+               "N_list": [1, 2, 3, 4, 5], "methods": ["lba_analytic", "lba_numeric", "qome"]}
+    modulated = {"family": "free_spins_modulated", "beta": 1.0, "methods": ["lba_numeric"]}
+    assert scipy_loaded_after([uniform, dict(modulated, N=8)]) == [False, False, False]
+    # 2^9 = 512 > DENSE_EIG_LIMIT: the Lanczos branch imports scipy, so the probe is live
+    assert scipy_loaded_after([dict(modulated, N=9)]) == [False, True]
 
 
 def test_main_table1_runs(tmp_path):

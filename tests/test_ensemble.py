@@ -163,6 +163,10 @@ def test_free_spins_times_input_validation():
         free_spins_times([1.0, -0.1], beta=1.0)
     with pytest.raises(NonPositiveBeta):
         free_spins_times([1.0], beta=0.0)
+    # NaN gave tau = nan and an infinite field a raw RuntimeWarning
+    for Gs, gamma in (([1.0], math.nan), ([math.nan], 1.0), ([math.inf], 1.0), ([1.0], math.inf)):
+        with pytest.raises(NonPositiveField, match="finite and > 0"):
+            free_spins_times(Gs, 1.0, gamma=gamma)
 
 
 def test_free_spins_times_finite_at_low_temperature():
@@ -284,9 +288,9 @@ def test_kronecker_sum_equals_chained_reference():
     for n in range(1, 7):
         for _ in range(3):
             mats = [_random_symmetric_factor(rng, int(rng.choice([2, 3]))) for _ in range(n)]
-            assert np.array_equal(
-                ensemble._kronecker_sum(mats).toarray(), chained_kronecker_sum(mats).toarray()
-            )
+            reference = chained_kronecker_sum(mats).toarray()
+            assert np.array_equal(ensemble._sparse_kronecker_sum(mats).toarray(), reference)
+            assert np.array_equal(ensemble._kronecker_sum(mats), reference)
     pms = []
     for M in (2, 3, 4):
         spec, dip = synthetic_system(rng, M)

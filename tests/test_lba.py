@@ -374,8 +374,10 @@ def test_evolve_rejects_bad_inputs():
     pm = pauli_matrix(rates, spec)
     mu = decoherence_rates(rates)
     good = np.eye(2, dtype=complex) / 2.0
-    with pytest.raises(NegativeTime):
-        evolve(pm, mu, good, -0.1)
+    # t = nan gave an all-NaN state and t = inf a raw RuntimeWarning
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(NegativeTime):
+            evolve(pm, mu, good, t)
     with pytest.raises(InvalidDensityMatrix):
         evolve(pm, mu, np.array([[1.0, 0.5], [-0.5, 0.0]]), 1.0)  # not Hermitian
     with pytest.raises(InvalidDensityMatrix):

@@ -22,11 +22,12 @@ from thermotimes.model import (
     free_spin_chain,
     free_spin_system,
     single_site_operator,
+    spin_sector_system,
     system_from_json,
     total_spin_operator,
 )
 
-from thermotimes.qome import build_liouvillian, jump_operator_groups
+from thermotimes.qome import build_liouvillian, jump_operator_groups, qome_spectrum
 
 from oracles import (
     brute_force_dipole,
@@ -136,6 +137,15 @@ def test_free_spin_system_rejects_nonpositive():
         free_spin_system(0.0)
     with pytest.raises(NonPositiveField):
         free_spin_system(1.0, gamma=-1.0)
+    # NaN and inf passed the old `x <= 0` checks and came out as NaN energies
+    # or an all-NaN Hamiltonian; every field and coupling now follows one rule
+    nan, inf = float("nan"), float("inf")
+    for build in (lambda: free_spin_system(nan), lambda: free_spin_system(1.0, gamma=inf),
+                  lambda: spin_sector_system(2, nan), lambda: spin_sector_system(2, 1.0, nan),
+                  lambda: free_spin_chain([nan, 1.0]), lambda: free_spin_chain([1.0, inf]),
+                  lambda: QubitSystem(K=1, H=-PAULI_X, gamma=nan)):
+        with pytest.raises(NonPositiveField, match="finite and > 0"):
+            build()
 
 
 def test_degeneracy_report_single_spin():
@@ -304,3 +314,7 @@ def test_energy_tolerance_is_checked_once(tol):
             check([-1.0, 1.0], tol)
     with pytest.raises(NonPositiveField):
         degeneracy_report([], tol)
+    # tol_zero follows the same rule: at nan or -1 no eigenvalue counted as
+    # zero and tau_P came out as 2.25e15 instead of 0.0476
+    with pytest.raises(NonPositiveField, match="tol_zero"):
+        qome_spectrum(build_liouvillian(*free_spin_system(1.0), 1.0), tol_zero=tol)
