@@ -25,7 +25,7 @@ from .ensemble import (
     ensemble_times_numeric,
     free_spins_times,
 )
-from .errors import CapExceeded, ConfigError, ThermotimesError
+from .errors import CapExceeded, ConfigError, ResonantMembers, ThermotimesError
 from .model import (
     QubitSystem,
     diagonalize,
@@ -36,7 +36,13 @@ from .model import (
     spin_sector_system,
     system_from_json,
 )
-from .qome import LIOUVILLIAN_CAP, TOL_ZERO, build_liouvillian, qome_spectrum
+from .qome import (
+    LIOUVILLIAN_CAP,
+    TOL_ZERO,
+    build_liouvillian,
+    mixture_spectrum,
+    qome_spectrum,
+)
 
 FAMILIES = ("free_spins_uniform", "free_spins_modulated", "custom_hamiltonian")
 METHODS = ("lba_analytic", "lba_numeric", "qome")
@@ -216,8 +222,8 @@ def _check_qome_size(member_dim: int, N: int) -> None:
 
 
 def _composite_system(config: RunConfig, N: int) -> QubitSystem:
-    """The ensemble as one composite qubit register (QOME route of the modulated
-    and custom families), size-checked first."""
+    """The ensemble as one composite qubit register (QOME route of the custom
+    family and of resonant modulated spins), size-checked first."""
     if config.family == "custom_hamiltonian":
         member, _, _ = _custom_member(config)
         _check_qome_size(member.dim, N)
@@ -228,8 +234,22 @@ def _composite_system(config: RunConfig, N: int) -> QubitSystem:
 
 
 def _run_qome(config: RunConfig, N: int):
-    """QOME spectrum of N members: identical spins go through their total-spin
-    sectors, every other ensemble through the composite register."""
+    """QOME spectrum of N members: modulated spins at the default tolerance go
+    through their own generators unless two share a transition frequency,
+    identical spins through their total-spin sectors, every other ensemble
+    through the composite register."""
+    # An explicit tolerance can chain composite gaps or levels (dipole-free
+    # ones too) that the premise, comparing member frequencies only, does not
+    # see; the default one is far below such chains (the default law keeps the
+    # member frequencies over 1e6 tolerances apart up to N = 13).
+    if config.family == "free_spins_modulated" and config.energy_tol is None:
+        members = [free_spin_system(G, config.gamma) for G in _field_strengths(config, N)]
+        t0 = time.perf_counter()
+        try:
+            spectrum = mixture_spectrum(members, config.beta, tol_zero=config.tol_zero)
+            return spectrum, time.perf_counter() - t0
+        except ResonantMembers:
+            pass
     if config.family == "free_spins_uniform":
         _check_qome_size(2, N)
         spec, dip, sectors = spin_sector_system(N, config.Gamma, config.gamma)
@@ -365,8 +385,9 @@ def table1_rows(
     """Reference-table rows for the modulated free-spin family.
 
     Sizes 1..13 carry the analytic and the explicit-matrix route, sizes up to
-    ``max_qome_n`` additionally the quantum optical master equation; the four
-    large sizes are analytic only. The warnings cell flags degenerate steady
+    ``max_qome_n`` additionally the quantum optical master equation (through
+    the member generators at the default tolerance); the four large sizes
+    are analytic only. The warnings cell flags degenerate steady
     states and undamped coherences of the microscopic route.
     """
     config = RunConfig(
@@ -404,7 +425,8 @@ def cmd_table1(
     """Emit the reference table as CSV."""
     if energy_tol is not None:
         energy_tol = _number("--energy-tol", energy_tol, ">= 0")
-    _check_qome_size(2, max_qome_n)
+        # only the default tolerance takes the member route (see _run_qome)
+        _check_qome_size(2, max_qome_n)
     write_csv(table1_rows(max_qome_n=max_qome_n, energy_tol=energy_tol), TABLE1_COLUMNS, out_path)
     return out_path
 

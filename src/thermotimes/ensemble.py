@@ -42,10 +42,17 @@ DECOUPLING_CAP = 64
 
 #: Above this dimension the explicit path switches from a dense numpy
 #: eigensolve to a scipy Lanczos solve for the smallest eigenvalue of the
-#: Gibbs-deflated sparse S; only products above it load scipy. On two cores
-#: both solves take 5-9 ms at 256; at 512 and 1024 the dense solve is about
-#: 3x and 9x slower.
-DENSE_EIG_LIMIT = 256
+#: Gibbs-deflated sparse S; only products above it load scipy. A dense
+#: eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool, whose worker
+#: then spins for about 0.1 s while the caller goes on on one thread; the
+#: Lanczos solve does not. On two cores (numpy 2.4, scipy 1.17) a call takes
+#: 5.5 ms against 1.7-2.9 ms dense at 128 and 6-7 ms against 7.5 ms at 256,
+#: while a reference-table job without the QOME (N = 1..13) takes 0.25
+#: CPU-s per 0.25 s of wall time at 64, against about 0.38 CPU-s at 256.
+#: The price falls on a fresh process whose first large product is 128 or
+#: 256 (``analyze`` of N = 7 or 8 spins with ``lba_numeric``): it now loads
+#: scipy, 0.3 -> 0.7 s and 31 -> 62 MB.
+DENSE_EIG_LIMIT = 64
 
 #: The Gibbs null vector q of S must satisfy |S q|_inf <= this fraction of the
 #: Gershgorin bound; detailed balance makes the residual a rounding error.

@@ -49,6 +49,10 @@ class CapExceeded(ThermotimesError):
     """An explicit product-space or Liouvillian construction would exceed its size cap."""
 
 
+class ResonantMembers(ThermotimesError):
+    """Two members of a mixture share a transition frequency within the energy tolerance."""
+
+
 class ConfigError(ThermotimesError):
     """Run configuration is malformed or inconsistent."""
 

@@ -38,6 +38,13 @@ def _check_positive(name: str, value) -> None:
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_tolerance(name: str, tol: float) -> None:
+    """Raise NonPositiveField unless ``tol`` is finite and >= 0: the rule for the
+    degeneracy and energy tolerances, where 0 means exact equality."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise NonPositiveField(f"{name} must be finite and >= 0, got {tol}")
+
+
 def single_site_operator(K: int, site: int, op: np.ndarray) -> np.ndarray:
     """Embed ``op``, acting on site ``site``, into the product space of K equal sites.
 
@@ -127,8 +134,9 @@ class EnergySpectrum:
             raise DimensionMismatch(
                 f"expected {self.M} energies and a {self.M}x{self.M} eigenbasis"
             )
-        if np.any(np.diff(E) < 0):
-            raise DegenerateSpectrum("energies must be sorted in ascending order")
+        # NaN fails every comparison, so the order check alone would let it through
+        if not (np.isfinite(E).all() and np.all(np.diff(E) >= 0)):
+            raise DegenerateSpectrum(f"energies must be finite and ascending, got {E}")
         if np.abs(U.conj().T @ U - np.eye(self.M)).max() > 1e-10:
             raise NonHermitian("eigenbasis is not unitary to 1e-10")
         object.__setattr__(self, "energies", E)
@@ -218,8 +226,7 @@ def diagonalize(
     spread = float(E[-1] - E[0])
     if degeneracy_tol is None:
         degeneracy_tol = DEGENERACY_RTOL * spread
-    if degeneracy_tol < 0:
-        raise NonPositiveField("degeneracy_tol must be >= 0")
+    _check_tolerance("degeneracy_tol", degeneracy_tol)
     if require_nondegenerate:
         if sys.dim > 1 and (spread == 0.0 or np.diff(E).min() <= degeneracy_tol):
             raise DegenerateSpectrum(
@@ -353,8 +360,7 @@ def _gap_structure(energies: np.ndarray, tol: float):
     equal before they are classed; the zero-gap class has frequency 0.
     Raises NonPositiveField unless ``tol`` is finite and >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise NonPositiveField(f"energy tolerance must be finite and >= 0, got {tol}")
+    _check_tolerance("energy tolerance", tol)
     lev_ids = equality_classes(energies, tol)
     rep = _class_means(energies, lev_ids)[lev_ids]
     gaps = rep[:, None] - rep[None, :]

@@ -23,6 +23,19 @@ Bohr block splits further by sector pair (J, J'), and each part's spectrum
 counts d_J d_J' times, its multiplicity in the 2^N register (Chase &
 Geremia, PRA 78, 052101, 2008). Any other system is built as a composite
 register, where every block counts once.
+
+A mixture of distinguishable members takes the member route when no
+transition frequency of one member lies within ``energy_tol`` of a frequency
+of another: every frequency-grouped jump operator then acts on one member,
+so the generator is the Kronecker sum of the member generators and its
+spectrum is the set of all sums of one eigenvalue per member. tau_P and tau_Q
+are the largest member times (for distinct spin fields tau_Q = 2 max_i
+tau_P,i, the decoherence pathology in closed form) and the steady states
+count the product of the members' counts. ``mixture_spectrum`` builds each
+member with the composite's tolerance and refuses a resonant pair. The
+premise compares member frequencies only: a tolerance wide enough to merge
+levels or dipole-free gaps of the composite lies outside it, so the CLI
+takes this route at the default tolerance only.
 """
 
 import math
@@ -34,9 +47,11 @@ import numpy as np
 from .errors import (
     CapExceeded,
     DimensionMismatch,
+    EmptyEnsemble,
     NoDissipativeEigenvalue,
     NonPositiveBeta,
     NoOscillatoryEigenvalue,
+    ResonantMembers,
 )
 from .lba import _blackbody_weight
 from .model import (
@@ -288,6 +303,81 @@ def qome_spectrum(
         tol_zero=tol_zero,
         scale=scale,
         tau_P_multiplicity=tau_P_mult,
+    )
+
+
+def _member_tolerance(spectra: Sequence[EnergySpectrum], energy_tol: Optional[float] = None) -> float:
+    """The energy tolerance of a mixture of these spectra, once the member route's premise holds.
+
+    The tolerance defaults to the composite's, DEGENERACY_RTOL * max(spread, 1),
+    the mixture's spread being the sum of the member spreads. The premise is
+    that no transition frequency (positive Bohr frequency, classed as the
+    generator classes it; the negative ones mirror them) of one member lies
+    within the tolerance of one of another member; otherwise ResonantMembers
+    names the closest such pair and its distance.
+    """
+    if not spectra:
+        raise EmptyEnsemble("a mixture needs at least one member")
+    if energy_tol is None:
+        spread = sum(float(spec.energies[-1] - spec.energies[0]) for spec in spectra)
+        energy_tol = DEGENERACY_RTOL * max(spread, 1.0)
+    freqs = [np.unique(rep[rep > 0.0]) for rep in
+             (_gap_structure(spec.energies, energy_tol)[2] for spec in spectra)]
+    f = np.concatenate(freqs)
+    order = np.argsort(f, kind="stable")
+    f, owner = f[order], np.repeat(np.arange(len(freqs)), [len(x) for x in freqs])[order]
+    # some closest pair of two different members is adjacent in sorted order
+    cross = np.flatnonzero(owner[1:] != owner[:-1])
+    if len(cross):
+        k = int(cross[np.argmin(f[cross + 1] - f[cross])])
+        distance = float(f[k + 1] - f[k])
+        if distance <= energy_tol:
+            raise ResonantMembers(
+                f"members {owner[k]} and {owner[k + 1]} share the transition frequency "
+                f"{f[k]:.12g} ~ {f[k + 1]:.12g}: {distance:.3g} apart, energy_tol {energy_tol:.3g}"
+            )
+    return energy_tol
+
+
+@dataclass(frozen=True)
+class MixtureSpectrum:
+    """QOME times of a mixture of distinguishable members, from the members' generators.
+
+    tau_P and tau_Q are the largest member times (tau_Q None when no member
+    has a coherence block), ``zero_multiplicity`` is the product of the
+    members' steady-state counts (an exact integer) and ``members`` holds each
+    member's LiouvillianSpectrum.
+    """
+
+    tau_P: float
+    tau_Q: Optional[float]
+    zero_multiplicity: int
+    members: tuple
+
+
+def mixture_spectrum(
+    members: Sequence[Tuple[EnergySpectrum, DipoleData]],
+    beta: float,
+    energy_tol: Optional[float] = None,
+    tol_zero: float = TOL_ZERO,
+) -> MixtureSpectrum:
+    """QOME times and steady-state count of a mixture, one (spectrum, dipoles) per member.
+
+    Each member generator is built with the mixture's tolerance and solved on
+    its own; the premise is checked first, so a resonant pair raises
+    ResonantMembers before anything is built.
+    """
+    energy_tol = _member_tolerance([spec for spec, _ in members], energy_tol)
+    parts = tuple(
+        qome_spectrum(build_liouvillian(spec, dip, beta, energy_tol=energy_tol), tol_zero=tol_zero)
+        for spec, dip in members
+    )
+    tau_Q = [part.tau_Q for part in parts if part.tau_Q is not None]
+    return MixtureSpectrum(
+        tau_P=max(part.tau_P for part in parts),
+        tau_Q=max(tau_Q) if tau_Q else None,
+        zero_multiplicity=math.prod(part.zero_multiplicity for part in parts),
+        members=parts,
     )
 
 

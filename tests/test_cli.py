@@ -23,6 +23,8 @@ from thermotimes.cli import (
     modulated_gammas,
 )
 from thermotimes.errors import ConfigError
+from thermotimes.model import QubitSystem, diagonalize, dipole_data, free_spin_chain, free_spin_system
+from thermotimes.qome import build_liouvillian, mixture_spectrum, qome_spectrum
 
 
 def write_config(tmp_path, name, payload):
@@ -163,6 +165,66 @@ def test_uniform_qome_never_builds_the_composite(tmp_path, monkeypatch):
         records = json.load(fh)["records"]
     assert [r["qome_zero_multiplicity"] for r in records] == [1, 2, 5, 14, 42, 132]
     assert all(r["tau_P"] == pytest.approx(0.0476, abs=1e-4) for r in records)
+
+
+def test_modulated_qome_never_builds_the_composite(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the composite register was built")
+
+    for name in ("free_spin_chain", "diagonalize", "dipole_data"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = write_config(tmp_path, "c.json", {
+        "family": "free_spins_modulated", "N_list": list(range(1, 14)), "beta": 1.0,
+        "methods": ["lba_analytic", "qome"], "output": "json",
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", "--config", cfg, "--out", out]) == 0
+    with open(out) as fh:
+        records = json.load(fh)["records"]
+    lba = {r["N"]: r for r in records if r["method"] == "lba_analytic"}
+    for r in (r for r in records if r["method"] == "qome"):
+        assert r["qome_zero_multiplicity"] == 1
+        assert r["tau_P"] == pytest.approx(lba[r["N"]]["tau_P"], rel=1e-12)
+        assert r["tau_Q"] == pytest.approx(2.0 * r["tau_P"], rel=1e-12)
+    assert main(["table1", "--max-qome-n", "13", "--out", str(tmp_path / "t.csv")]) == 0
+    rows = {int(r["N"]): r for r in read_csv(str(tmp_path / "t.csv"))}
+    assert all(rows[N]["qome_tauP"] == rows[N]["lba_num_tauP"] for N in range(1, 14))
+    assert all(rows[N]["qome_tauP"] == "" for N in (100, 1000, 10000, 100000))
+
+
+def test_table1_checks_the_composite_size_before_anything_is_built(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("something was built")
+
+    for name in ("free_spin_chain", "diagonalize", "ensemble_times_numeric"):
+        monkeypatch.setattr(cli, name, refuse)
+    # an explicit energy_tol, even an exact one, takes the composite route, capped at 6
+    out = str(tmp_path / "t.csv")
+    for tol in ("1.0", "0"):
+        assert main(["table1", "--max-qome-n", "7", "--energy-tol", tol, "--out", out]) == 3
+    assert main(["table1", "--max-qome-n", "20", "--energy-tol", "1.0", "--out", out]) == 3
+
+
+@pytest.mark.parametrize("energy_tol", [0.3, 0.75])
+def test_modulated_qome_at_an_explicit_tolerance_is_the_composites(tmp_path, energy_tol):
+    # G = 1, 1.3978, 0.518: the spin frequencies stay 0.7956 apart, but from 0.24
+    # the composite levels +-0.120 merge, and at 0.75 dipole-free composite gaps
+    # chain 1.036 -> 2.0 and so join two spins' classes; the member route sees neither
+    system = QubitSystem(K=3, H=free_spin_chain(modulated_gammas(3)))
+    spec = diagonalize(system, require_nondegenerate=False)
+    ref = qome_spectrum(build_liouvillian(spec, dipole_data(system, spec), 1.0, energy_tol=energy_tol))
+    cfg = write_config(tmp_path, "c.json", {
+        "family": "free_spins_modulated", "N": 3, "beta": 1.0, "tolerances": {"energy_tol": energy_tol},
+        "methods": ["qome"], "output": "json",
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", "--config", cfg, "--out", out]) == 0
+    with open(out) as fh:
+        (record,) = json.load(fh)["records"]
+    assert (record["tau_P"], record["tau_Q"]) == (ref.tau_P, ref.tau_Q)
+    assert record["qome_zero_multiplicity"] == ref.zero_multiplicity
+    members = mixture_spectrum([free_spin_system(G) for G in modulated_gammas(3)], 1.0)
+    assert (ref.tau_P, ref.tau_Q) != (members.tau_P, members.tau_Q)
 
 
 def test_readme_config_examples_are_valid():
@@ -394,9 +456,9 @@ def test_scipy_loads_only_for_large_products():
     uniform = {"family": "free_spins_uniform", "Gamma": 1.0, "beta": 1.0,
                "N_list": [1, 2, 3, 4, 5], "methods": ["lba_analytic", "lba_numeric", "qome"]}
     modulated = {"family": "free_spins_modulated", "beta": 1.0, "methods": ["lba_numeric"]}
-    assert scipy_loaded_after([uniform, dict(modulated, N=8)]) == [False, False, False]
-    # 2^9 = 512 > DENSE_EIG_LIMIT: the Lanczos branch imports scipy, so the probe is live
-    assert scipy_loaded_after([dict(modulated, N=9)]) == [False, True]
+    assert scipy_loaded_after([uniform, dict(modulated, N=6)]) == [False, False, False]
+    # 2^7 = 128 > DENSE_EIG_LIMIT: the Lanczos branch imports scipy, so the probe is live
+    assert scipy_loaded_after([dict(modulated, N=7)]) == [False, True]
 
 
 def test_main_table1_runs(tmp_path):

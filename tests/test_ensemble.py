@@ -318,6 +318,17 @@ def test_numeric_route_matches_closed_form_at_low_temperature(beta):
     _assert_routes_agree(EnsembleSpec((spin_member(1.0, count=11),), beta=beta))
 
 
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("modulated", [False, True])
+def test_lanczos_from_dimension_128_matches_closed_form(N, modulated):
+    assert 2**N > ensemble.DENSE_EIG_LIMIT  # the Gibbs-deflated Lanczos branch
+    Gs = modulated_gammas(N) if modulated else np.ones(N)
+    for beta in np.logspace(-3.0, 4.0, 29):
+        numeric, closed = ensemble_times_numeric(_spin_ensemble(Gs, beta)), free_spins_times(Gs, beta)
+        assert numeric.tau_P == pytest.approx(closed.tau_P, rel=1e-12, abs=0)
+        assert numeric.tau_Q == pytest.approx(closed.tau_Q, rel=1e-12, abs=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     log_beta=st.floats(min_value=-3.0, max_value=4.0),

@@ -10,6 +10,7 @@ from thermotimes.errors import (
     NonPositiveField,
 )
 from thermotimes.model import (
+    EnergySpectrum,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -27,7 +28,12 @@ from thermotimes.model import (
     total_spin_operator,
 )
 
-from thermotimes.qome import build_liouvillian, jump_operator_groups, qome_spectrum
+from thermotimes.qome import (
+    _member_tolerance,
+    build_liouvillian,
+    jump_operator_groups,
+    qome_spectrum,
+)
 
 from oracles import (
     brute_force_dipole,
@@ -56,6 +62,14 @@ def test_diagonalize_free_spin_levels():
     s = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(spec.eigenbasis[:, 0], [s, s], atol=1e-14)
     np.testing.assert_allclose(spec.eigenbasis[:, 1], [s, -s], atol=1e-14)
+
+
+@pytest.mark.parametrize("energies", [[np.nan, 1.0], [-1.0, np.inf], [-np.inf, 1.0], [np.nan], [1.0, 0.0]])
+def test_energy_spectrum_refuses_nonfinite_or_unsorted_energies(energies):
+    # [nan, 1] passed the order check (nan < 0 is false), and [-1, inf] reached
+    # thermal_rates, which stopped in a raw RuntimeWarning
+    with pytest.raises(DegenerateSpectrum, match="finite and ascending"):
+        EnergySpectrum(M=len(energies), energies=energies, eigenbasis=np.eye(len(energies)))
 
 
 def test_diagonalize_fully_degenerate_raises():
@@ -314,6 +328,12 @@ def test_energy_tolerance_is_checked_once(tol):
             check([-1.0, 1.0], tol)
     with pytest.raises(NonPositiveField):
         degeneracy_report([], tol)
+    with pytest.raises(NonPositiveField, match="energy tolerance"):
+        _member_tolerance([free_spin_system(1.0)[0]] * 2, tol)
+    # the degeneracy tolerance follows the same rule: at nan the guard was off
+    # and two levels 1e-13 apart passed as nondegenerate
+    with pytest.raises(NonPositiveField, match="degeneracy_tol"):
+        diagonalize(QubitSystem(K=1, H=np.diag([1.0, 1.0 + 1e-13])), degeneracy_tol=tol)
     # tol_zero follows the same rule: at nan or -1 no eigenvalue counted as
     # zero and tau_P came out as 2.25e15 instead of 0.0476
     with pytest.raises(NonPositiveField, match="tol_zero"):
