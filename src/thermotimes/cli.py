@@ -28,11 +28,11 @@ from .ensemble import (
 from .errors import CapExceeded, ConfigError, ResonantMembers, ThermotimesError
 from .model import (
     QubitSystem,
+    _kronecker_sum,
     diagonalize,
     dipole_data,
     free_spin_chain,
     free_spin_system,
-    single_site_operator,
     spin_sector_system,
     system_from_json,
 )
@@ -191,16 +191,11 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
     return modulated_gammas(N, **config.law)
 
 
-def _custom_member(config: RunConfig):
-    sys_ = system_from_json(config.hamiltonian, gamma=config.gamma)
-    spec = diagonalize(sys_)
-    return sys_, spec, dipole_data(sys_, spec)
-
-
 def _ensemble_spec(config: RunConfig, N: int) -> EnsembleSpec:
     if config.family == "custom_hamiltonian":
-        _, spec, dip = _custom_member(config)
-        members = (EnsembleMember(spec, dip, count=N),)
+        member = system_from_json(config.hamiltonian, gamma=config.gamma)
+        spec = diagonalize(member)
+        members = (EnsembleMember(spec, dipole_data(member, spec), count=N),)
     elif config.family == "free_spins_uniform":
         spec, dip = free_spin_system(config.Gamma, config.gamma)
         members = (EnsembleMember(spec, dip, count=N),)
@@ -225,10 +220,9 @@ def _composite_system(config: RunConfig, N: int) -> QubitSystem:
     """The ensemble as one composite qubit register (QOME route of the custom
     family and of resonant modulated spins), size-checked first."""
     if config.family == "custom_hamiltonian":
-        member, _, _ = _custom_member(config)
+        member = system_from_json(config.hamiltonian, gamma=config.gamma)
         _check_qome_size(member.dim, N)
-        H_total = sum(single_site_operator(N, i, member.H) for i in range(N))
-        return QubitSystem(K=member.K * N, H=H_total, gamma=config.gamma)
+        return QubitSystem(K=member.K * N, H=_kronecker_sum([member.H] * N), gamma=config.gamma)
     _check_qome_size(2, N)
     return QubitSystem(K=N, H=free_spin_chain(_field_strengths(config, N)), gamma=config.gamma)
 
@@ -244,10 +238,8 @@ def _run_qome(config: RunConfig, N: int):
     # member frequencies over 1e6 tolerances apart up to N = 13).
     if config.family == "free_spins_modulated" and config.energy_tol is None:
         members = [free_spin_system(G, config.gamma) for G in _field_strengths(config, N)]
-        t0 = time.perf_counter()
         try:
-            spectrum = mixture_spectrum(members, config.beta, tol_zero=config.tol_zero)
-            return spectrum, time.perf_counter() - t0
+            return mixture_spectrum(members, config.beta, tol_zero=config.tol_zero)
         except ResonantMembers:
             pass
     if config.family == "free_spins_uniform":
@@ -258,41 +250,31 @@ def _run_qome(config: RunConfig, N: int):
         spec = diagonalize(system, require_nondegenerate=False)
         dip = dipole_data(system, spec)
         sectors = None
-    t0 = time.perf_counter()
     L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol, sectors=sectors)
-    spectrum = qome_spectrum(L, tol_zero=config.tol_zero)
-    wall = time.perf_counter() - t0
-    return spectrum, wall
+    return qome_spectrum(L, tol_zero=config.tol_zero)
 
 
 def _run_method(config: RunConfig, N: int, method: str) -> dict:
+    """One record; ``wall_s`` times the whole method, member construction included."""
     record = {"N": N, "method": method, "qome_zero_multiplicity": None, "wall_s": None}
-    if method == "lba_analytic":
-        t0 = time.perf_counter()
-        if config.family in ("free_spins_uniform", "free_spins_modulated"):
-            times = free_spins_times(_field_strengths(config, N), config.beta, config.gamma)
-        else:
-            times = ensemble_times(_ensemble_spec(config, N))
-        wall = time.perf_counter() - t0
-        record.update(tau_P=times.tau_P, tau_Q=times.tau_Q, tau=times.tau)
+    t0 = time.perf_counter()
+    if method == "lba_analytic" and config.family in ("free_spins_uniform", "free_spins_modulated"):
+        times = free_spins_times(_field_strengths(config, N), config.beta, config.gamma)
+    elif method == "lba_analytic":
+        times = ensemble_times(_ensemble_spec(config, N))
     elif method == "lba_numeric":
-        spec = _ensemble_spec(config, N)
-        t0 = time.perf_counter()
-        times = ensemble_times_numeric(spec)
-        wall = time.perf_counter() - t0
-        record.update(tau_P=times.tau_P, tau_Q=times.tau_Q, tau=times.tau)
+        times = ensemble_times_numeric(_ensemble_spec(config, N))
     elif method == "qome":
-        spectrum, wall = _run_qome(config, N)
-        tau = None
-        if spectrum.tau_P is not None and spectrum.tau_Q is not None:
-            tau = max(spectrum.tau_P, spectrum.tau_Q)
-        record.update(
-            tau_P=spectrum.tau_P, tau_Q=spectrum.tau_Q, tau=tau,
-            qome_zero_multiplicity=spectrum.zero_multiplicity,
-        )
+        times = _run_qome(config, N)
+        record["qome_zero_multiplicity"] = times.zero_multiplicity
     else:
         raise ConfigError(f"unknown method {method!r}")
-    record["wall_s"] = round(wall, 6) if config.include_timings else None
+    wall = time.perf_counter() - t0
+    tau = None
+    if times.tau_P is not None and times.tau_Q is not None:
+        tau = max(times.tau_P, times.tau_Q)
+    record.update(tau_P=times.tau_P, tau_Q=times.tau_Q, tau=tau,
+                  wall_s=round(wall, 6) if config.include_timings else None)
     return record
 
 
@@ -390,6 +372,10 @@ def table1_rows(
     are analytic only. The warnings cell flags degenerate steady
     states and undamped coherences of the microscopic route.
     """
+    # every table reaches the Lanczos branch (N = 7..13): load its scipy solver
+    # here, so that the first Lanczos row does not time the import
+    import scipy.sparse.linalg  # noqa: F401
+
     config = RunConfig(
         family="free_spins_modulated", N_list=(1,), beta=beta, gamma=gamma,
         energy_tol=energy_tol, include_timings=True,

@@ -9,7 +9,9 @@ The verification path reads mu2 from the Kronecker sum S: a dense numpy
 eigensolve for small products, and above DENSE_EIG_LIMIT a one-eigenvalue
 Lanczos solve on a sparse S with the exact null vector sqrt(Gibbs) shifted out
 of the way. Only that Lanczos branch imports scipy, at the point of use, so
-the closed forms and small products run on numpy alone.
+the closed forms and small products run on numpy alone. Every Kronecker sum,
+dense or sparse, comes from the one builder in ``model``
+(``_kronecker_sum_entries``); this module only wraps it as a sparse matrix.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,14 @@ from .lba import (
     thermal_rates,
     thermalization_times,
 )
-from .model import DipoleData, EnergySpectrum, _check_positive
+from .model import (
+    DipoleData,
+    EnergySpectrum,
+    _check_positive,
+    _kronecker_sum,
+    _kronecker_sum_entries,
+    _product_sum,
+)
 
 #: Caps on the explicit product-space dimension: the dense composed rate
 #: matrix, the sparse verification path and the two-system decoupling check.
@@ -151,55 +160,8 @@ def ensemble_times(spec: EnsembleSpec) -> EnsembleTimes:
     )
 
 
-def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """All sums v1[i1] + ... + vn[in] in product-basis order, added left to right.
-
-    Product energies, product escape rates and the diagonal of a Kronecker
-    sum all come from here; adding left to right rounds exactly as the
-    chained build X(x)I + I(x)Y of the Kronecker sum does.
-    """
-    out = np.asarray(vectors[0], dtype=float)
-    for v in vectors[1:]:
-        out = (out[:, None] + v[None, :]).ravel()
-    return out
-
-
-def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
-    """(dim, rows, cols, vals) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn.
-
-    An off-diagonal entry of the sum comes from exactly one factor, so all of
-    them are scattered in one pass with no index repeated; the diagonal is the
-    product sum of the factor diagonals.
-    """
-    dim = int(np.prod([X.shape[0] for X in mats]))
-    rows, cols = [np.arange(dim)], [np.arange(dim)]
-    vals = [_product_sum([np.diag(X) for X in mats])]
-    left = 1
-    for X in mats:
-        m = X.shape[0]
-        right = dim // (left * m)
-        a, b = np.nonzero(X)
-        off = a != b
-        a, b = a[off], b[off]
-        # flat index of (i_left, k, i_right) is (i_left * m + k) * right + i_right
-        base = (np.arange(left)[:, None] * (m * right) + np.arange(right)[None, :]).ravel()
-        rows.append((base[:, None] + a * right).ravel())
-        cols.append((base[:, None] + b * right).ravel())
-        vals.append(np.tile(X[a, b], base.size))
-        left *= m
-    return dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense Kronecker sum of square matrices, its entries scattered into zeros."""
-    dim, rows, cols, vals = _kronecker_sum_entries(mats)
-    out = np.zeros((dim, dim))
-    out[rows, cols] = vals
-    return out
-
-
 def _sparse_kronecker_sum(mats: Sequence[np.ndarray]):
-    """The same Kronecker sum as a scipy.sparse CSR matrix, for the Lanczos branch."""
+    """``model._kronecker_sum`` as a scipy.sparse CSR matrix, for the Lanczos branch."""
     import scipy.sparse as sp
 
     dim, rows, cols, vals = _kronecker_sum_entries(mats)
@@ -416,7 +378,7 @@ def verify_product_basis_decoupling(
     else:
         raise DimensionMismatch(f"unknown basis {basis!r}")
 
-    E2 = (spec1.energies[:, None] + spec2.energies[None, :]).ravel()
+    E2 = _product_sum([spec1.energies, spec2.energies])
     dim = M1 * M2
     D2 = np.zeros((dim, dim))
     for d1, d2 in zip(dip1.amplitudes, dip2.amplitudes):
@@ -429,16 +391,12 @@ def verify_product_basis_decoupling(
     C2 = D2 * _blackbody_weight(gaps, beta)
     B2 = (D2 * _blackbody_weight(gaps, beta, detailed_balance=True)).sum(axis=0)
 
-    def one_body(M_a, M_b):
-        # X[(m,n),(p,q)] = Xa[m,p] d_{n,q} + Xb[n,q] d_{m,p}
-        return (np.kron(M_a, np.eye(M_b.shape[0]))
-                + np.kron(np.eye(M_a.shape[0]), M_b))
-
+    # one-body prediction X[(m,n),(p,q)] = X1[m,p] d_{n,q} + X2[n,q] d_{m,p}
     r1 = thermal_rates(spec1, dip1, beta)
     r2 = thermal_rates(spec2, dip2, beta)
-    pred_D = one_body(dip1.D, dip2.D)
-    pred_C = one_body(r1.C, r2.C)
-    pred_B = (r1.B[:, None] + r2.B[None, :]).ravel()
+    pred_D = _kronecker_sum([dip1.D, dip2.D])
+    pred_C = _kronecker_sum([r1.C, r2.C])
+    pred_B = _product_sum([r1.B, r2.B])
 
     dev_D = np.abs(D2 - pred_D).max()
     dev_C = np.abs(C2 - pred_C).max()

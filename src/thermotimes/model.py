@@ -45,39 +45,70 @@ def _check_tolerance(name: str, tol: float) -> None:
         raise NonPositiveField(f"{name} must be finite and >= 0, got {tol}")
 
 
-def single_site_operator(K: int, site: int, op: np.ndarray) -> np.ndarray:
-    """Embed ``op``, acting on site ``site``, into the product space of K equal sites.
+def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """All sums v1[i1] + ... + vn[in] in product-basis order, added left to right.
 
-    Each site has the dimension of ``op``: a one-qubit operator lands in the
-    2**K space, a block acting on k qubits in the 2**(k K) space.
+    Product energies, product escape rates and the diagonal of a Kronecker
+    sum all come from here; adding left to right rounds exactly as the
+    chained build X(x)I + I(x)Y of the Kronecker sum does.
     """
-    eye = np.eye(op.shape[0], dtype=complex)
-    out = np.array([[1.0 + 0.0j]])
-    for j in range(K):
-        out = np.kron(out, op if j == site else eye)
+    out = np.asarray(vectors[0])
+    for v in vectors[1:]:
+        out = (out[:, None] + v[None, :]).ravel()
+    return out
+
+
+def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
+    """(dim, rows, cols, vals) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn.
+
+    An off-diagonal entry of the sum comes from exactly one factor, so all of
+    them are scattered in one pass with no index repeated; the diagonal is the
+    product sum of the factor diagonals.
+    """
+    if not mats:
+        raise DimensionMismatch("a Kronecker sum needs at least one factor")
+    dim = int(np.prod([X.shape[0] for X in mats]))
+    rows, cols = [np.arange(dim)], [np.arange(dim)]
+    vals = [_product_sum([np.diag(X) for X in mats])]
+    left = 1
+    for X in mats:
+        m = X.shape[0]
+        right = dim // (left * m)
+        a, b = np.nonzero(X)
+        off = a != b
+        a, b = a[off], b[off]
+        # flat index of (i_left, k, i_right) is (i_left * m + k) * right + i_right
+        base = (np.arange(left)[:, None] * (m * right) + np.arange(right)[None, :]).ravel()
+        rows.append((base[:, None] + a * right).ravel())
+        cols.append((base[:, None] + b * right).ravel())
+        vals.append(np.tile(X[a, b], base.size))
+        left *= m
+    return dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense Kronecker sum of square matrices, in the factors' dtype.
+
+    Every product-space operator of a noninteracting ensemble is built here.
+    The entries are added into zeros, not assigned, so every zero entry is
+    +0.0, as in a sum of site-embedded np.kron chains I(x)...(x)X(x)...(x)I.
+    """
+    dim, rows, cols, vals = _kronecker_sum_entries(mats)
+    out = np.zeros((dim, dim), dtype=np.result_type(*mats))
+    out[rows, cols] += vals
     return out
 
 
 def total_spin_operator(K: int, axis: str) -> np.ndarray:
     """Collective spin component sum_i sigma_i^axis on the 2**K space."""
-    s = PAULI[axis]
-    dim = 2**K
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(K):
-        out += single_site_operator(K, i, s)
-    return out
+    return _kronecker_sum([PAULI[axis]] * K)
 
 
 def free_spin_chain(Gammas: Sequence[float]) -> np.ndarray:
     """Hamiltonian -sum_i Gamma_i sigma_i^x of K independent spins in local x fields."""
     Gammas = np.asarray(Gammas, dtype=float)
     _check_positive("every field strength Gamma_i", Gammas)
-    K = len(Gammas)
-    dim = 2**K
-    H = np.zeros((dim, dim), dtype=complex)
-    for i, G in enumerate(Gammas):
-        H += -G * single_site_operator(K, i, PAULI_X)
-    return H
+    return _kronecker_sum([-G * PAULI_X for G in Gammas])
 
 
 @dataclass(frozen=True)
@@ -151,38 +182,34 @@ class EnergySpectrum:
 
 @dataclass(frozen=True)
 class DipoleData:
-    """Per-axis dipole transition amplitudes and the squared dipole matrix.
+    """Per-axis dipole transition amplitudes and the squared dipole matrix they give.
 
     d_x, d_y, d_z are the matrix elements of the collective spin components
-    in the system eigenbasis (Hermitian). D[m, n] = gamma * sum_h |d_h[m, n]|^2
-    with the diagonal forced to zero: diagonal dipole transitions are
-    forbidden in first-order perturbation theory.
+    in the system eigenbasis (Hermitian). D is derived from them, never
+    passed: D[m, n] = gamma * sum_h |d_h[m, n]|^2, symmetrized, with the
+    diagonal forced to zero: diagonal dipole transitions are forbidden in
+    first-order perturbation theory.
     """
 
     d_x: np.ndarray
     d_y: np.ndarray
     d_z: np.ndarray
-    D: np.ndarray
     gamma: float = 1.0
+    D: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=float)
-        M = D.shape[0]
-        amps = []
-        for name in ("d_x", "d_y", "d_z"):
-            d = np.asarray(getattr(self, name), dtype=complex)
+        _check_positive("gamma", self.gamma)
+        amps = [np.asarray(getattr(self, name), dtype=complex) for name in ("d_x", "d_y", "d_z")]
+        M = len(amps[0]) if amps[0].ndim else 0
+        for name, d in zip(("d_x", "d_y", "d_z"), amps):
             if d.shape != (M, M):
-                raise DimensionMismatch(f"{name} has shape {d.shape}, expected {D.shape}")
+                raise DimensionMismatch(f"{name} has shape {d.shape}, expected {(M, M)}")
             if np.abs(d - d.conj().T).max() > 1e-10 * max(1.0, np.abs(d).max()):
                 raise NonHermitian(f"{name} is not Hermitian to 1e-10")
             object.__setattr__(self, name, d)
-            amps.append(d)
-        if np.abs(D - D.T).max() > 0 or np.abs(np.diag(D)).max() > 0:
-            raise DimensionMismatch("D must be exactly symmetric with zero diagonal")
-        expected = self.gamma * sum(np.abs(d) ** 2 for d in amps)
-        np.fill_diagonal(expected, 0.0)
-        if np.abs(D - expected).max() > 1e-12 * max(1.0, expected.max()):
-            raise DimensionMismatch("D is inconsistent with the per-axis amplitudes")
+        D = self.gamma * sum(np.abs(d) ** 2 for d in amps)
+        D = (D + D.T) / 2.0
+        np.fill_diagonal(D, 0.0)
         object.__setattr__(self, "D", D)
 
     @property
@@ -244,8 +271,8 @@ def diagonalize(
 def dipole_data(sys: QubitSystem, spec: EnergySpectrum) -> DipoleData:
     """Dipole amplitudes of the collective spin components in the eigenbasis.
 
-    d_h[m, n] = <m| sum_i sigma_i^h |n> and D[m, n] = gamma sum_h |d_h[m, n]|^2
-    with the diagonal of D forced to exact zero.
+    d_h[m, n] = <m| sum_i sigma_i^h |n>, made exactly Hermitian; DipoleData
+    derives D from them.
     """
     if spec.M != sys.dim:
         raise DimensionMismatch(
@@ -256,10 +283,7 @@ def dipole_data(sys: QubitSystem, spec: EnergySpectrum) -> DipoleData:
     for axis in "xyz":
         d = U.conj().T @ total_spin_operator(sys.K, axis) @ U
         amps.append((d + d.conj().T) / 2.0)  # remove round-off anti-Hermitian part
-    D = sys.gamma * sum(np.abs(d) ** 2 for d in amps)
-    D = (D + D.T) / 2.0
-    np.fill_diagonal(D, 0.0)
-    return DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], D=D, gamma=sys.gamma)
+    return DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], gamma=sys.gamma)
 
 
 def free_spin_system(Gamma: float, gamma: float = 1.0):
@@ -270,7 +294,6 @@ def free_spin_system(Gamma: float, gamma: float = 1.0):
     the two levels is 2 gamma. No numerical diagonalization is involved.
     """
     _check_positive("Gamma", Gamma)
-    _check_positive("gamma", gamma)
     s = 1.0 / np.sqrt(2.0)
     U = np.array([[s, s], [s, -s]], dtype=complex)  # columns |+>, |->
     spec = EnergySpectrum(
@@ -282,8 +305,7 @@ def free_spin_system(Gamma: float, gamma: float = 1.0):
     d_x = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     d_y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
     d_z = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    D = np.array([[0.0, 2.0 * gamma], [2.0 * gamma, 0.0]])
-    return spec, DipoleData(d_x=d_x, d_y=d_y, d_z=d_z, D=D, gamma=gamma)
+    return spec, DipoleData(d_x=d_x, d_y=d_y, d_z=d_z, gamma=gamma)
 
 
 def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
@@ -300,7 +322,6 @@ def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
     if N < 1:
         raise DimensionMismatch(f"N must be >= 1, got {N}")
     _check_positive("Gamma", Gamma)
-    _check_positive("gamma", gamma)
     ks = range(N // 2 + 1)
     mult = tuple(math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in ks)
     # 2m_x of every level, m_x = J, J-1, ..., -J within each sector 2J = N - 2k
@@ -320,9 +341,7 @@ def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
         eigenbasis=np.eye(M, dtype=complex),
         degeneracy_tol=DEGENERACY_RTOL * 2 * N * Gamma,
     )
-    D = gamma * sum(np.abs(d) ** 2 for d in amps)
-    np.fill_diagonal(D, 0.0)
-    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], D=D, gamma=gamma)
+    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], gamma=gamma)
     return spec, dip, (sector[order], mult)
 
 

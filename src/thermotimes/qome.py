@@ -82,9 +82,9 @@ class Liouvillian:
     ascending omega: the indices of the class, ascending, and the generator on
     them, a view into one array that holds every block; the Kronecker deltas
     treat energies within ``energy_tol`` as equal. On a spin-sector system
-    each class is split further by sector pair, and ``weights`` holds the
-    integer multiplicity d_J d_J' of each block's spectrum in the full system
-    (None: every block counts once).
+    each class is split further by sector pair; ``weights`` holds the integer
+    multiplicity of each block's spectrum in the full system, d_J d_J' on a
+    spin-sector system and 1 on any other.
     """
 
     dim: int
@@ -92,7 +92,7 @@ class Liouvillian:
     energies: np.ndarray
     energy_tol: float
     beta: float
-    weights: Optional[tuple] = None
+    weights: tuple
 
     @property
     def M(self) -> int:
@@ -266,9 +266,8 @@ def qome_spectrum(
         stack[osc[:, None], diag, diag] += shift[osc]
         ev[(np.cumsum(sizes) - size)[k, None] + diag] = np.linalg.eigvals(stack) - shift
     static = np.repeat(omegas == 0.0, sizes)
-    weights = L.weights if L.weights is not None else (1,) * len(L.blocks)
     # Python-int weights keep the counts exact however large d_J d_J' grows
-    weight = np.repeat(np.array(weights, dtype=object), sizes)
+    weight = np.repeat(np.array(L.weights, dtype=object), sizes)
     scale = float(np.abs(ev).max(initial=0.0))
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")

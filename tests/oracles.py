@@ -139,6 +139,24 @@ def chained_kronecker_sum(mats):
     return out
 
 
+def embedded_kronecker_sum(mats):
+    """Kronecker sum as the sum over sites of I(x)...(x)X_i(x)...(x)I, each an np.kron chain.
+
+    Every site operator is embedded by one np.kron per factor and the
+    embeddings are added into zeros of the factors' dtype; the dense
+    reference for the model's Kronecker-sum builder, signed zeros included.
+    """
+    dtype = np.result_type(*mats)
+    dims = [X.shape[0] for X in mats]
+    out = np.zeros((int(np.prod(dims)),) * 2, dtype=dtype)
+    for i in range(len(mats)):
+        op = np.ones((1, 1), dtype=dtype)
+        for j, X in enumerate(mats):
+            op = np.kron(op, X if j == i else np.eye(dims[j], dtype=dtype))
+        out += op
+    return out
+
+
 def random_hermitian(rng, M, scale=1.0):
     A = rng.normal(size=(M, M)) + 1.0j * rng.normal(size=(M, M))
     return scale * (A + A.conj().T) / 2.0
@@ -164,9 +182,7 @@ def synthetic_system(rng, M, span=4.0, min_gap=0.05, min_gap_split=0.02):
         degeneracy_tol=1e-9 * (E[-1] - E[0]),
     )
     amps = [random_hermitian(rng, M) for _ in range(3)]
-    D = sum(np.abs(d) ** 2 for d in amps)
-    np.fill_diagonal(D, 0.0)
-    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], D=D, gamma=1.0)
+    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], gamma=1.0)
     return spec, dip
 
 

@@ -115,10 +115,10 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, extra, key):
 
 
 @pytest.mark.parametrize("raw, builder", [
-    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 12}, "free_spin_chain"),
+    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 12}, "spin_sector_system"),
     ({"family": "custom_hamiltonian", "N": 4,
       "hamiltonian": {"dim": 4, "re": np.diag([0.0, 1.0, 2.5, 4.2]).tolist()}},
-     "single_site_operator"),
+     "_kronecker_sum"),
 ])
 def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, raw, builder):
     def refuse(*args):
@@ -301,7 +301,7 @@ def test_analyze_runs_are_byte_identical(tmp_path):
     })
     out1 = cmd_analyze(cfg, str(tmp_path / "a.csv"))
     out2 = cmd_analyze(cfg, str(tmp_path / "b.csv"))
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_analyze_json_validates_against_schema(tmp_path):
@@ -310,7 +310,7 @@ def test_analyze_json_validates_against_schema(tmp_path):
         "beta": 1.0, "methods": ["lba_analytic", "qome"], "output": "json",
     })
     out = cmd_analyze(cfg, str(tmp_path / "r.json"))
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     schema = json.loads(
         resources.files("thermotimes.schemas")
         .joinpath("analyze_report.schema.json")
@@ -441,15 +441,20 @@ print(json.dumps(loaded))
 """
 
 
-def scipy_loaded_after(configs):
-    """Whether scipy is in sys.modules after importing thermotimes and after each analyze run,
-    measured in a fresh interpreter (this test process has imported scipy itself)."""
+def run_fresh(probe, *args):
+    """The JSON that ``probe`` prints, run in a fresh interpreter on this checkout
+    (this test process has imported scipy itself)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(configs)],
+    done = subprocess.run([sys.executable, "-c", probe, *args],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def scipy_loaded_after(configs):
+    """Whether scipy is in sys.modules after importing thermotimes and after each analyze run."""
+    return run_fresh(IMPORT_PROBE, json.dumps(configs))
 
 
 def test_scipy_loads_only_for_large_products():
@@ -459,6 +464,26 @@ def test_scipy_loads_only_for_large_products():
     assert scipy_loaded_after([uniform, dict(modulated, N=6)]) == [False, False, False]
     # 2^7 = 128 > DENSE_EIG_LIMIT: the Lanczos branch imports scipy, so the probe is live
     assert scipy_loaded_after([dict(modulated, N=7)]) == [False, True]
+
+
+TABLE1_PROBE = """
+import json, sys
+from thermotimes import cli
+loaded = []
+run_method = cli._run_method
+def first_record(*args):
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+    return run_method(*args)
+cli._run_method = first_record
+cli.table1_rows(max_qome_n=0)
+print(json.dumps(loaded[0]))
+"""
+
+
+def test_table1_loads_the_sparse_solver_before_its_first_record():
+    # every table reaches the Lanczos branch, whose first row would otherwise
+    # time the scipy import
+    assert run_fresh(TABLE1_PROBE) is True
 
 
 def test_main_table1_runs(tmp_path):

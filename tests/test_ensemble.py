@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermotimes import ensemble
+from thermotimes import ensemble, model
 from thermotimes.cli import modulated_gammas
 from thermotimes.ensemble import (
     EnsembleMember,
@@ -29,7 +29,12 @@ from thermotimes.errors import (
 from thermotimes.lba import gibbs_state, pauli_matrix, thermal_rates, thermalization_times
 from thermotimes.model import free_spin_system
 
-from oracles import chained_kronecker_sum, synthetic_system
+from oracles import (
+    chained_kronecker_sum,
+    embedded_kronecker_sum,
+    random_hermitian,
+    synthetic_system,
+)
 
 
 def spin_member(Gamma, gamma=1.0, count=1):
@@ -290,7 +295,26 @@ def test_kronecker_sum_equals_chained_reference():
             mats = [_random_symmetric_factor(rng, int(rng.choice([2, 3]))) for _ in range(n)]
             reference = chained_kronecker_sum(mats).toarray()
             assert np.array_equal(ensemble._sparse_kronecker_sum(mats).toarray(), reference)
-            assert np.array_equal(ensemble._kronecker_sum(mats), reference)
+            assert np.array_equal(model._kronecker_sum(mats), reference)
+    # complex Hermitian factors of unequal sizes against the np.kron chains, bit
+    # for bit: negative zeros in the factors (structural zeros, the real part of
+    # imaginary couplings as in sigma_y, the imaginary part of the diagonal) come
+    # out as the chains give them
+    for n in range(1, 5):
+        for _ in range(3):
+            mats = []
+            for M in rng.choice([1, 2, 3, 4], size=n):
+                X = random_hermitian(rng, int(M))
+                imaginary, zero = (np.triu(rng.random(X.shape) < 0.3, 1) for _ in range(2))
+                X.real[imaginary | imaginary.T] = -0.0
+                X.imag[np.diag_indices_from(X)] = -0.0
+                X[zero | zero.T] = -0.0
+                mats.append(X)
+            got, want = model._kronecker_sum(mats), embedded_kronecker_sum(mats)
+            assert got.dtype == want.dtype == complex
+            assert np.array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
     pms = []
     for M in (2, 3, 4):
         spec, dip = synthetic_system(rng, M)

@@ -43,11 +43,10 @@ def three_level_case(scale=1.0):
     E = scale * np.array([0.0, 1.0, 2.3])
     spec = EnergySpectrum(M=3, energies=E, eigenbasis=np.eye(3, dtype=complex),
                           degeneracy_tol=1e-9 * E[-1])
-    ones = np.ones((3, 3)) - np.eye(3)
-    # amplitudes consistent with D: put everything into one axis
-    d = np.sqrt(ones).astype(complex)
+    # every coupling on one axis, so D is one off the diagonal
+    d = (np.ones((3, 3)) - np.eye(3)).astype(complex)
     zero = np.zeros((3, 3), dtype=complex)
-    dip = DipoleData(d_x=d, d_y=zero, d_z=zero, D=ones, gamma=1.0)
+    dip = DipoleData(d_x=d, d_y=zero, d_z=zero, gamma=1.0)
     return spec, dip
 
 
@@ -62,7 +61,7 @@ def test_thermal_rates_free_spin_paper_value():
 def test_thermal_rates_zero_dipole():
     spec, _ = free_spin_system(1.0)
     zero = np.zeros((2, 2), dtype=complex)
-    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, D=np.zeros((2, 2)), gamma=1.0)
+    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, gamma=1.0)
     rates = thermal_rates(spec, dip, 1.0)
     assert np.all(rates.C == 0.0) and np.all(rates.L2 == 0.0) and np.all(rates.B == 0.0)
 
@@ -117,8 +116,7 @@ def test_thermal_weight_extreme_gaps_finite():
                           degeneracy_tol=1e-13)
     d = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex)
     zero = np.zeros((3, 3), dtype=complex)
-    dip = DipoleData(d_x=d, d_y=zero, d_z=zero,
-                     D=(np.ones((3, 3)) - np.eye(3)), gamma=1.0)
+    dip = DipoleData(d_x=d, d_y=zero, d_z=zero, gamma=1.0)
     rates = thermal_rates(spec, dip, 1.0)
     assert np.all(np.isfinite(rates.L2)) and np.all(np.isfinite(rates.C))
     assert np.all(rates.L2 >= 0.0)
@@ -139,7 +137,7 @@ def test_pauli_matrix_free_spin_closed_form():
 def test_pauli_matrix_zero_rates():
     spec, _ = free_spin_system(1.0)
     zero = np.zeros((2, 2), dtype=complex)
-    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, D=np.zeros((2, 2)), gamma=1.0)
+    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, gamma=1.0)
     pm = pauli_matrix(thermal_rates(spec, dip, 1.0), spec)
     assert np.all(pm.A == 0.0) and np.all(pm.eigenvalues == 0.0)
 
@@ -228,7 +226,7 @@ def test_times_against_matrix_exponential_fit():
 def test_ergodicity_violation_detected():
     spec, _ = free_spin_system(1.0)
     zero = np.zeros((2, 2), dtype=complex)
-    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, D=np.zeros((2, 2)), gamma=1.0)
+    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, gamma=1.0)
     rates = thermal_rates(spec, dip, 1.0)
     with pytest.raises(ErgodicityViolation):
         thermalization_times(pauli_matrix(rates, spec), rates)

@@ -99,10 +99,8 @@ def product_system(members):
     order = np.argsort(E, kind="stable")
     amps = [(np.kron(a, np.eye(s2.M)) + np.kron(np.eye(s1.M), b))[np.ix_(order, order)]
             for a, b in zip(d1.amplitudes, d2.amplitudes)]
-    D = sum(np.abs(d) ** 2 for d in amps)
-    np.fill_diagonal(D, 0.0)
     spec = EnergySpectrum(M=len(E), energies=E[order], eigenbasis=np.eye(len(E)))
-    return spec, DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], D=D)
+    return spec, DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2])
 
 
 @pytest.mark.parametrize("seed", [3, 11])

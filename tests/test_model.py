@@ -10,19 +10,20 @@ from thermotimes.errors import (
     NonPositiveField,
 )
 from thermotimes.model import (
+    DipoleData,
     EnergySpectrum,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     QubitSystem,
     _gap_structure,
+    _kronecker_sum,
     degeneracy_report,
     diagonalize,
     dipole_data,
     equality_classes,
     free_spin_chain,
     free_spin_system,
-    single_site_operator,
     spin_sector_system,
     system_from_json,
     total_spin_operator,
@@ -282,11 +283,48 @@ def test_total_spin_operator_shape():
     np.testing.assert_allclose(S, expected)
 
 
-def test_single_site_operator_embeds_blocks():
-    # a two-qubit block on the middle of three sites: I_4 (x) op (x) I_4
+def test_kronecker_sum_embeds_blocks():
+    # a two-qubit block on the middle of three sites: 0 (+) op (+) 0 = I_4 (x) op (x) I_4
     op = np.kron(PAULI_X, PAULI_Z) + 0.5j * np.kron(PAULI_Y, np.eye(2))
     expected = np.kron(np.kron(np.eye(4), op), np.eye(4))
-    np.testing.assert_array_equal(single_site_operator(3, 1, op), expected)
+    zero = np.zeros((4, 4), dtype=complex)
+    np.testing.assert_array_equal(_kronecker_sum([zero, op, zero]), expected)
+
+
+def test_dipole_data_derives_D_from_its_amplitudes():
+    gamma = 1.7
+    _, dip = free_spin_system(0.8, gamma)
+    assert np.array_equal(dip.D, [[0.0, 2.0 * gamma], [2.0 * gamma, 0.0]])
+    rng = np.random.default_rng(23)
+    A = rng.normal(size=(8, 8)) + 1.0j * rng.normal(size=(8, 8))
+    sys_ = QubitSystem(K=3, H=(A + A.conj().T) / 2.0, gamma=gamma)
+    computed = dipole_data(sys_, diagonalize(sys_))
+    sectors = spin_sector_system(5, 0.9, gamma)[1]
+    # the formulas dipole_data and spin_sector_system applied before D was derived
+    for dip, symmetrized in ((computed, True), (sectors, False)):
+        D = gamma * sum(np.abs(d) ** 2 for d in dip.amplitudes)
+        if symmetrized:
+            D = (D + D.T) / 2.0
+        np.fill_diagonal(D, 0.0)
+        assert np.array_equal(dip.D, D)
+    # amplitudes Hermitian only to round-off still give an exactly symmetric D
+    noisy = [d + 1e-13 * rng.normal(size=d.shape) for d in computed.amplitudes]
+    dip = DipoleData(d_x=noisy[0], d_y=noisy[1], d_z=noisy[2], gamma=gamma)
+    assert not np.array_equal(noisy[0], noisy[0].conj().T)
+    assert np.array_equal(dip.D, dip.D.T) and not np.diag(dip.D).any()
+    with pytest.raises(TypeError):
+        DipoleData(*computed.amplitudes, gamma=gamma, D=computed.D)
+    # gamma scales D, so it follows the library's one positivity rule
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(NonPositiveField, match="gamma"):
+            DipoleData(*computed.amplitudes, gamma=bad)
+
+
+def test_empty_products_are_refused():
+    with pytest.raises(DimensionMismatch):
+        free_spin_chain([])
+    with pytest.raises(DimensionMismatch):
+        total_spin_operator(0, "x")
 
 
 def test_system_from_json_roundtrip():

@@ -75,7 +75,7 @@ def test_single_free_spin_reproduces_reference_times():
 def test_zero_dipole_gives_coherent_spectrum():
     spec, _ = free_spin_system(1.0)
     zero = np.zeros((2, 2), dtype=complex)
-    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, D=np.zeros((2, 2)), gamma=1.0)
+    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, gamma=1.0)
     L = build_liouvillian(spec, dip, 1.0)
     ev = np.sort_complex(np.linalg.eigvals(L.matrix))
     np.testing.assert_allclose(ev, [-2.0j, 0.0, 0.0, 2.0j], atol=1e-12)
@@ -96,7 +96,7 @@ def test_qome_spectrum_purely_real_generator():
     L = Liouvillian(
         dim=4,
         blocks=((0.0, np.arange(4), np.diag([0.0, -1.0, -1.0, -2.0]).astype(complex)),),
-        energies=np.array([0.0, 1.0]), energy_tol=1e-9, beta=1.0,
+        energies=np.array([0.0, 1.0]), energy_tol=1e-9, beta=1.0, weights=(1,),
     )
     spectrum = qome_spectrum(L)
     assert spectrum.tau_P == pytest.approx(1.0)
