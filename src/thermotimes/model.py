@@ -91,7 +91,7 @@ def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
 
     Every product-space operator of a noninteracting ensemble is built here.
     The entries are added into zeros, not assigned, so every zero entry is
-    +0.0, as in a sum of site-embedded np.kron chains I(x)...(x)X(x)...(x)I.
+    +0.0, as in a sum of site-embedded Kronecker products I(x)...(x)X(x)...(x)I.
     """
     dim, rows, cols, vals = _kronecker_sum_entries(mats)
     out = np.zeros((dim, dim), dtype=np.result_type(*mats))
