@@ -39,7 +39,7 @@ from thermotimes import (
 
 def composite(Gammas, beta=1.0):
     system = QubitSystem(K=len(Gammas), H=free_spin_chain(Gammas))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     return spec, build_liouvillian(spec, dipole_data(system, spec), beta)
 
 

@@ -37,8 +37,8 @@ from .model import (
     system_from_json,
 )
 from .qome import (
-    LIOUVILLIAN_CAP,
     TOL_ZERO,
+    _check_qome_size,
     build_liouvillian,
     mixture_spectrum,
     qome_spectrum,
@@ -207,15 +207,6 @@ def _ensemble_spec(config: RunConfig, N: int) -> EnsembleSpec:
     return EnsembleSpec(members=members, beta=config.beta)
 
 
-def _check_qome_size(member_dim: int, N: int) -> None:
-    """Refuse a QOME run of N members before anything is built: its Liouvillian
-    acts on (member_dim^N)^2 entries, which must not exceed LIOUVILLIAN_CAP."""
-    if 2 * N * math.log2(member_dim) > math.log2(LIOUVILLIAN_CAP):
-        raise CapExceeded(
-            f"QOME dimension {member_dim}^{2 * N} for N={N} exceeds cap {LIOUVILLIAN_CAP}"
-        )
-
-
 def _composite_system(config: RunConfig, N: int) -> QubitSystem:
     """The ensemble as one composite qubit register (QOME route of the custom
     family and of resonant modulated spins), size-checked first."""
@@ -247,7 +238,7 @@ def _run_qome(config: RunConfig, N: int):
         spec, dip, sectors = spin_sector_system(N, config.Gamma, config.gamma)
     else:
         system = _composite_system(config, N)
-        spec = diagonalize(system, require_nondegenerate=False)
+        spec = diagonalize(system)
         dip = dipole_data(system, spec)
         sectors = None
     L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol, sectors=sectors)
@@ -362,22 +353,23 @@ def table1_rows(
     max_qome_n: int = 6,
     energy_tol: Optional[float] = None,
     beta: float = 1.0,
-    gamma: float = 1.0,
 ) -> list:
-    """Reference-table rows for the modulated free-spin family.
+    """Reference-table rows for the modulated free-spin family (gamma = 1).
 
     Sizes 1..13 carry the analytic and the explicit-matrix route, sizes up to
     ``max_qome_n`` additionally the quantum optical master equation (through
     the member generators at the default tolerance); the four large sizes
-    are analytic only. The warnings cell flags degenerate steady
-    states and undamped coherences of the microscopic route.
+    are analytic only. ``lba_cpu_s`` and ``qome_cpu_s`` hold the wall-clock
+    seconds of the explicit-matrix and the master-equation method. The
+    warnings cell flags degenerate steady states and undamped coherences of
+    the microscopic route.
     """
     # every table reaches the Lanczos branch (N = 7..13): load its scipy solver
     # here, so that the first Lanczos row does not time the import
     import scipy.sparse.linalg  # noqa: F401
 
     config = RunConfig(
-        family="free_spins_modulated", N_list=(1,), beta=beta, gamma=gamma,
+        family="free_spins_modulated", N_list=(1,), beta=beta,
         energy_tol=energy_tol, include_timings=True,
     )
     rows = []

@@ -24,7 +24,6 @@ from .errors import (
     DetailedBalanceViolation,
     DimensionMismatch,
     EmptyEnsemble,
-    NonPositiveBeta,
 )
 from .lba import (
     PauliMatrix,
@@ -37,7 +36,9 @@ from .lba import (
 from .model import (
     DipoleData,
     EnergySpectrum,
+    _check_beta,
     _check_positive,
+    _check_size,
     _kronecker_sum,
     _kronecker_sum_entries,
     _product_sum,
@@ -48,6 +49,10 @@ from .model import (
 COMPOSE_CAP = 4096
 NUMERIC_CAP = 8192
 DECOUPLING_CAP = 64
+
+#: The decoupling check passes when every measured D, C and B entry matches its
+#: one-body prediction to this fraction of the prediction's scale (at least 1).
+DECOUPLING_RTOL = 1e-12
 
 #: Above this dimension the explicit path switches from a dense numpy
 #: eigensolve to a scipy Lanczos solve for the smallest eigenvalue of the
@@ -70,15 +75,14 @@ NULL_VECTOR_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EnsembleMember:
-    """One species in the ensemble: spectrum, dipole data and copy count."""
+    """One species in the ensemble: spectrum, dipole data and copy count (an integer >= 1)."""
 
     spectrum: EnergySpectrum
     dipole: DipoleData
     count: int = 1
 
     def __post_init__(self):
-        if self.count < 1:
-            raise EmptyEnsemble(f"member count must be >= 1, got {self.count}")
+        object.__setattr__(self, "count", _check_size("member count", self.count, EmptyEnsemble))
         if self.spectrum.M != self.dipole.M:
             raise DimensionMismatch("spectrum and dipole dimensions differ")
 
@@ -97,8 +101,7 @@ class EnsembleSpec:
         )
         if not members:
             raise EmptyEnsemble("an ensemble needs at least one member")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise NonPositiveBeta(f"beta must be positive and finite, got {self.beta}")
+        _check_beta(self.beta)
         object.__setattr__(self, "members", members)
 
     @property
@@ -275,8 +278,7 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     if G.size == 0:
         raise EmptyEnsemble("need at least one spin")
     _check_positive("every Gamma_i", G)
-    if not (np.isfinite(beta) and beta > 0):
-        raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     _check_positive("gamma", gamma)
     cube = gamma * (2.0 * G) ** 3
     x = beta * G
@@ -348,7 +350,6 @@ def verify_product_basis_decoupling(
     b: Optional[Tuple[EnergySpectrum, DipoleData]],
     beta: float,
     basis: str = "product",
-    tol: float = 1e-12,
 ) -> DecouplingCheck:
     """Measure the two-system dipole elements and test the one-body decoupling.
 
@@ -401,10 +402,9 @@ def verify_product_basis_decoupling(
     dev_D = np.abs(D2 - pred_D).max()
     dev_C = np.abs(C2 - pred_C).max()
     dev_B = np.abs(B2 - pred_B).max()
-    ok = (
-        dev_D <= tol * max(1.0, np.abs(pred_D).max())
-        and dev_C <= tol * max(1.0, np.abs(pred_C).max())
-        and dev_B <= tol * max(1.0, np.abs(pred_B).max())
+    ok = all(
+        dev <= DECOUPLING_RTOL * max(1.0, np.abs(pred).max())
+        for dev, pred in ((dev_D, pred_D), (dev_C, pred_C), (dev_B, pred_B))
     )
     return DecouplingCheck(
         ok=bool(ok),

@@ -60,6 +60,3 @@ class ConfigError(ThermotimesError):
 class NoDissipativeEigenvalue(ThermotimesError):
     """No real nonzero eigenvalue exists to define a dissipation time."""
 
-
-class NoOscillatoryEigenvalue(ThermotimesError):
-    """No eigenvalue with nonzero imaginary part exists to define a decoherence time."""

@@ -22,7 +22,7 @@ from .errors import (
     NegativeTime,
     NonPositiveBeta,
 )
-from .model import DipoleData, EnergySpectrum
+from .model import DipoleData, EnergySpectrum, _check_beta
 
 #: An eigenvalue of the rate matrix counts as zero below this fraction of the
 #: largest eigenvalue; a second eigenvalue under the threshold signals a
@@ -94,9 +94,10 @@ def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateDat
 
     C[m, n] = D[m, n] |E_m - E_n|^3 / (2 sinh(beta |E_m - E_n| / 2)) and
     L2[m, n] = D[m, n] * W~[m, n]; the two parametrizations agree identically.
+    Raises DegenerateSpectrum unless adjacent levels lie farther apart than
+    the spectrum's ``degeneracy_tol``: the one place nondegeneracy is decided.
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     if dip.M != spec.M:
         raise DimensionMismatch(
             f"dipole dimension {dip.M} does not match spectrum dimension {spec.M}"

@@ -5,8 +5,9 @@ all physical prefactors and multiplies the squared dipole matrix D.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NonHermitian,
+    NonPositiveBeta,
     NonPositiveField,
 )
 
@@ -38,11 +40,18 @@ def _check_positive(name: str, value) -> None:
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
 
 
-def _check_tolerance(name: str, tol: float) -> None:
-    """Raise NonPositiveField unless ``tol`` is finite and >= 0: the rule for the
-    degeneracy and energy tolerances, where 0 means exact equality."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise NonPositiveField(f"{name} must be finite and >= 0, got {tol}")
+def _check_beta(beta) -> None:
+    """Raise NonPositiveBeta unless the inverse temperature is finite and > 0."""
+    if not (np.isfinite(beta) and beta > 0):
+        raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
+
+
+def _check_size(name: str, value, error=DimensionMismatch) -> int:
+    """``value`` as an int if it is an integer >= 1 (numpy integers too, never a
+    bool); otherwise raise ``error``. The one rule for qubit and copy counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return operator.index(value)
 
 
 def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -115,8 +124,8 @@ def free_spin_chain(Gammas: Sequence[float]) -> np.ndarray:
 class QubitSystem:
     """A system of K qubits with Hamiltonian H and dipole coupling constant gamma.
 
-    H must be Hermitian (to 1e-12 relative to its largest entry) and of
-    dimension exactly 2**K.
+    K is an integer >= 1; H must be finite, Hermitian (to 1e-12 relative to
+    its largest entry) and of dimension exactly 2**K.
     """
 
     K: int
@@ -124,8 +133,7 @@ class QubitSystem:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise DimensionMismatch(f"K must be >= 1, got {self.K}")
+        object.__setattr__(self, "K", _check_size("K", self.K))
         _check_positive("gamma", self.gamma)
         H = np.asarray(self.H, dtype=complex)
         dim = 2**self.K
@@ -133,6 +141,8 @@ class QubitSystem:
             raise DimensionMismatch(
                 f"H has shape {H.shape}, expected ({dim}, {dim}) for K={self.K}"
             )
+        if not np.isfinite(H).all():
+            raise DimensionMismatch("H entries must be finite numbers")
         scale = np.abs(H).max()
         if scale > 0 and np.abs(H - H.conj().T).max() > 1e-12 * scale:
             raise NonHermitian("H is not Hermitian to 1e-12 relative tolerance")
@@ -148,9 +158,9 @@ class EnergySpectrum:
     """Sorted energy levels together with the eigenbasis that produced them.
 
     ``eigenbasis`` holds the eigenvectors as columns, expressed in the basis
-    the Hamiltonian was written in. Construction via :func:`diagonalize`
-    guarantees ascending order and (optionally) nondegeneracy; spectra built
-    for the quantum optical master equation may be degenerate.
+    the Hamiltonian was written in. The energies are finite and ascending and
+    may be degenerate; ``is_nondegenerate`` compares adjacent levels against
+    ``degeneracy_tol``, which only the detailed-balance rates require.
     """
 
     M: int
@@ -236,35 +246,19 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def diagonalize(
-    sys: QubitSystem,
-    degeneracy_tol: Optional[float] = None,
-    require_nondegenerate: bool = True,
-) -> EnergySpectrum:
+def diagonalize(sys: QubitSystem) -> EnergySpectrum:
     """Diagonalize a qubit system Hamiltonian into an EnergySpectrum.
 
-    With ``require_nondegenerate`` (the default, needed by the single-system
-    Lindblad construction) a DegenerateSpectrum error is raised whenever two
-    adjacent levels lie within ``degeneracy_tol`` of each other. The default
-    tolerance is 1e-9 relative to the spectral spread, so it survives a
-    rescaling of the Hamiltonian.
+    The spectrum may be degenerate. Its ``degeneracy_tol`` is 1e-9 relative to
+    the spectral spread, so it survives a rescaling of the Hamiltonian;
+    :func:`thermal_rates` refuses a spectrum with levels that close.
     """
     E, U = np.linalg.eigh(sys.H)
-    spread = float(E[-1] - E[0])
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_RTOL * spread
-    _check_tolerance("degeneracy_tol", degeneracy_tol)
-    if require_nondegenerate:
-        if sys.dim > 1 and (spread == 0.0 or np.diff(E).min() <= degeneracy_tol):
-            raise DegenerateSpectrum(
-                "adjacent energy levels are closer than the degeneracy tolerance "
-                f"({degeneracy_tol:g})"
-            )
     return EnergySpectrum(
         M=sys.dim,
         energies=E,
         eigenbasis=_fix_phases(U),
-        degeneracy_tol=float(degeneracy_tol),
+        degeneracy_tol=DEGENERACY_RTOL * float(E[-1] - E[0]),
     )
 
 
@@ -319,8 +313,7 @@ def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
     dipoles, sectors) with ``sectors`` = (sector index of each level, exact
     integer multiplicity d_J = C(N, N/2-J) - C(N, N/2-J-1) of each sector).
     """
-    if N < 1:
-        raise DimensionMismatch(f"N must be >= 1, got {N}")
+    N = _check_size("N", N)
     _check_positive("Gamma", Gamma)
     ks = range(N // 2 + 1)
     mult = tuple(math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in ks)
@@ -379,7 +372,8 @@ def _gap_structure(energies: np.ndarray, tol: float):
     equal before they are classed; the zero-gap class has frequency 0.
     Raises NonPositiveField unless ``tol`` is finite and >= 0.
     """
-    _check_tolerance("energy tolerance", tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise NonPositiveField(f"energy tolerance must be finite and >= 0, got {tol}")
     lev_ids = equality_classes(energies, tol)
     rep = _class_means(energies, lev_ids)[lev_ids]
     gaps = rep[:, None] - rep[None, :]
@@ -460,8 +454,6 @@ def system_from_json(obj: dict, gamma: float = 1.0) -> QubitSystem:
         raise DimensionMismatch(
             f"re/im must be {dim}x{dim} matrices, got {re.shape} and {im.shape}"
         )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise DimensionMismatch("re/im entries must be finite numbers")
     K = dim.bit_length() - 1
     if dim < 2 or 2**K != dim:
         raise DimensionMismatch(f"dim must be a power of two >= 2, got {dim}")

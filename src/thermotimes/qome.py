@@ -32,10 +32,10 @@ spectrum is the set of all sums of one eigenvalue per member. tau_P and tau_Q
 are the largest member times (for distinct spin fields tau_Q = 2 max_i
 tau_P,i, the decoherence pathology in closed form) and the steady states
 count the product of the members' counts. ``mixture_spectrum`` builds each
-member with the composite's tolerance and refuses a resonant pair. The
-premise compares member frequencies only: a tolerance wide enough to merge
-levels or dipole-free gaps of the composite lies outside it, so the CLI
-takes this route at the default tolerance only.
+member at the composite's default tolerance, the only one this route runs
+at, and refuses a resonant pair. The premise compares member frequencies
+only: a tolerance wide enough to merge levels or dipole-free gaps of the
+composite lies outside it, so a wider tolerance needs the composite.
 """
 
 import math
@@ -49,8 +49,6 @@ from .errors import (
     DimensionMismatch,
     EmptyEnsemble,
     NoDissipativeEigenvalue,
-    NonPositiveBeta,
-    NoOscillatoryEigenvalue,
     ResonantMembers,
 )
 from .lba import _blackbody_weight
@@ -59,6 +57,7 @@ from .model import (
     DegeneracyReport,
     DipoleData,
     EnergySpectrum,
+    _check_beta,
     _check_positive,
     _gap_structure,
     _pair_classes,
@@ -67,9 +66,26 @@ from .model import (
 #: Cap on the vectorized dimension M^2 of the Liouvillian.
 LIOUVILLIAN_CAP = 4096
 
+#: ``compare`` calls two times equal within this relative deviation.
+AGREE_RTOL = 1e-6
+
 #: A Liouvillian eigenvalue counts as zero below TOL_ZERO * scale, with scale
 #: the largest eigenvalue modulus.
 TOL_ZERO = 1e-10
+
+
+def _check_qome_size(dim: int, copies: int = 1) -> None:
+    """The QOME size rule: the generator of ``copies`` members of dimension ``dim``
+    acts on (dim^copies)^2 entries, at most LIOUVILLIAN_CAP. Compared in log
+    space, so that a huge ensemble is refused before anything is built."""
+    if 2 * copies * math.log2(dim) > math.log2(LIOUVILLIAN_CAP):
+        raise CapExceeded(f"QOME dimension {dim}^{2 * copies} exceeds cap {LIOUVILLIAN_CAP}")
+
+
+def _default_energy_tol(spread: float) -> float:
+    """The default energy tolerance of a spectrum of this spread: DEGENERACY_RTOL
+    of the spread, at least DEGENERACY_RTOL."""
+    return DEGENERACY_RTOL * max(spread, 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,18 +147,16 @@ def build_liouvillian(
     two multiplicities. The split is exact: the dipoles are block diagonal by
     sector, so no entry couples two sector pairs.
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     M = spec.M
     if dip.M != M:
         raise DimensionMismatch(
             f"dipole dimension {dip.M} does not match spectrum dimension {M}"
         )
-    if M * M > LIOUVILLIAN_CAP:
-        raise CapExceeded(f"vectorized dimension {M * M} exceeds cap {LIOUVILLIAN_CAP}")
+    _check_qome_size(M)
     E = spec.energies
     if energy_tol is None:
-        energy_tol = DEGENERACY_RTOL * max(float(E[-1] - E[0]), 1.0)
+        energy_tol = _default_energy_tol(float(E[-1] - E[0]))
 
     lev_ids, gap_ids, gap_rep = _gap_structure(E, energy_tol)
     Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
@@ -212,7 +226,7 @@ def jump_operator_groups(
     if len(E) < 2:
         return []
     if tol is None:
-        tol = DEGENERACY_RTOL * max(float(E.max() - E.min()), 1.0)
+        tol = _default_energy_tol(float(E.max() - E.min()))
     _, gap_ids, gap_rep = _gap_structure(E, tol)
     # gap_ids.T classes the pair (m, n) by E_n - E_m, its transition frequency
     return [(float(gap_rep.T[pairs[0]]), pairs) for pairs in _pair_classes(gap_ids.T)]
@@ -241,17 +255,13 @@ class LiouvillianSpectrum:
     tau_P_multiplicity: int = 1
 
 
-def qome_spectrum(
-    L: Liouvillian,
-    tol_zero: float = TOL_ZERO,
-    require_oscillatory: bool = False,
-) -> LiouvillianSpectrum:
+def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpectrum:
     """Diagonalize the Liouvillian per block size and extract the characteristic times.
 
     Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
-    eigenvalue (e.g. a decoupled system); a missing oscillatory block is
-    reported as tau_Q = None unless ``require_oscillatory`` is set, and
-    NonPositiveField unless ``tol_zero`` is finite and > 0.
+    eigenvalue (e.g. a decoupled system), and NonPositiveField unless
+    ``tol_zero`` is finite and > 0; a missing oscillatory block is reported
+    as tau_Q = None.
     """
     _check_positive("tol_zero", tol_zero)
     omegas, sizes = map(np.array, zip(*((omega, len(idx)) for omega, idx, _ in L.blocks)))
@@ -287,10 +297,6 @@ def qome_spectrum(
     if len(osc):
         slowest = float(np.abs(osc.real).min())
         tau_Q = math.inf if slowest < tol_zero * scale else 1.0 / slowest
-    elif require_oscillatory:
-        raise NoOscillatoryEigenvalue(
-            "no eigenvalue with nonzero imaginary part: decoherence time undefined"
-        )
     else:
         tau_Q = None
 
@@ -305,21 +311,12 @@ def qome_spectrum(
     )
 
 
-def _member_tolerance(spectra: Sequence[EnergySpectrum], energy_tol: Optional[float] = None) -> float:
-    """The energy tolerance of a mixture of these spectra, once the member route's premise holds.
-
-    The tolerance defaults to the composite's, DEGENERACY_RTOL * max(spread, 1),
-    the mixture's spread being the sum of the member spreads. The premise is
-    that no transition frequency (positive Bohr frequency, classed as the
-    generator classes it; the negative ones mirror them) of one member lies
-    within the tolerance of one of another member; otherwise ResonantMembers
-    names the closest such pair and its distance.
+def _check_member_premise(spectra: Sequence[EnergySpectrum], energy_tol: float) -> None:
+    """The member route's premise: no transition frequency (positive Bohr
+    frequency, classed as the generator classes it; the negative ones mirror
+    them) of one member lies within ``energy_tol`` of one of another member.
+    Otherwise ResonantMembers names the closest such pair and its distance.
     """
-    if not spectra:
-        raise EmptyEnsemble("a mixture needs at least one member")
-    if energy_tol is None:
-        spread = sum(float(spec.energies[-1] - spec.energies[0]) for spec in spectra)
-        energy_tol = DEGENERACY_RTOL * max(spread, 1.0)
     freqs = [np.unique(rep[rep > 0.0]) for rep in
              (_gap_structure(spec.energies, energy_tol)[2] for spec in spectra)]
     f = np.concatenate(freqs)
@@ -335,7 +332,6 @@ def _member_tolerance(spectra: Sequence[EnergySpectrum], energy_tol: Optional[fl
                 f"members {owner[k]} and {owner[k + 1]} share the transition frequency "
                 f"{f[k]:.12g} ~ {f[k + 1]:.12g}: {distance:.3g} apart, energy_tol {energy_tol:.3g}"
             )
-    return energy_tol
 
 
 @dataclass(frozen=True)
@@ -357,16 +353,20 @@ class MixtureSpectrum:
 def mixture_spectrum(
     members: Sequence[Tuple[EnergySpectrum, DipoleData]],
     beta: float,
-    energy_tol: Optional[float] = None,
     tol_zero: float = TOL_ZERO,
 ) -> MixtureSpectrum:
     """QOME times and steady-state count of a mixture, one (spectrum, dipoles) per member.
 
-    Each member generator is built with the mixture's tolerance and solved on
-    its own; the premise is checked first, so a resonant pair raises
+    Each member generator is built at the composite's default tolerance (the
+    mixture's spread being the sum of the member spreads) and solved on its
+    own; the premise is checked first, so a resonant pair raises
     ResonantMembers before anything is built.
     """
-    energy_tol = _member_tolerance([spec for spec, _ in members], energy_tol)
+    if not members:
+        raise EmptyEnsemble("a mixture needs at least one member")
+    spectra = [spec for spec, _ in members]
+    energy_tol = _default_energy_tol(sum(float(s.energies[-1] - s.energies[0]) for s in spectra))
+    _check_member_premise(spectra, energy_tol)
     parts = tuple(
         qome_spectrum(build_liouvillian(spec, dip, beta, energy_tol=energy_tol), tol_zero=tol_zero)
         for spec, dip in members
@@ -411,12 +411,12 @@ def compare(
     lba_times,
     qome: LiouvillianSpectrum,
     deg: DegeneracyReport,
-    agree_tol: float = 1e-6,
     qome_series: Optional[Sequence[Tuple[int, float, float]]] = None,
 ) -> ComparisonReport:
     """Compare detailed-balance times against the microscopic spectrum.
 
-    ``lba_times`` is anything with tau_P/tau_Q attributes. ``qome_series``
+    ``lba_times`` is anything with tau_P/tau_Q attributes; a time agrees when
+    it deviates by at most AGREE_RTOL relative. ``qome_series``
     optionally supplies (N, tau_P, tau_Q) triples from which the
     size-dependence pathology flags are estimated: tau_P spreading by more
     than 0.1% flags a size-dependent dissipation time, and tau_Q is flagged
@@ -431,8 +431,8 @@ def compare(
         if qQ is not None and math.isfinite(qQ)
         else None
     )
-    agree_P = dev_P is not None and dev_P <= agree_tol
-    agree_Q = dev_Q is not None and dev_Q <= agree_tol
+    agree_P = dev_P is not None and dev_P <= AGREE_RTOL
+    agree_Q = dev_Q is not None and dev_Q <= AGREE_RTOL
 
     tauP_dep = tauQ_flat = None
     if qome_series is not None and len(qome_series) >= 2:

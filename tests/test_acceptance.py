@@ -102,7 +102,7 @@ def spin_ensemble(Gammas, beta=1.0):
 
 def composite_liouvillian(Gammas, beta=1.0):
     system = QubitSystem(K=len(Gammas), H=free_spin_chain(Gammas))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     return build_liouvillian(spec, dipole_data(system, spec), beta)
 
 

@@ -211,7 +211,7 @@ def test_modulated_qome_at_an_explicit_tolerance_is_the_composites(tmp_path, ene
     # the composite levels +-0.120 merge, and at 0.75 dipole-free composite gaps
     # chain 1.036 -> 2.0 and so join two spins' classes; the member route sees neither
     system = QubitSystem(K=3, H=free_spin_chain(modulated_gammas(3)))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     ref = qome_spectrum(build_liouvillian(spec, dipole_data(system, spec), 1.0, energy_tol=energy_tol))
     cfg = write_config(tmp_path, "c.json", {
         "family": "free_spins_modulated", "N": 3, "beta": 1.0, "tolerances": {"energy_tol": energy_tol},

@@ -25,7 +25,8 @@ from thermotimes.model import (
     free_spin_system,
 )
 from thermotimes.qome import (
-    _member_tolerance,
+    _check_member_premise,
+    _default_energy_tol,
     build_liouvillian,
     mixture_spectrum,
     qome_spectrum,
@@ -40,10 +41,15 @@ def spins(Gammas):
     return [free_spin_system(G) for G in Gammas]
 
 
+def default_tolerance(spectra):
+    """The composite's default tolerance, the one mixture_spectrum runs at."""
+    return _default_energy_tol(sum(spec.energies[-1] - spec.energies[0] for spec in spectra))
+
+
 @functools.lru_cache(maxsize=None)
 def composite_route(N, beta):
     system = QubitSystem(K=N, H=free_spin_chain(modulated_gammas(N)))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     return qome_spectrum(build_liouvillian(spec, dipole_data(system, spec), beta))
 
 
@@ -89,7 +95,7 @@ def test_modulated_spins_keep_a_wide_margin_up_to_thirteen():
     # their closest frequencies of two spins stay a millionfold farther apart
     for N in range(2, 14):
         spectra = [spec for spec, _ in spins(modulated_gammas(N))]
-        _member_tolerance(spectra, 1e6 * _member_tolerance(spectra))
+        _check_member_premise(spectra, 1e6 * default_tolerance(spectra))
 
 
 def product_system(members):
@@ -109,7 +115,7 @@ def test_synthetic_members_with_disjoint_frequencies(seed, beta):
     rng = np.random.default_rng(seed)
     members = [synthetic_system(rng, 3), synthetic_system(rng, 2, span=9.0)]
     spectra = [spec for spec, _ in members]
-    _member_tolerance(spectra, 1e3 * _member_tolerance(spectra))
+    _check_member_premise(spectra, 1e3 * default_tolerance(spectra))
     ref = qome_spectrum(build_liouvillian(*product_system(members), beta))
     got = mixture_spectrum(members, beta)
     assert_same_multiset(ref.eigenvalues, all_sums(got), ref.scale)
@@ -121,11 +127,11 @@ def test_premise_fails_for_two_equal_fields():
         mixture_spectrum(spins([1.0, 1.25, 1.0]), 1.0)
     # within the default tolerance (1e-9 of the spread 4) is the same as equal
     with pytest.raises(ResonantMembers, match="energy_tol 4e-09"):
-        _member_tolerance([spec for spec, _ in spins([1.0, 1.0 + 1e-9])])
+        mixture_spectrum(spins([1.0, 1.0 + 1e-9]), 1.0)
     # an exact tolerance refuses only exact equality
-    assert _member_tolerance([spec for spec, _ in spins([1.0, 1.0 + 1e-9])], 0.0) == 0.0
+    _check_member_premise([spec for spec, _ in spins([1.0, 1.0 + 1e-9])], 0.0)
     with pytest.raises(ResonantMembers):
-        _member_tolerance([spec for spec, _ in spins([1.0, 1.0])], 0.0)
+        _check_member_premise([spec for spec, _ in spins([1.0, 1.0])], 0.0)
     with pytest.raises(EmptyEnsemble):
         mixture_spectrum([], 1.0)
 
@@ -143,9 +149,12 @@ def test_premise_is_checked_before_anything_is_built(monkeypatch):
 
 def test_tolerance_is_the_composites():
     # two spins whose frequencies 2 and 3 are 1 apart
-    assert _member_tolerance([spec for spec, _ in spins([1.0, 1.5])], 0.5) == 0.5
+    _check_member_premise([spec for spec, _ in spins([1.0, 1.5])], 0.5)
     with pytest.raises(ResonantMembers, match="1 apart, energy_tol 1"):
-        _member_tolerance([spec for spec, _ in spins([1.0, 1.5])], 1.0)
-    # the default: DEGENERACY_RTOL times the summed spread, at least 1; one member leaves nothing to resonate
-    assert _member_tolerance([spec for spec, _ in spins([1.0, 1.5])]) == pytest.approx(5e-9, rel=1e-15)
-    assert _member_tolerance([free_spin_system(1.0)[0]]) == 2e-9
+        _check_member_premise([spec for spec, _ in spins([1.0, 1.5])], 1.0)
+    # the default: DEGENERACY_RTOL times the summed spread (here 0.4), at least 1
+    with pytest.raises(ResonantMembers, match="energy_tol 1e-09"):
+        mixture_spectrum(spins([0.1, 0.1 + 1e-10]), 1.0)
+    assert default_tolerance([spec for spec, _ in spins([1.0, 1.5])]) == pytest.approx(5e-9, rel=1e-15)
+    # one member leaves nothing to resonate
+    _check_member_premise([free_spin_system(1.0)[0]], 1e9)

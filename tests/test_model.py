@@ -3,12 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermotimes.ensemble import EnsembleMember
 from thermotimes.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    EmptyEnsemble,
     NonHermitian,
     NonPositiveField,
 )
+from thermotimes.lba import thermal_rates
 from thermotimes.model import (
     DipoleData,
     EnergySpectrum,
@@ -30,7 +33,7 @@ from thermotimes.model import (
 )
 
 from thermotimes.qome import (
-    _member_tolerance,
+    _check_member_premise,
     build_liouvillian,
     jump_operator_groups,
     qome_spectrum,
@@ -73,10 +76,46 @@ def test_energy_spectrum_refuses_nonfinite_or_unsorted_energies(energies):
         EnergySpectrum(M=len(energies), energies=energies, eigenbasis=np.eye(len(energies)))
 
 
-def test_diagonalize_fully_degenerate_raises():
-    sys_ = QubitSystem(K=1, H=np.zeros((2, 2), dtype=complex))
-    with pytest.raises(DegenerateSpectrum):
-        diagonalize(sys_)
+def test_fully_degenerate_spectrum_is_refused_by_thermal_rates():
+    # diagonalize returns every spectrum; thermal_rates, the one consumer that
+    # needs distinct levels, refuses equal ones and ones within degeneracy_tol
+    for H in (np.zeros((2, 2), dtype=complex), np.diag([-1.0, 0.0, 1e-12, 1.0])):
+        sys_ = QubitSystem(K=H.shape[0].bit_length() - 1, H=H)
+        spec = diagonalize(sys_)
+        assert not spec.is_nondegenerate
+        with pytest.raises(DegenerateSpectrum, match="thermal_rates requires a nondegenerate"):
+            thermal_rates(spec, dipole_data(sys_, spec), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_qubit_system_refuses_nonfinite_H(bad):
+    # a NaN or inf H passed with a RuntimeWarning from the Hermiticity check
+    for H in (np.diag([1.0, bad]), np.array([[0.0, bad], [np.conj(bad), 0.0]])):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            QubitSystem(K=1, H=H)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, np.float64(2.0), True, "2", None],
+                         ids=["0", "-1", "2.5", "2.0", "np.float64", "True", "str", "None"])
+def test_sizes_are_integers_of_at_least_one(bad):
+    # a fractional count ran as a fractional ensemble (ensemble_times gave
+    # tau_Q 0.0701 at count 2.5) and a string or a fractional N stopped in a raw TypeError
+    with pytest.raises(DimensionMismatch, match="K must be an integer >= 1"):
+        QubitSystem(K=bad, H=-PAULI_X)
+    with pytest.raises(DimensionMismatch, match="N must be an integer >= 1"):
+        spin_sector_system(bad, 1.0)
+    with pytest.raises(EmptyEnsemble, match="member count must be an integer >= 1"):
+        EnsembleMember(*free_spin_system(1.0), count=bad)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert type(QubitSystem(K=np.int64(1), H=-PAULI_X).K) is int
+    member = EnsembleMember(*free_spin_system(1.0), count=np.int32(3))
+    assert type(member.count) is int and member.count == 3
+    spec, dip, (sector, mult) = spin_sector_system(np.int64(3), 1.0)
+    ref_spec, ref_dip, (ref_sector, ref_mult) = spin_sector_system(3, 1.0)
+    assert np.array_equal(spec.energies, ref_spec.energies) and np.array_equal(dip.D, ref_dip.D)
+    assert np.array_equal(sector, ref_sector) and mult == ref_mult
 
 
 def test_diagonalize_matches_charpoly_oracle():
@@ -367,11 +406,7 @@ def test_energy_tolerance_is_checked_once(tol):
     with pytest.raises(NonPositiveField):
         degeneracy_report([], tol)
     with pytest.raises(NonPositiveField, match="energy tolerance"):
-        _member_tolerance([free_spin_system(1.0)[0]] * 2, tol)
-    # the degeneracy tolerance follows the same rule: at nan the guard was off
-    # and two levels 1e-13 apart passed as nondegenerate
-    with pytest.raises(NonPositiveField, match="degeneracy_tol"):
-        diagonalize(QubitSystem(K=1, H=np.diag([1.0, 1.0 + 1e-13])), degeneracy_tol=tol)
+        _check_member_premise([free_spin_system(1.0)[0]] * 2, tol)
     # tol_zero follows the same rule: at nan or -1 no eigenvalue counted as
     # zero and tau_P came out as 2.25e15 instead of 0.0476
     with pytest.raises(NonPositiveField, match="tol_zero"):

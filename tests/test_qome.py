@@ -7,7 +7,6 @@ from thermotimes.ensemble import free_spins_times
 from thermotimes.errors import (
     CapExceeded,
     NoDissipativeEigenvalue,
-    NoOscillatoryEigenvalue,
 )
 from thermotimes.lba import (
     gibbs_state,
@@ -43,7 +42,7 @@ def modulated_gammas(N):
 
 def composite(Gammas):
     system = QubitSystem(K=len(Gammas), H=free_spin_chain(Gammas))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     return spec, dipole_data(system, spec)
 
 
@@ -83,12 +82,6 @@ def test_zero_dipole_gives_coherent_spectrum():
         qome_spectrum(L)
 
 
-def test_qome_spectrum_require_oscillatory():
-    L = composite_liouvillian([1.0])
-    spectrum = qome_spectrum(L, require_oscillatory=True)
-    assert spectrum.tau_Q is not None
-
-
 def test_qome_spectrum_purely_real_generator():
     # a generator without oscillatory modes: decoherence time is undefined
     from thermotimes.qome import Liouvillian
@@ -102,13 +95,11 @@ def test_qome_spectrum_purely_real_generator():
     assert spectrum.tau_P == pytest.approx(1.0)
     assert spectrum.tau_P_multiplicity == 2
     assert spectrum.tau_Q is None
-    with pytest.raises(NoOscillatoryEigenvalue):
-        qome_spectrum(L, require_oscillatory=True)
 
 
 def test_jump_groups_two_equal_spins():
     system = QubitSystem(K=2, H=free_spin_chain([1.0, 1.0]))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     groups = dict()
     for omega, pairs in jump_operator_groups(spec.energies):
         groups[round(omega, 6)] = pairs
@@ -243,9 +234,7 @@ def test_compare_uniform_series_flags():
         series.append((N, spectra[N].tau_P, spectra[N].tau_Q))
     lba = free_spins_times([1.0] * 3, beta=1.0)
     deg = degeneracy_report(
-        diagonalize(
-            QubitSystem(K=3, H=free_spin_chain([1.0] * 3)), require_nondegenerate=False
-        ).energies,
+        diagonalize(QubitSystem(K=3, H=free_spin_chain([1.0] * 3))).energies,
         1e-9,
     )
     report = compare(lba, spectra[3], deg, qome_series=series)

@@ -32,7 +32,7 @@ GRID = [(beta, Gamma) for beta in (1e-3, 1.0, 1e4) for Gamma in (1e-3, 1.0, 1e3)
 
 def composite_system(N, Gamma):
     system = QubitSystem(K=N, H=free_spin_chain([Gamma] * N))
-    spec = diagonalize(system, require_nondegenerate=False)
+    spec = diagonalize(system)
     return spec, dipole_data(system, spec)
 
 
