@@ -5,7 +5,6 @@ all physical prefactors and multiplies the squared dipole matrix D.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,7 +50,7 @@ def _check_size(name: str, value, error=DimensionMismatch) -> int:
     bool); otherwise raise ``error``. The one rule for qubit and copy counts."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise error(f"{name} must be an integer >= 1, got {value!r}")
-    return operator.index(value)
+    return int(value)
 
 
 def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:

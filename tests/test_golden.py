@@ -72,7 +72,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, tmp_path, capsys):
+def test_output_matches_golden(name, tmp_path):
     assert CASES[name](tmp_path) == (GOLDEN / name).read_bytes()
 
 
