@@ -48,7 +48,7 @@ def show(name, Gammas, series=None):
     spectrum = qome_spectrum(L)
     deg = degeneracy_report(spec.energies, L.energy_tol)
     lba = free_spins_times(Gammas, beta=1.0)
-    report = compare(lba, spectrum, deg, qome_series=series)
+    report = compare(lba, spectrum, qome_series=series)
     report_pathologies(name, spec, deg, spectrum, lba, report)
     return spectrum
 
@@ -77,13 +77,7 @@ for N in (2, 3):
     series.append((N, spectrum.tau_P, spectrum.tau_Q))
 
 # with results for two sizes the comparison can also judge the N-scaling
-spec3, L3 = composite([1.0] * 3)
-combined = compare(
-    free_spins_times([1.0] * 3, beta=1.0),
-    qome_spectrum(L3),
-    degeneracy_report(spec3.energies, L3.energy_tol),
-    qome_series=series,
-)
+combined = compare(free_spins_times([1.0] * 3, beta=1.0), spectrum, qome_series=series)
 print("\nsize-dependence flags from the uniform series:", combined.pathology_flags)
 
 print("\nnonuniform pair: levels fine, gaps degenerate by parity")

@@ -6,11 +6,13 @@ Three routes fill the columns:
 
   * analytic closed forms (any N, microseconds),
   * explicit product-space construction: symmetrized Kronecker-sum rate
-    matrix (dense eigensolve up to N = 8, a Gibbs-deflated Lanczos solve
-    from N = 9) plus escape-rate enumeration (N <= 13),
-  * the quantum optical master equation Liouvillian, dimension 4^N,
-    diagonalized one Bohr-frequency block at a time (N <= 5 here; the
-    table with N = 6 takes about a second).
+    matrix (dense eigensolve up to product dimension 64, i.e. N = 6, a
+    Gibbs-deflated Lanczos solve from N = 7) plus escape-rate enumeration
+    (N <= 13),
+  * the quantum optical master equation, through each spin's own 4 x 4
+    Liouvillian (no two fields share a transition frequency, so the
+    ensemble generator is the Kronecker sum of the member generators),
+    diagonalized one Bohr-frequency block at a time (N <= 5 here).
 
 The same table is available from the command line as `thermotimes table1`.
 

@@ -53,6 +53,10 @@ MODULATION_FREQUENCY = math.pi / math.sqrt(2.0)
 #: Keys of the optional ``law`` object of free_spins_modulated (see modulated_gammas).
 LAW_KEYS = {"base", "amplitude", "frequency"}
 
+#: Config keys that one family reads and the others would ignore.
+_FAMILY_KEYS = {"Gamma": "free_spins_uniform", "Gamma_grid": "free_spins_uniform",
+                "law": "free_spins_modulated", "hamiltonian": "custom_hamiltonian"}
+
 TABLE1_SMALL_N = range(1, 14)
 TABLE1_LARGE_N = (100, 1000, 10000, 100000)
 TABLE1_COLUMNS = (
@@ -112,8 +116,13 @@ class RunConfig:
         family = raw.get("family")
         if family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
+        ignored = sorted(k for k, owner in _FAMILY_KEYS.items() if k in raw and owner != family)
+        if ignored:
+            raise ConfigError(f"{family} does not read {', '.join(ignored)}")
         if "N_list" in raw:
             N_list = _numbers(raw, "N_list", integer=True)
+            if "N" in raw:
+                raise ConfigError("give N or N_list, not both")
         else:
             N_list = (_number("N", raw.get("N", 1), integer=True),)
         methods = raw.get("methods", ["lba_analytic"])
@@ -271,6 +280,9 @@ def _run_method(config: RunConfig, N: int, method: str) -> dict:
 
 def analyze_records(config: RunConfig) -> list:
     """One record per (N, method), ordered by N and then by method."""
+    grids = [key for key in ("beta_grid", "Gamma_grid") if getattr(config, key) is not None]
+    if grids:
+        raise ConfigError(f"analyze does not read {', '.join(grids)}; sweep does")
     return [_run_method(config, N, m) for N in config.N_list for m in config.methods]
 
 
@@ -421,6 +433,10 @@ def sweep_records(config: RunConfig) -> list:
         raise ConfigError("sweep needs a beta_grid or a Gamma_grid")
     if len(config.methods) != 1:
         raise ConfigError("sweep supports exactly one method per run")
+    if len(config.N_list) != 1:
+        raise ConfigError("sweep runs one ensemble size: N_list must hold exactly one entry")
+    if config.output != "csv":
+        raise ConfigError(f"sweep writes CSV only: output must be 'csv', got {config.output!r}")
     method = config.methods[0]
 
     def run_point(value):

@@ -15,7 +15,7 @@ dense or sparse, comes from the one builder in ``model``
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -211,7 +211,7 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     """Verification path: explicit product-space rate matrix and escape rates.
 
     mu2 comes from the symmetrized Kronecker-sum matrix S. Up to
-    DENSE_EIG_LIMIT it is the second eigenvalue of a dense numpy eigensolve.
+    DENSE_EIG_LIMIT it is the ``mu2`` of :func:`compose_rate_matrix`.
     Above it, S is built sparse, and detailed balance gives it the exact null
     vector q = sqrt(Gibbs); adding c q q^T, with c the largest absolute row
     sum of S (a Gershgorin bound), lifts that zero above the spectrum, and
@@ -229,8 +229,7 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
 
     copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
     if dim <= DENSE_EIG_LIMIT:
-        mu = np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))
-        mu2 = float(np.sort(mu)[1])
+        mu2 = compose_rate_matrix([pm for _, pm in copies]).mu2
     else:
         import scipy.sparse.linalg as spla
 
@@ -346,8 +345,8 @@ def bell_rotation(M: int) -> np.ndarray:
 
 
 def verify_product_basis_decoupling(
-    a: Optional[Tuple[EnergySpectrum, DipoleData]],
-    b: Optional[Tuple[EnergySpectrum, DipoleData]],
+    a: Tuple[EnergySpectrum, DipoleData],
+    b: Tuple[EnergySpectrum, DipoleData],
     beta: float,
     basis: str = "product",
 ) -> DecouplingCheck:
@@ -356,16 +355,8 @@ def verify_product_basis_decoupling(
     Builds D[(m,n),(p,q)] = sum_h gamma_1 |<mn| O1_h |pq>|^2 + gamma_2
     |<mn| O2_h |pq>|^2 in the requested basis ("product" or, for equal
     members, "bell"), derives C and the escape rates, and compares them
-    against the one-body predictions from the member data. With one member
-    absent the check is vacuously true.
+    against the one-body predictions from the member data.
     """
-    if a is None or b is None:
-        # a lone system has nothing to decouple from
-        empty = np.empty((0, 0))
-        return DecouplingCheck(
-            ok=True, max_deviation=0.0, basis=basis, energies=np.empty(0),
-            D=empty, C=empty, B=np.empty(0), predicted_D=empty, predicted_C=empty,
-        )
     (spec1, dip1), (spec2, dip2) = a, b
     M1, M2 = spec1.M, spec2.M
     if M1 * M2 > DECOUPLING_CAP:

@@ -253,21 +253,17 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
     return rho_t
 
 
-def lba_liouvillian(
-    spec: EnergySpectrum,
-    dip: DipoleData,
-    beta: float,
-    eff_energies: Optional[Sequence[float]] = None,
-) -> np.ndarray:
+def lba_liouvillian(spec: EnergySpectrum, dip: DipoleData, beta: float) -> np.ndarray:
     """The full M^2 x M^2 generator of the Lindblad-based master equation.
 
     Row-major vectorization, index(m, n) = m*M + n. Populations couple through
-    the rate matrix; each coherence sits on its own diagonal entry. Used for
-    entrywise comparison against the microscopically derived generator.
+    the rate matrix; each coherence sits on its own diagonal entry, at its bare
+    Bohr frequency. Used for entrywise comparison against the microscopically
+    derived generator, which drops the Lamb shift too.
     """
     rates = thermal_rates(spec, dip, beta)
     M = spec.M
-    E = spec.energies if eff_energies is None else np.asarray(eff_energies, float)
+    E = spec.energies
     B = rates.B
     L = np.diag((-1.0j * (E[:, None] - E[None, :]) - 0.5 * (B[:, None] + B[None, :])).ravel())
     populations = np.arange(M) * (M + 1)

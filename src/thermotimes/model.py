@@ -39,6 +39,13 @@ def _check_positive(name: str, value) -> None:
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_tolerance(name: str, value) -> None:
+    """Raise NonPositiveField unless the tolerance ``value`` is finite and >= 0:
+    the one rule for the energy and degeneracy tolerances."""
+    if not (math.isfinite(value) and value >= 0):
+        raise NonPositiveField(f"{name} must be finite and >= 0, got {value}")
+
+
 def _check_beta(beta) -> None:
     """Raise NonPositiveBeta unless the inverse temperature is finite and > 0."""
     if not (np.isfinite(beta) and beta > 0):
@@ -159,7 +166,7 @@ class EnergySpectrum:
     ``eigenbasis`` holds the eigenvectors as columns, expressed in the basis
     the Hamiltonian was written in. The energies are finite and ascending and
     may be degenerate; ``is_nondegenerate`` compares adjacent levels against
-    ``degeneracy_tol``, which only the detailed-balance rates require.
+    ``degeneracy_tol`` (finite, >= 0), which only the detailed-balance rates require.
     """
 
     M: int
@@ -179,6 +186,7 @@ class EnergySpectrum:
             raise DegenerateSpectrum(f"energies must be finite and ascending, got {E}")
         if np.abs(U.conj().T @ U - np.eye(self.M)).max() > 1e-10:
             raise NonHermitian("eigenbasis is not unitary to 1e-10")
+        _check_tolerance("degeneracy_tol", self.degeneracy_tol)
         object.__setattr__(self, "energies", E)
         object.__setattr__(self, "eigenbasis", U)
 
@@ -371,8 +379,7 @@ def _gap_structure(energies: np.ndarray, tol: float):
     equal before they are classed; the zero-gap class has frequency 0.
     Raises NonPositiveField unless ``tol`` is finite and >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise NonPositiveField(f"energy tolerance must be finite and >= 0, got {tol}")
+    _check_tolerance("energy tolerance", tol)
     lev_ids = equality_classes(energies, tol)
     rep = _class_means(energies, lev_ids)[lev_ids]
     gaps = rep[:, None] - rep[None, :]

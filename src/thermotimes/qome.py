@@ -54,7 +54,6 @@ from .errors import (
 from .lba import _blackbody_weight
 from .model import (
     DEGENERACY_RTOL,
-    DegeneracyReport,
     DipoleData,
     EnergySpectrum,
     _check_beta,
@@ -211,23 +210,19 @@ def build_liouvillian(
     )
 
 
-def jump_operator_groups(
-    energies: Sequence[float], tol: Optional[float] = None
-) -> list:
+def jump_operator_groups(energies: Sequence[float]) -> list:
     """Group the ordered index pairs (m, n), m != n, by transition frequency.
 
     The microscopic jump operator at frequency omega collects every dyad
-    |m><n| with E_n - E_m = omega, classed as the generator classes its gaps;
-    a group with more than one pair is exactly the multi-dyad situation
-    produced by level or gap degeneracies. Returns (omega, pairs) entries
-    sorted by omega.
+    |m><n| with E_n - E_m = omega, classed as the generator classes its gaps
+    at the default energy tolerance; a group with more than one pair is
+    exactly the multi-dyad situation produced by level or gap degeneracies.
+    Returns (omega, pairs) entries sorted by omega.
     """
     E = np.asarray(energies, dtype=float)
     if len(E) < 2:
         return []
-    if tol is None:
-        tol = _default_energy_tol(float(E.max() - E.min()))
-    _, gap_ids, gap_rep = _gap_structure(E, tol)
+    _, gap_ids, gap_rep = _gap_structure(E, _default_energy_tol(float(E.max() - E.min())))
     # gap_ids.T classes the pair (m, n) by E_n - E_m, its transition frequency
     return [(float(gap_rep.T[pairs[0]]), pairs) for pairs in _pair_classes(gap_ids.T)]
 
@@ -397,9 +392,6 @@ class PathologyFlags:
 class ComparisonReport:
     """Side-by-side comparison of the two approaches for one composite system."""
 
-    lba_times: Tuple[float, float]
-    qome_times: Tuple[Optional[float], Optional[float]]
-    degeneracy: DegeneracyReport
     agree_P: bool
     agree_Q: bool
     dev_P: Optional[float]
@@ -410,7 +402,6 @@ class ComparisonReport:
 def compare(
     lba_times,
     qome: LiouvillianSpectrum,
-    deg: DegeneracyReport,
     qome_series: Optional[Sequence[Tuple[int, float, float]]] = None,
 ) -> ComparisonReport:
     """Compare detailed-balance times against the microscopic spectrum.
@@ -449,9 +440,6 @@ def compare(
             tauQ_flat = True
 
     return ComparisonReport(
-        lba_times=(lP, lQ),
-        qome_times=(qP, qQ),
-        degeneracy=deg,
         agree_P=agree_P,
         agree_Q=agree_Q,
         dev_P=dev_P,

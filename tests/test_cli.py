@@ -21,6 +21,7 @@ from thermotimes.cli import (
     cmd_table1,
     main,
     modulated_gammas,
+    sweep_records,
 )
 from thermotimes.errors import ConfigError
 from thermotimes.model import QubitSystem, diagonalize, dipole_data, free_spin_chain, free_spin_system
@@ -240,6 +241,42 @@ def test_law_keys_are_read():
     config = RunConfig.from_dict({"family": "free_spins_modulated", "N": 3, "law": law})
     uniform = RunConfig.from_dict({"family": "free_spins_uniform", "N": 3, "Gamma": 2.0})
     assert analyze_records(config) == analyze_records(uniform)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"family": "free_spins_modulated", "Gamma": 5}, "Gamma"),
+    ({"family": "free_spins_modulated", "Gamma_grid": [0.5, 2.0]}, "Gamma_grid"),
+    ({"family": "free_spins_uniform", "Gamma": 1.0, "law": {"base": 3}}, "law"),
+    ({"family": "free_spins_uniform", "Gamma": 1.0,
+      "hamiltonian": {"dim": 2, "re": [[0.0, -1.0], [-1.0, 0.0]]}}, "hamiltonian"),
+    ({"family": "custom_hamiltonian", "Gamma": 1.0,
+      "hamiltonian": {"dim": 2, "re": [[0.0, -1.0], [-1.0, 0.0]]}}, "Gamma"),
+    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 2, "N_list": [1, 2]}, "N_list"),
+])
+def test_keys_the_run_would_ignore_are_config_errors(tmp_path, raw, key):
+    # each of these ran with exit 0 and printed the numbers of the run without the key
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(raw)
+    for command, grid in (("analyze", {}), ("sweep", {"beta_grid": [1.0]})):
+        cfg = write_config(tmp_path, "c.json", {**raw, **grid})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("analyze", {"beta_grid": [0.5, 2.0]}, "beta_grid"),
+    ("analyze", {"Gamma_grid": [0.5, 2.0]}, "Gamma_grid"),
+    ("sweep", {"beta_grid": [1.0], "N_list": [1, 2, 3]}, "N_list"),
+    ("sweep", {"beta_grid": [1.0], "output": "json"}, "output"),
+])
+def test_keys_the_subcommand_does_not_read_are_config_errors(tmp_path, command, extra, key):
+    # analyze ran at beta 1 past a beta_grid; sweep ran the first size of an
+    # N_list only, and wrote CSV when asked for JSON
+    raw = {"family": "free_spins_uniform", "Gamma": 1.0, "methods": ["lba_analytic"], **extra}
+    records = {"analyze": analyze_records, "sweep": sweep_records}[command]
+    with pytest.raises(ConfigError, match=key):
+        records(RunConfig.from_dict(raw))
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
 
 
 def test_known_tolerance_keys_are_read():

@@ -400,11 +400,6 @@ def test_decoupling_holds_in_product_basis():
     assert np.abs(check.B - pred_B).max() < 1e-12 * pred_B.max()
 
 
-def test_decoupling_vacuous_for_single_system():
-    check = verify_product_basis_decoupling(free_spin_system(1.0), None, beta=1.0)
-    assert check.ok and check.max_deviation == 0.0
-
-
 def test_decoupling_fails_in_bell_basis_with_mixed_form():
     a = free_spin_system(1.0)
     check = verify_product_basis_decoupling(a, a, beta=1.0, basis="bell")

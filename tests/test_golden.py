@@ -1,10 +1,12 @@
 """Byte-for-byte golden outputs of the command line.
 
-The files under ``tests/golden/`` pin three CSV reports: the default
+The files under ``tests/golden/`` pin five CSV reports: the default
 ``table1`` (its two timing columns blanked), the README ``analyze`` config
-(modulated spins, N = 1..3, all methods) and the same config for uniform
-spins (Gamma = 1, N = 1..5, the total-spin sector route). A refactor that
-keeps every number must keep every byte. To regenerate them after a change
+(modulated spins, N = 1..3, all methods), the same config for uniform
+spins (Gamma = 1, N = 1..5, the total-spin sector route) and two ``sweep``
+runs on uniform spins (a beta grid through the QOME at N = 4, a Gamma grid
+through the explicit rate matrix at N = 3). A refactor that keeps every
+number must keep every byte. To regenerate them after a change
 that is meant to move a number, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,6 +38,10 @@ README_CONFIG = {
 }
 UNIFORM_CONFIG = {**README_CONFIG, "family": "free_spins_uniform", "Gamma": 1.0,
                   "N_list": [1, 2, 3, 4, 5]}
+SWEEP_BETA_CONFIG = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 4,
+                     "beta_grid": [0.01, 1.0, 100.0], "methods": ["qome"]}
+SWEEP_GAMMA_CONFIG = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 3,
+                      "Gamma_grid": [0.1, 1.0, 10.0], "methods": ["lba_numeric"]}
 
 
 def _run(argv):
@@ -57,17 +63,20 @@ def table1_csv(tmp: Path) -> bytes:
     return buf.getvalue().encode()
 
 
-def analyze_csv(tmp: Path, config: dict) -> bytes:
+def config_csv(tmp: Path, command: str, config: dict) -> bytes:
     cfg, out = tmp / "config.json", tmp / "report.csv"
     cfg.write_text(json.dumps(config))
-    _run(["analyze", "--config", str(cfg), "--out", str(out)])
+    _run([command, "--config", str(cfg), "--out", str(out)])
     return out.read_bytes()
 
 
 CASES = {
     "table1_default.csv": table1_csv,
-    "analyze_readme_modulated.csv": lambda tmp: analyze_csv(tmp, README_CONFIG),
-    "analyze_uniform_sectors.csv": lambda tmp: analyze_csv(tmp, UNIFORM_CONFIG),
+    "analyze_readme_modulated.csv": lambda tmp: config_csv(tmp, "analyze", README_CONFIG),
+    "analyze_uniform_sectors.csv": lambda tmp: config_csv(tmp, "analyze", UNIFORM_CONFIG),
+    "sweep_uniform_beta_qome.csv": lambda tmp: config_csv(tmp, "sweep", SWEEP_BETA_CONFIG),
+    "sweep_uniform_gamma_lba_numeric.csv":
+        lambda tmp: config_csv(tmp, "sweep", SWEEP_GAMMA_CONFIG),
 }
 
 

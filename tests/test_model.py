@@ -35,7 +35,6 @@ from thermotimes.model import (
 from thermotimes.qome import (
     _check_member_premise,
     build_liouvillian,
-    jump_operator_groups,
     qome_spectrum,
 )
 
@@ -85,6 +84,16 @@ def test_fully_degenerate_spectrum_is_refused_by_thermal_rates():
         assert not spec.is_nondegenerate
         with pytest.raises(DegenerateSpectrum, match="thermal_rates requires a nondegenerate"):
             thermal_rates(spec, dipole_data(sys_, spec), 1.0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -5.0, np.inf])
+def test_degeneracy_tolerance_follows_the_tolerance_rule(tol):
+    # at nan the free spin's distinct levels counted as degenerate and
+    # thermal_rates refused them; at -5 equal levels counted as distinct
+    for energies in ([-1.0, 1.0], [0.0, 0.0]):
+        with pytest.raises(NonPositiveField, match="degeneracy_tol"):
+            EnergySpectrum(M=2, energies=energies, eigenbasis=np.eye(2), degeneracy_tol=tol)
+    assert EnergySpectrum(M=2, energies=[0.0, 0.0], eigenbasis=np.eye(2)).degeneracy_tol == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -400,9 +409,8 @@ def test_energy_tolerance_is_checked_once(tol):
     # vanishing generator; every user of the gap partition now refuses all three
     with pytest.raises(NonPositiveField, match="energy tolerance"):
         build_liouvillian(*free_spin_system(1.0), 1.0, energy_tol=tol)
-    for check in (degeneracy_report, jump_operator_groups):
-        with pytest.raises(NonPositiveField, match="energy tolerance"):
-            check([-1.0, 1.0], tol)
+    with pytest.raises(NonPositiveField, match="energy tolerance"):
+        degeneracy_report([-1.0, 1.0], tol)
     with pytest.raises(NonPositiveField):
         degeneracy_report([], tol)
     with pytest.raises(NonPositiveField, match="energy tolerance"):

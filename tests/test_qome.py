@@ -203,10 +203,7 @@ def test_compare_modulated_pair():
     Gs = modulated_gammas(2)
     lba = free_spins_times(Gs, beta=1.0)
     spectrum = qome_spectrum(composite_liouvillian(Gs))
-    deg = degeneracy_report(
-        np.sort([s1 * Gs[0] + s2 * Gs[1] for s1 in (-1, 1) for s2 in (-1, 1)]), 1e-9
-    )
-    report = compare(lba, spectrum, deg)
+    report = compare(lba, spectrum)
     assert report.agree_P  # both 0.04760
     assert not report.agree_Q  # 0.07493 vs 0.09520
     assert report.dev_Q == pytest.approx(abs(0.09520 - 0.07493) / 0.07493, rel=1e-2)
@@ -220,7 +217,7 @@ def test_compare_single_system_all_agree():
     lba = thermalization_times(pauli_matrix(rates, spec), rates)
     spectrum = qome_spectrum(build_liouvillian(spec, dip, 1.0))
     deg = degeneracy_report(spec.energies, 1e-9)
-    report = compare(lba, spectrum, deg)
+    report = compare(lba, spectrum)
     assert not deg.has_level_degeneracy and not deg.has_gap_degeneracy
     assert report.agree_P and report.agree_Q
     assert not report.pathology_flags.multiple_steady_states
@@ -237,7 +234,7 @@ def test_compare_uniform_series_flags():
         diagonalize(QubitSystem(K=3, H=free_spin_chain([1.0] * 3))).energies,
         1e-9,
     )
-    report = compare(lba, spectra[3], deg, qome_series=series)
+    report = compare(lba, spectra[3], qome_series=series)
     assert report.pathology_flags.multiple_steady_states
     assert report.pathology_flags.tauQ_not_1_over_N is True
     assert deg.has_level_degeneracy and deg.has_gap_degeneracy
