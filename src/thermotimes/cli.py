@@ -119,6 +119,8 @@ class RunConfig:
         ignored = sorted(k for k, owner in _FAMILY_KEYS.items() if k in raw and owner != family)
         if ignored:
             raise ConfigError(f"{family} does not read {', '.join(ignored)}")
+        if "beta" in raw and "beta_grid" in raw:
+            raise ConfigError("give beta or beta_grid, not both: each grid point replaces beta")
         if "N_list" in raw:
             N_list = _numbers(raw, "N_list", integer=True)
             if "N" in raw:
@@ -376,9 +378,11 @@ def table1_rows(
     warnings cell flags degenerate steady states and undamped coherences of
     the microscopic route.
     """
-    # every table reaches the Lanczos branch (N = 7..13): load its scipy solver
-    # here, so that the first Lanczos row does not time the import
-    import scipy.sparse.linalg  # noqa: F401
+    # every table reaches the Lanczos branch (N = 7..13): load its scipy modules
+    # (the sparse S and the tridiagonal eigensolver) here, so that the first
+    # Lanczos row does not time the import
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
 
     config = RunConfig(
         family="free_spins_modulated", N_list=(1,), beta=beta,

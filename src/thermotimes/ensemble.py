@@ -6,14 +6,17 @@ and the product-space escape rates are sums of member escape rates. Two
 routes are provided: closed forms valid for any N (production path) and the
 explicit product-space construction (verification path, capped in size).
 The verification path reads mu2 from the Kronecker sum S: a dense numpy
-eigensolve for small products, and above DENSE_EIG_LIMIT a one-eigenvalue
-Lanczos solve on a sparse S with the exact null vector sqrt(Gibbs) shifted out
-of the way. Only that Lanczos branch imports scipy, at the point of use, so
+eigensolve for small products, and above DENSE_EIG_LIMIT a plain three-term
+Lanczos recurrence (no restarts, no reorthogonalization) for the smallest
+eigenvalue of a sparse S with the exact null vector sqrt(Gibbs) shifted out
+of the way. Only that Lanczos branch imports scipy (``scipy.sparse`` for S,
+``scipy.linalg`` for the tridiagonal Ritz pairs), at the point of use, so
 the closed forms and small products run on numpy alone. Every Kronecker sum,
 dense or sparse, comes from the one builder in ``model``
 (``_kronecker_sum_entries``); this module only wraps it as a sparse matrix.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -24,6 +27,7 @@ from .errors import (
     DetailedBalanceViolation,
     DimensionMismatch,
     EmptyEnsemble,
+    NoConvergence,
 )
 from .lba import (
     PauliMatrix,
@@ -55,17 +59,19 @@ DECOUPLING_CAP = 64
 DECOUPLING_RTOL = 1e-12
 
 #: Above this dimension the explicit path switches from a dense numpy
-#: eigensolve to a scipy Lanczos solve for the smallest eigenvalue of the
+#: eigensolve to a Lanczos recurrence for the smallest eigenvalue of the
 #: Gibbs-deflated sparse S; only products above it load scipy. A dense
 #: eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool, whose worker
 #: then spins for about 0.1 s while the caller goes on on one thread; the
-#: Lanczos solve does not. On two cores (numpy 2.4, scipy 1.17) a call takes
-#: 5.5 ms against 1.7-2.9 ms dense at 128 and 6-7 ms against 7.5 ms at 256,
-#: while a reference-table job without the QOME (N = 1..13) takes 0.25
-#: CPU-s per 0.25 s of wall time at 64, against about 0.38 CPU-s at 256.
+#: Lanczos recurrence does not. On two cores (numpy 2.4, scipy 1.17) a call
+#: takes 3.0-5.4 ms against 2.0-3.4 ms dense at 128 and 3.2-6.0 ms against
+#: 6.8-9.2 ms at 256, while a reference-table job without the QOME
+#: (N = 1..13) takes 0.11-0.17 CPU-s, as much as its wall time, at 64,
+#: against 0.20-0.25 CPU-s for 0.10-0.13 s of wall time at 256.
 #: The price falls on a fresh process whose first large product is 128 or
-#: 256 (``analyze`` of N = 7 or 8 spins with ``lba_numeric``): it now loads
-#: scipy, 0.3 -> 0.7 s and 31 -> 62 MB.
+#: 256 (``analyze`` of N = 7 or 8 spins with ``lba_numeric``): it loads
+#: ``scipy.sparse`` and ``scipy.linalg``, 0.2-0.4 -> 0.5-0.7 s and
+#: 33 -> 61 MB.
 DENSE_EIG_LIMIT = 64
 
 #: The Gibbs null vector q of S must satisfy |S q|_inf <= this fraction of the
@@ -207,6 +213,46 @@ def _deterministic_start(dim: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
+def _lanczos_smallest(apply, v, scale: float, max_steps: int) -> float:
+    """Smallest eigenvalue of the symmetric operator ``apply``, whose norm ``scale`` bounds.
+
+    Plain three-term Lanczos from the unit vector ``v``: no restarts and no
+    reorthogonalization, only the tridiagonal's alpha and beta are kept.
+    Every five steps, and at once when beta_j itself falls to the tolerance
+    (an invariant subspace), the smallest Ritz pair (theta, s) of the
+    tridiagonal is taken, and theta is returned once its Ritz estimate
+    |beta_j s_j| is at most sqrt(n) eps scale; even after orthogonality is
+    lost, that estimate bounds the distance from theta to an eigenvalue of
+    the operator (Paige, Linear Algebra Appl. 34, 235 (1980)). The sqrt(n)
+    puts the tolerance just above the rounding floor of a length-n residual:
+    at eps scale the estimate of a converged theta hovers between one and a
+    few tolerances, and 11 of 750 products of random members never stopped.
+    Raises NoConvergence after ``max_steps``.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    tol = math.sqrt(v.size) * np.finfo(float).eps * scale
+    alpha, beta = [], []
+    v_prev, b = np.zeros_like(v), 0.0
+    for step in range(1, max_steps + 1):
+        w = apply(v) - b * v_prev
+        a = float(v @ w)
+        w -= a * v
+        b = math.sqrt(w @ w)
+        alpha.append(a)
+        beta.append(b)
+        if step % 5 == 0 or b <= tol or step == max_steps:
+            theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, 0))
+            estimate = abs(b * s[-1, 0])
+            if estimate <= tol:
+                return float(theta[0])
+        v_prev, v = v, w / b
+    raise NoConvergence(
+        f"Lanczos on dimension {v.size} took {max_steps} steps without converging: "
+        f"last Ritz estimate {estimate:.3e} > {tol:.3e}"
+    )
+
+
 def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     """Verification path: explicit product-space rate matrix and escape rates.
 
@@ -215,10 +261,13 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     Above it, S is built sparse, and detailed balance gives it the exact null
     vector q = sqrt(Gibbs); adding c q q^T, with c the largest absolute row
     sum of S (a Gershgorin bound), lifts that zero above the spectrum, and
-    Lanczos returns mu2 as the one smallest eigenvalue. tau_Q comes from enumerating the two smallest
-    product-space escape rates.
+    mu2 is the smallest eigenvalue of S + c q q^T, from an unrestarted
+    three-term Lanczos recurrence started at a fixed vector (reproducible bit
+    for bit) and stopped by its Ritz estimate (see ``_lanczos_smallest``).
+    tau_Q comes from enumerating the two smallest product-space escape rates.
 
-    Raises DetailedBalanceViolation if |S q|_inf exceeds NULL_VECTOR_RTOL * c.
+    Raises DetailedBalanceViolation if |S q|_inf exceeds NULL_VECTOR_RTOL * c,
+    and NoConvergence if the recurrence has not converged after dim steps.
     """
     parts = _member_analysis(spec)
     dim = 1
@@ -231,8 +280,6 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     if dim <= DENSE_EIG_LIMIT:
         mu2 = compose_rate_matrix([pm for _, pm in copies]).mu2
     else:
-        import scipy.sparse.linalg as spla
-
         S = _sparse_kronecker_sum([pm.S for _, pm in copies])
         q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), spec.beta))
         c = float(abs(S).sum(axis=1).max())
@@ -242,14 +289,9 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
                 f"sqrt(Gibbs) is not a null vector of S: |S q|_inf = {residual:.3e}, "
                 f"row-sum bound {c:.3e}"
             )
-        deflated = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: S @ x + c * q * (q @ x), dtype=float,
+        mu2 = _lanczos_smallest(
+            lambda x: S @ x + c * q * (q @ x), _deterministic_start(dim), c, dim,
         )
-        vals = spla.eigsh(
-            deflated, k=1, which="SA", return_eigenvectors=False,
-            v0=_deterministic_start(dim), maxiter=100000,
-        )
-        mu2 = float(vals[0])
 
     B_sorted = np.sort(_product_sum([rates.B for rates, _ in copies]))
     tau_P = 1.0 / mu2

@@ -45,6 +45,10 @@ class EmptyEnsemble(ThermotimesError):
     """An ensemble needs at least one member system."""
 
 
+class NoConvergence(ThermotimesError):
+    """An iterative eigensolve reached its step cap without meeting its stopping test."""
+
+
 class CapExceeded(ThermotimesError):
     """An explicit product-space or Liouvillian construction would exceed its size cap."""
 

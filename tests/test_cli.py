@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from thermotimes import cli, model
+from thermotimes import cli, ensemble, model
 from thermotimes.cli import (
     RunConfig,
     analyze_records,
@@ -92,6 +92,31 @@ def test_malformed_law_is_a_config_error(tmp_path, law, match):
         RunConfig.from_dict(raw)
     cfg = write_config(tmp_path, "c.json", raw)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_sweep_refuses_a_beta_its_grid_would_replace(tmp_path):
+    # this ran with exit 0 and wrote the rows of the same grid without beta
+    raw = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 1, "beta": 5.0,
+           "beta_grid": [0.5, 2.0], "methods": ["lba_analytic"]}
+    with pytest.raises(ConfigError, match="beta or beta_grid"):
+        RunConfig.from_dict(raw)
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+    # Gamma stays beside Gamma_grid: uniform spins require it
+    gamma_grid = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 1, "beta": 5.0,
+                  "Gamma_grid": [0.5, 2.0], "methods": ["lba_analytic"]}
+    assert len(sweep_records(RunConfig.from_dict(gamma_grid))) == 2
+
+
+def test_lanczos_non_convergence_exits_1(tmp_path, monkeypatch, capsys):
+    lanczos = ensemble._lanczos_smallest
+    monkeypatch.setattr(ensemble, "_lanczos_smallest",
+                        lambda apply, v, scale, max_steps: lanczos(apply, v, scale, 12))
+    cfg = write_config(tmp_path, "c.json", {
+        "family": "free_spins_modulated", "N": 7, "methods": ["lba_numeric"],
+    })
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+    assert "Lanczos on dimension 128 took 12 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, extra, key", [
@@ -509,7 +534,7 @@ from thermotimes import cli
 loaded = []
 run_method = cli._run_method
 def first_record(*args):
-    loaded.append("scipy.sparse.linalg" in sys.modules)
+    loaded.append({m: m in sys.modules for m in ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")})
     return run_method(*args)
 cli._run_method = first_record
 cli.table1_rows(max_qome_n=0)
@@ -519,8 +544,11 @@ print(json.dumps(loaded[0]))
 
 def test_table1_loads_the_sparse_solver_before_its_first_record():
     # every table reaches the Lanczos branch, whose first row would otherwise
-    # time the scipy import
-    assert run_fresh(TABLE1_PROBE) is True
+    # time the import of its sparse S and its tridiagonal eigensolver; ARPACK's
+    # scipy.sparse.linalg is no longer used
+    assert run_fresh(TABLE1_PROBE) == {
+        "scipy.sparse": True, "scipy.linalg": True, "scipy.sparse.linalg": False,
+    }
 
 
 def test_main_table1_runs(tmp_path):

@@ -23,6 +23,7 @@ from thermotimes.errors import (
     CapExceeded,
     DetailedBalanceViolation,
     EmptyEnsemble,
+    NoConvergence,
     NonPositiveBeta,
     NonPositiveField,
 )
@@ -342,7 +343,7 @@ def test_numeric_route_matches_closed_form_at_low_temperature(beta):
     _assert_routes_agree(EnsembleSpec((spin_member(1.0, count=11),), beta=beta))
 
 
-@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("N", [7, 8, 10, 13])
 @pytest.mark.parametrize("modulated", [False, True])
 def test_lanczos_from_dimension_128_matches_closed_form(N, modulated):
     assert 2**N > ensemble.DENSE_EIG_LIMIT  # the Gibbs-deflated Lanczos branch
@@ -375,6 +376,42 @@ def test_numeric_route_checks_the_gibbs_null_vector(monkeypatch):
     monkeypatch.setattr(ensemble, "gibbs_state", lambda E, beta: gibbs_state(E, 2.0 * beta))
     with pytest.raises(DetailedBalanceViolation):
         ensemble_times_numeric(_spin_ensemble(modulated_gammas(9), 1.0))
+
+
+def test_lanczos_converges_on_random_custom_members():
+    # products of dimension 125..256; with a stopping tolerance of eps * scale
+    # instead of sqrt(n) eps * scale, 6 of these 150 never stopped, the Ritz
+    # estimate of the converged mu2 hovering at that rounding floor
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for M, count in ((4, 4), (3, 5), (5, 3)):
+            spec, dip = synthetic_system(rng, M)
+            for beta in (1e-3, 0.1, 1.0, 10.0, 100.0):
+                _assert_routes_agree(EnsembleSpec((EnsembleMember(spec, dip, count=count),), beta=beta))
+
+
+def test_lanczos_step_cap_raises_a_typed_error(monkeypatch):
+    lanczos = ensemble._lanczos_smallest
+    monkeypatch.setattr(ensemble, "_lanczos_smallest",
+                        lambda apply, v, scale, max_steps: lanczos(apply, v, scale, 12))
+    with pytest.raises(NoConvergence, match=r"dimension 512 took 12 steps.*Ritz estimate"):
+        ensemble_times_numeric(_spin_ensemble(modulated_gammas(9), 1.0))
+
+
+def test_lanczos_stops_on_an_invariant_subspace():
+    # a start vector in the span of two eigenvectors gives beta_2 ~ 1e-16: the
+    # recurrence stops there with the smaller eigenvalue, never dividing by it
+    diagonal = np.arange(1.0, 9.0)
+    v = np.zeros(8)
+    v[[0, 7]] = 1.0 / math.sqrt(2.0)
+    applied = []
+
+    def apply(x):
+        applied.append(x)
+        return diagonal * x
+
+    assert ensemble._lanczos_smallest(apply, v, 8.0, 8) == pytest.approx(1.0, rel=1e-15)
+    assert len(applied) == 2
 
 
 def test_empty_ensemble_rejected():
