@@ -33,7 +33,6 @@ from .model import (
     dipole_data,
     free_spin_chain,
     free_spin_system,
-    spin_sector_system,
     system_from_json,
 )
 from .qome import (
@@ -42,6 +41,7 @@ from .qome import (
     build_liouvillian,
     mixture_spectrum,
     qome_spectrum,
+    uniform_spin_spectrum,
 )
 
 FAMILIES = ("free_spins_uniform", "free_spins_modulated", "custom_hamiltonian")
@@ -246,13 +246,11 @@ def _run_qome(config: RunConfig, N: int):
             pass
     if config.family == "free_spins_uniform":
         _check_qome_size(2, N)
-        spec, dip, sectors = spin_sector_system(N, config.Gamma, config.gamma)
-    else:
-        system = _composite_system(config, N)
-        spec = diagonalize(system)
-        dip = dipole_data(system, spec)
-        sectors = None
-    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol, sectors=sectors)
+        return uniform_spin_spectrum(N, config.Gamma, config.beta, config.gamma,
+                                     energy_tol=config.energy_tol, tol_zero=config.tol_zero)
+    system = _composite_system(config, N)
+    spec = diagonalize(system)
+    L = build_liouvillian(spec, dipole_data(system, spec), config.beta, config.energy_tol)
     return qome_spectrum(L, tol_zero=config.tol_zero)
 
 

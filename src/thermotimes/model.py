@@ -309,42 +309,6 @@ def free_spin_system(Gamma: float, gamma: float = 1.0):
     return spec, DipoleData(d_x=d_x, d_y=d_y, d_z=d_z, gamma=gamma)
 
 
-def spin_sector_system(N: int, Gamma: float, gamma: float = 1.0):
-    """N identical spins in a uniform field, reduced to one copy of each total-spin sector.
-
-    H = -Gamma sum_i sigma_i^x = -2 Gamma J_x and the collective dipoles
-    2 J_h act only on the total-spin factor of C^(2^N) = sum_J C^(2J+1) x
-    C^(d_J), so the system is represented on the direct sum of the sectors
-    J = N/2, N/2 - 1, ..., one copy each, in the basis |J, m_x> (no numerical
-    diagonalization; the eigenbasis is the identity). Returns (spectrum,
-    dipoles, sectors) with ``sectors`` = (sector index of each level, exact
-    integer multiplicity d_J = C(N, N/2-J) - C(N, N/2-J-1) of each sector).
-    """
-    N = _check_size("N", N)
-    _check_positive("Gamma", Gamma)
-    ks = range(N // 2 + 1)
-    mult = tuple(math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in ks)
-    # 2m_x of every level, m_x = J, J-1, ..., -J within each sector 2J = N - 2k
-    two_m = np.concatenate([np.arange(N - 2 * k, -(N - 2 * k) - 1, -2) for k in ks])
-    sector = np.concatenate([np.full(N - 2 * k + 1, k) for k in ks])
-    # <m+1| J_y + i J_z |m> = sqrt(J(J+1) - m(m+1)), x the quantization axis,
-    # couples level i+1 to level i; it vanishes where level i+1 opens a sector (m = J)
-    two_J, t = N - 2 * sector[1:], two_m[1:]
-    J_plus = np.diag(0.5 * np.sqrt(two_J * (two_J + 2) - t * (t + 2)), 1).astype(complex)
-    order = np.argsort(-two_m, kind="stable")  # ascending energy -Gamma 2m_x
-    amps = [np.diag(two_m).astype(complex), J_plus + J_plus.T, -1.0j * (J_plus - J_plus.T)]
-    amps = [d[np.ix_(order, order)] for d in amps]
-    M = len(order)
-    spec = EnergySpectrum(
-        M=M,
-        energies=Gamma * -two_m[order],
-        eigenbasis=np.eye(M, dtype=complex),
-        degeneracy_tol=DEGENERACY_RTOL * 2 * N * Gamma,
-    )
-    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], gamma=gamma)
-    return spec, dip, (sector[order], mult)
-
-
 # ---------------------------------------------------------------------------
 # degeneracy diagnostics
 # ---------------------------------------------------------------------------

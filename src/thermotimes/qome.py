@@ -17,12 +17,12 @@ coherences and fix the decoherence time. All blocks are gathered at once and
 solved by one batched eigensolve per size, a coherence block without its
 -i omega diagonal so that its slow rates keep their own precision.
 
-Identical spins in a uniform field take the total-spin sector route: on the
-system of ``model.spin_sector_system`` (one copy of each sector J) every
-Bohr block splits further by sector pair (J, J'), and each part's spectrum
-counts d_J d_J' times, its multiplicity in the 2^N register (Chase &
-Geremia, PRA 78, 052101, 2008). Any other system is built as a composite
-register, where every block counts once.
+Identical spins in a uniform field take ``uniform_spin_spectrum``: on one copy
+of each total-spin sector J, counted d_J times (Chase & Geremia, PRA 78,
+052101, 2008), the only jumps are m -> m +- 1, so each (J, J', m - n) block
+ordered by m is tridiagonal with positive off-diagonal products, similar to
+a real symmetric Jacobi matrix built from the ladder elements. Any other
+system is built as a composite register, where every block counts once.
 
 A mixture of distinguishable members takes the member route when no
 transition frequency of one member lies within ``energy_tol`` of a frequency
@@ -38,6 +38,7 @@ only: a tolerance wide enough to merge levels or dipole-free gaps of the
 composite lies outside it, so a wider tolerance needs the composite.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -58,6 +59,8 @@ from .model import (
     EnergySpectrum,
     _check_beta,
     _check_positive,
+    _check_size,
+    _check_tolerance,
     _gap_structure,
     _pair_classes,
 )
@@ -96,10 +99,7 @@ class Liouvillian:
     class E_m - E_n = omega (omega exactly 0 for the populations), in
     ascending omega: the indices of the class, ascending, and the generator on
     them, a view into one array that holds every block; the Kronecker deltas
-    treat energies within ``energy_tol`` as equal. On a spin-sector system
-    each class is split further by sector pair; ``weights`` holds the integer
-    multiplicity of each block's spectrum in the full system, d_J d_J' on a
-    spin-sector system and 1 on any other.
+    treat energies within ``energy_tol`` as equal.
     """
 
     dim: int
@@ -107,7 +107,6 @@ class Liouvillian:
     energies: np.ndarray
     energy_tol: float
     beta: float
-    weights: tuple
 
     @property
     def M(self) -> int:
@@ -127,7 +126,6 @@ def build_liouvillian(
     dip: DipoleData,
     beta: float,
     energy_tol: Optional[float] = None,
-    sectors: Optional[tuple] = None,
 ) -> Liouvillian:
     """Assemble the quantum optical master equation generator, all blocks in one pass.
 
@@ -139,19 +137,11 @@ def build_liouvillian(
     coupling gamma carried by the dipole data; the coherent part is -i omega.
     Coefficients are evaluated on per-class representative energies, so gating
     and weights never disagree.
-
-    ``sectors`` = (sector of each level, multiplicity of each sector), as
-    returned by :func:`spin_sector_system`, splits every class by the sector
-    pair (sector(m), sector(n)) and weights each part by the product of the
-    two multiplicities. The split is exact: the dipoles are block diagonal by
-    sector, so no entry couples two sector pairs.
     """
     _check_beta(beta)
     M = spec.M
     if dip.M != M:
-        raise DimensionMismatch(
-            f"dipole dimension {dip.M} does not match spectrum dimension {M}"
-        )
+        raise DimensionMismatch(f"dipole dimension {dip.M} does not match spectrum dimension {M}")
     _check_qome_size(M)
     E = spec.energies
     if energy_tol is None:
@@ -168,13 +158,9 @@ def build_liouvillian(
     Phi *= gamma
     Phi_gated = Phi * (lev_ids[:, None] == lev_ids[None, :])
 
-    # one block per Bohr class, on a spin-sector system one per class and sector pair
-    level_sector, mult = sectors if sectors is not None else (np.zeros(M, dtype=int), (1,))
-    S = len(mult)
-    pair_of = (level_sector[:, None] * S + level_sector[None, :]).ravel()
-    key = gap_ids.ravel() * S * S + pair_of
-    order = np.argsort(key, kind="stable")
-    keys, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+    # one block per Bohr class
+    order = np.argsort(gap_ids.ravel(), kind="stable")
+    _, starts, sizes = np.unique(gap_ids.ravel()[order], return_index=True, return_counts=True)
     # all entries at once: entry p of row r (the r-th sorted index) reads column p - shift[r];
     # row (m, n) receives from column (k, j), gathered by the flat indices mm = (m, k), nn = (n, j)
     m, n = np.divmod(order, M)
@@ -198,16 +184,9 @@ def build_liouvillian(
         (omega, order[start:start + size], entries[end - size * size:end].reshape(size, size))
         for omega, start, size, end in zip(*(x.tolist() for x in (omegas, starts, sizes, ends)))
     )
-    weights = tuple(mult[p // S] * mult[p % S] for p in (keys % (S * S)).tolist())
 
-    return Liouvillian(
-        dim=M * M,
-        blocks=blocks,
-        energies=E.copy(),
-        energy_tol=float(energy_tol),
-        beta=float(beta),
-        weights=weights,
-    )
+    return Liouvillian(dim=M * M, blocks=blocks, energies=E.copy(),
+                       energy_tol=float(energy_tol), beta=float(beta))
 
 
 def jump_operator_groups(energies: Sequence[float]) -> list:
@@ -238,7 +217,7 @@ class LiouvillianSpectrum:
     blocks. tau_Q is None when there is no such block and infinite when the
     slowest oscillatory mode is undamped. ``eigenvalues`` lists the block
     spectra in block order, each once; the two multiplicities count every
-    eigenvalue with its block's weight (exact integers).
+    eigenvalue d_J d_J' times on the total-spin route, once on any other (exact ints).
     """
 
     eigenvalues: np.ndarray
@@ -270,24 +249,25 @@ def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpec
         osc, diag, shift = np.flatnonzero(omegas[k]), np.arange(size), 1j * omegas[k, None]
         stack[osc[:, None], diag, diag] += shift[osc]
         ev[(np.cumsum(sizes) - size)[k, None] + diag] = np.linalg.eigvals(stack) - shift
-    static = np.repeat(omegas == 0.0, sizes)
-    # Python-int weights keep the counts exact however large d_J d_J' grows
-    weight = np.repeat(np.array(L.weights, dtype=object), sizes)
+    return _classify(ev, np.repeat(omegas == 0.0, sizes), np.ones(len(ev), dtype=int), tol_zero)
+
+
+def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
+              tol_zero: float) -> LiouvillianSpectrum:
+    """The times and counts of the eigenvalues ``ev`` of a blocked generator, with
+    ``static`` the omega = 0 mask and ``weight`` the multiplicity of each."""
     scale = float(np.abs(ev).max(initial=0.0))
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")
     zero = static & (np.abs(ev) < tol_zero * scale)
     osc = ev[~static]
-
     rates = np.abs(ev[static & ~zero].real)
     if not len(rates):
-        raise NoDissipativeEigenvalue(
-            "no nonzero population-sector eigenvalue: dissipation time undefined"
-        )
+        raise NoDissipativeEigenvalue("no nonzero population-sector eigenvalue: "
+                                      "dissipation time undefined")
     slowest_real = float(rates.min())
     tau_P = 1.0 / slowest_real
     tau_P_mult = int(weight[static & ~zero][np.abs(rates - slowest_real) <= tol_zero * scale].sum())
-
     tau_Q: Optional[float]
     if len(osc):
         slowest = float(np.abs(osc.real).min())
@@ -295,15 +275,73 @@ def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpec
     else:
         tau_Q = None
 
-    return LiouvillianSpectrum(
-        eigenvalues=ev,
-        zero_multiplicity=int(weight[zero].sum()),
-        tau_P=tau_P,
-        tau_Q=tau_Q,
-        tol_zero=tol_zero,
-        scale=scale,
-        tau_P_multiplicity=tau_P_mult,
-    )
+    return LiouvillianSpectrum(eigenvalues=ev, zero_multiplicity=int(weight[zero].sum()),
+                               tau_P=tau_P, tau_Q=tau_Q, tol_zero=tol_zero, scale=scale,
+                               tau_P_multiplicity=tau_P_mult)
+
+
+def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
+                          energy_tol: Optional[float] = None,
+                          tol_zero: float = TOL_ZERO) -> LiouvillianSpectrum:
+    """QOME spectrum of N identical spins in the uniform field Gamma, by total-spin sector.
+
+    The block of the sector pair (J, J') and Bohr index 2(m - n) holds the level
+    pairs (m, n) ordered by m. With c_J(m) = sqrt(J(J+1) - m(m+1)), w_dn =
+    W~(-2 Gamma) and w_up = W~(+2 Gamma), it is similar, without its -i omega
+    diagonal, to the symmetric tridiagonal matrix with diagonal -gamma [c_J(m)^2
+    w_dn + c_J(m-1)^2 w_up + c_J'(n)^2 w_dn + c_J'(n-1)^2 w_up] and coupling
+    2 gamma sqrt(w_dn w_up) c_J(m-1) c_J'(n-1) of (m, n) to (m-1, n-1). Its
+    eigenvalues, -i omega put back, count d_J d_J' times and are classified as
+    by :func:`qome_spectrum`. Levels lie 2 Gamma apart: an ``energy_tol`` >=
+    2 Gamma merges them all and the generator vanishes (NoDissipativeEigenvalue);
+    any smaller one gives the default numbers. Size rule as ``build_liouvillian``.
+    """
+    N = _check_size("N", N)
+    _check_positive("Gamma", Gamma)
+    _check_positive("gamma", gamma)
+    _check_beta(beta)
+    _check_positive("tol_zero", tol_zero)
+    _check_qome_size(sum(range(N + 1, 0, -2)))
+    if energy_tol is None:
+        energy_tol = _default_energy_tol(2 * N * Gamma)
+    _check_tolerance("energy tolerance", energy_tol)
+    if energy_tol >= 2 * Gamma:
+        raise NoDissipativeEigenvalue(f"energy_tol {energy_tol:.3g} >= the level spacing 2 Gamma")
+    blocks, rise, fall, ladder, bohr, weight = _spin_pairs(N)
+    w_dn, w_up = _blackbody_weight(np.array([-2.0, 2.0]) * Gamma, beta, detailed_balance=True)
+    diag = -gamma * (rise * w_dn + fall * w_up)
+    off = 2 * gamma * np.sqrt(w_dn) * np.sqrt(w_up) * ladder  # of (m, n) to (m - 1, n - 1)
+    lam = np.empty(len(bohr))
+    for rows in blocks:  # one eigvalsh per block size; it reads the lower triangle
+        r = np.arange(rows.shape[1])
+        T = np.zeros(rows.shape + r.shape)
+        T[:, r, r], T[:, r[1:], r[:-1]] = diag[rows], off[rows[:, 1:]]
+        lam[rows] = np.linalg.eigvalsh(T)
+    omega = Gamma * bohr  # E_m - E_n
+    return _classify(lam - 1j * omega, omega == 0.0, weight, tol_zero)
+
+
+@functools.lru_cache(maxsize=None)  # at most the 14 sizes that pass the size rule
+def _spin_pairs(N: int) -> tuple:
+    """The level pairs (m, n) of ``uniform_spin_spectrum`` in block order, which depend
+    on N alone (read only): the pair indices of each block size, c_J(m)^2 + c_J'(n)^2,
+    c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m) and d_J d_J' (Python ints)."""
+    two_J, S = np.arange(N, -1, -2), N // 2 + 1
+    mult = [math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in range(S)]
+    # every level (sector s, 2m = 2J, 2J - 2, ..., -2J), then every level pair by block and m
+    s = np.repeat(np.arange(S), two_J + 1)
+    tm = np.concatenate([np.arange(t, -t - 1, -2) for t in two_J])
+    i, j = (x.ravel() for x in np.indices((len(s), len(s))))
+    key = (s[i] * S + s[j]) * (4 * N + 1) + (tm[i] - tm[j] + 2 * N)
+    order = np.lexsort((tm[i], key))
+    i, j = i[order], j[order]
+    _, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
+    tJ = two_J[s]  # 4 c_J(m)^2 and 4 c_J(m-1)^2 of every level, exact integers:
+    rise, fall = tJ * (tJ + 2) - tm * (tm + 2), tJ * (tJ + 2) - tm * (tm - 2)
+    blocks = tuple(starts[counts == size, None] + np.arange(size) for size in np.unique(counts))
+    weight = np.array([da * db for da in mult for db in mult], dtype=object)[s[i] * S + s[j]]
+    return (blocks, (rise[i] + rise[j]) / 4, (fall[i] + fall[j]) / 4,
+            np.sqrt(fall[i] * fall[j]) / 4, tm[j] - tm[i], weight)
 
 
 def _check_member_premise(spectra: Sequence[EnergySpectrum], energy_tol: float) -> None:

@@ -3,8 +3,13 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 via characteristic polynomials, decay rates via matrix exponentials, product
 structure via explicit loops over bra-ket sums, degeneracy classes via one
-loop step per element and one mask per class.
+loop step per element and one mask per class. The referee of the uniform-spin
+Jacobi route is the gathered generator of the total-spin sector system, cut by
+sector pair and solved by the nonsymmetric eigensolver, a path that route
+never takes.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,6 +17,7 @@ from scipy.linalg import expm
 
 from thermotimes.lba import _blackbody_weight
 from thermotimes.model import DEGENERACY_RTOL, DipoleData, EnergySpectrum
+from thermotimes.qome import build_liouvillian
 
 
 def loop_equality_classes(values, tol):
@@ -227,3 +233,71 @@ def dense_liouvillian(spec, dip, beta, energy_tol=None):
     mm, nn = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
     L4[mm, nn, mm, nn] += -1.0j * gap_rep[mm, nn]
     return L4.reshape(M * M, M * M)
+
+
+def spin_sector_system(N, Gamma, gamma=1.0):
+    """N identical spins in a uniform field, reduced to one copy of each total-spin sector.
+
+    H = -Gamma sum_i sigma_i^x = -2 Gamma J_x and the collective dipoles
+    2 J_h act only on the total-spin factor of C^(2^N) = sum_J C^(2J+1) x
+    C^(d_J), so the system is represented on the direct sum of the sectors
+    J = N/2, N/2 - 1, ..., one copy each, in the basis |J, m_x> (no numerical
+    diagonalization; the eigenbasis is the identity). Returns (spectrum,
+    dipoles, sectors) with ``sectors`` = (sector index of each level, exact
+    integer multiplicity d_J = C(N, N/2-J) - C(N, N/2-J-1) of each sector).
+    """
+    ks = range(N // 2 + 1)
+    mult = tuple(math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in ks)
+    # 2m_x of every level, m_x = J, J-1, ..., -J within each sector 2J = N - 2k
+    two_m = np.concatenate([np.arange(N - 2 * k, -(N - 2 * k) - 1, -2) for k in ks])
+    sector = np.concatenate([np.full(N - 2 * k + 1, k) for k in ks])
+    # <m+1| J_y + i J_z |m> = sqrt(J(J+1) - m(m+1)), x the quantization axis,
+    # couples level i+1 to level i; it vanishes where level i+1 opens a sector (m = J)
+    two_J, t = N - 2 * sector[1:], two_m[1:]
+    J_plus = np.diag(0.5 * np.sqrt(two_J * (two_J + 2) - t * (t + 2)), 1).astype(complex)
+    order = np.argsort(-two_m, kind="stable")  # ascending energy -Gamma 2m_x
+    amps = [np.diag(two_m).astype(complex), J_plus + J_plus.T, -1.0j * (J_plus - J_plus.T)]
+    amps = [d[np.ix_(order, order)] for d in amps]
+    M = len(order)
+    spec = EnergySpectrum(
+        M=M,
+        energies=Gamma * -two_m[order],
+        eigenbasis=np.eye(M, dtype=complex),
+        degeneracy_tol=DEGENERACY_RTOL * 2 * N * Gamma,
+    )
+    dip = DipoleData(d_x=amps[0], d_y=amps[1], d_z=amps[2], gamma=gamma)
+    return spec, dip, (sector[order], mult)
+
+
+def sector_blocks(N, Gamma, beta, gamma=1.0, energy_tol=None):
+    """(omega, weight, block) of every Bohr block of the sector system, split by sector pair.
+
+    The gathered generator of ``spin_sector_system`` is cut, one sector pair
+    (J, J') at a time, into the parts of each Bohr block; the cut is exact
+    (checked: no entry couples two sector pairs) and each part counts
+    d_J d_J' times in the 2^N register.
+    """
+    spec, dip, (level_sector, mult) = spin_sector_system(N, Gamma, gamma)
+    L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol)
+    out = []
+    for omega, idx, block in L.blocks:
+        m, n = np.divmod(idx, spec.M)
+        pair = level_sector[m] * len(mult) + level_sector[n]
+        for p in np.unique(pair):
+            mask = pair == p
+            assert not block[np.ix_(mask, ~mask)].any()
+            out.append((omega, mult[p // len(mult)] * mult[p % len(mult)],
+                        block[np.ix_(mask, mask)]))
+    return out
+
+
+def sector_eigenvalues(N, Gamma, beta, gamma=1.0, energy_tol=None):
+    """Eigenvalues, omega = 0 mask and weights of ``sector_blocks``, one ``eigvals``
+    per block; a coherence block is solved without its -i omega diagonal."""
+    ev, static, weight = [], [], []
+    for omega, w, block in sector_blocks(N, Gamma, beta, gamma, energy_tol):
+        shift = 1j * omega * np.eye(len(block))
+        ev.append(np.linalg.eigvals(block + shift) - 1j * omega)
+        static += [omega == 0.0] * len(block)
+        weight += [w] * len(block)
+    return np.concatenate(ev), np.array(static), np.array(weight, dtype=object)

@@ -141,7 +141,7 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, extra, key):
 
 
 @pytest.mark.parametrize("raw, builder", [
-    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 12}, "spin_sector_system"),
+    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 12}, "uniform_spin_spectrum"),
     ({"family": "custom_hamiltonian", "N": 4,
       "hamiltonian": {"dim": 4, "re": np.diag([0.0, 1.0, 2.5, 4.2]).tolist()}},
      "_kronecker_sum"),

@@ -1,11 +1,13 @@
 """Byte-for-byte golden outputs of the command line.
 
-The files under ``tests/golden/`` pin five CSV reports: the default
+The files under ``tests/golden/`` pin seven CSV reports: the default
 ``table1`` (its two timing columns blanked), the README ``analyze`` config
 (modulated spins, N = 1..3, all methods), the same config for uniform
-spins (Gamma = 1, N = 1..5, the total-spin sector route) and two ``sweep``
-runs on uniform spins (a beta grid through the QOME at N = 4, a Gamma grid
-through the explicit rate matrix at N = 3). A refactor that keeps every
+spins (Gamma = 1, N = 1..5, the total-spin sector route) and four ``sweep``
+runs on uniform spins: a beta grid through the QOME at N = 4, a Gamma grid
+through the explicit rate matrix at N = 3, and, through the QOME at N = 5,
+a beta grid from 1e-3 to 600 at Gamma = 1 (its cold rows have tau_Q = inf)
+and a Gamma grid from 1e-3 to 1e3 at beta = 0.5. A refactor that keeps every
 number must keep every byte. To regenerate them after a change
 that is meant to move a number, run
 
@@ -42,6 +44,11 @@ SWEEP_BETA_CONFIG = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 4,
                      "beta_grid": [0.01, 1.0, 100.0], "methods": ["qome"]}
 SWEEP_GAMMA_CONFIG = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 3,
                       "Gamma_grid": [0.1, 1.0, 10.0], "methods": ["lba_numeric"]}
+# the QOME of uniform spins deep in the cold (tau_Q = inf rows) and at far fields
+SWEEP_COLD_CONFIG = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 5,
+                     "beta_grid": [1e-3, 1.0, 12.0, 100.0, 600.0], "methods": ["qome"]}
+SWEEP_FIELD_CONFIG = {"family": "free_spins_uniform", "Gamma": 1.0, "beta": 0.5, "N": 5,
+                      "Gamma_grid": [1e-3, 1.0, 1e3], "methods": ["qome"]}
 
 
 def _run(argv):
@@ -77,6 +84,8 @@ CASES = {
     "sweep_uniform_beta_qome.csv": lambda tmp: config_csv(tmp, "sweep", SWEEP_BETA_CONFIG),
     "sweep_uniform_gamma_lba_numeric.csv":
         lambda tmp: config_csv(tmp, "sweep", SWEEP_GAMMA_CONFIG),
+    "sweep_uniform_beta_qome_cold.csv": lambda tmp: config_csv(tmp, "sweep", SWEEP_COLD_CONFIG),
+    "sweep_uniform_gamma_qome.csv": lambda tmp: config_csv(tmp, "sweep", SWEEP_FIELD_CONFIG),
 }
 
 

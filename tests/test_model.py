@@ -27,7 +27,6 @@ from thermotimes.model import (
     equality_classes,
     free_spin_chain,
     free_spin_system,
-    spin_sector_system,
     system_from_json,
     total_spin_operator,
 )
@@ -36,6 +35,7 @@ from thermotimes.qome import (
     _check_member_premise,
     build_liouvillian,
     qome_spectrum,
+    uniform_spin_spectrum,
 )
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     charpoly_eigvals,
     loop_equality_classes,
     loop_gap_structure,
+    spin_sector_system,
 )
 
 
@@ -112,7 +113,7 @@ def test_sizes_are_integers_of_at_least_one(bad):
     with pytest.raises(DimensionMismatch, match="K must be an integer >= 1"):
         QubitSystem(K=bad, H=-PAULI_X)
     with pytest.raises(DimensionMismatch, match="N must be an integer >= 1"):
-        spin_sector_system(bad, 1.0)
+        uniform_spin_spectrum(bad, 1.0, 1.0)
     with pytest.raises(EmptyEnsemble, match="member count must be an integer >= 1"):
         EnsembleMember(*free_spin_system(1.0), count=bad)
 
@@ -121,10 +122,9 @@ def test_numpy_integer_sizes_are_accepted():
     assert type(QubitSystem(K=np.int64(1), H=-PAULI_X).K) is int
     member = EnsembleMember(*free_spin_system(1.0), count=np.int32(3))
     assert type(member.count) is int and member.count == 3
-    spec, dip, (sector, mult) = spin_sector_system(np.int64(3), 1.0)
-    ref_spec, ref_dip, (ref_sector, ref_mult) = spin_sector_system(3, 1.0)
-    assert np.array_equal(spec.energies, ref_spec.energies) and np.array_equal(dip.D, ref_dip.D)
-    assert np.array_equal(sector, ref_sector) and mult == ref_mult
+    got, ref = uniform_spin_spectrum(np.int64(3), 1.0, 1.0), uniform_spin_spectrum(3, 1.0, 1.0)
+    assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+    assert type(got.zero_multiplicity) is int and got.zero_multiplicity == ref.zero_multiplicity
 
 
 def test_diagonalize_matches_charpoly_oracle():
@@ -204,7 +204,8 @@ def test_free_spin_system_rejects_nonpositive():
     # or an all-NaN Hamiltonian; every field and coupling now follows one rule
     nan, inf = float("nan"), float("inf")
     for build in (lambda: free_spin_system(nan), lambda: free_spin_system(1.0, gamma=inf),
-                  lambda: spin_sector_system(2, nan), lambda: spin_sector_system(2, 1.0, nan),
+                  lambda: uniform_spin_spectrum(2, nan, 1.0),
+                  lambda: uniform_spin_spectrum(2, 1.0, 1.0, gamma=nan),
                   lambda: free_spin_chain([nan, 1.0]), lambda: free_spin_chain([1.0, inf]),
                   lambda: QubitSystem(K=1, H=-PAULI_X, gamma=nan)):
         with pytest.raises(NonPositiveField, match="finite and > 0"):

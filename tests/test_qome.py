@@ -23,7 +23,6 @@ from thermotimes.model import (
     dipole_data,
     free_spin_chain,
     free_spin_system,
-    spin_sector_system,
 )
 from thermotimes.qome import (
     build_liouvillian,
@@ -89,7 +88,7 @@ def test_qome_spectrum_purely_real_generator():
     L = Liouvillian(
         dim=4,
         blocks=((0.0, np.arange(4), np.diag([0.0, -1.0, -1.0, -2.0]).astype(complex)),),
-        energies=np.array([0.0, 1.0]), energy_tol=1e-9, beta=1.0, weights=(1,),
+        energies=np.array([0.0, 1.0]), energy_tol=1e-9, beta=1.0,
     )
     spectrum = qome_spectrum(L)
     assert spectrum.tau_P == pytest.approx(1.0)
@@ -252,23 +251,18 @@ def test_equivalence_theorem_times_also_agree():
 
 
 def test_blocks_scatter_to_the_dense_generator():
-    cases = [(*composite(Gs), None, None) for N in range(1, 5)
+    cases = [(*composite(Gs), None) for N in range(1, 5)
              for Gs in (modulated_gammas(N), [1.0] * N)]
-    cases.append((*composite(modulated_gammas(2)), None, 1.0))
+    cases.append((*composite(modulated_gammas(2)), 1.0))
     rng = np.random.default_rng(303)
-    cases += [(*synthetic_system(rng, 3 + trial % 3), None, None) for trial in range(10)]
-    # split by sector pair, the blocks still scatter to the whole generator
-    cases += [(*spin_sector_system(N, 0.8), None) for N in range(1, 6)]
-    for spec, dip, sectors, energy_tol in cases:
+    cases += [(*synthetic_system(rng, 3 + trial % 3), None) for trial in range(10)]
+    for spec, dip, energy_tol in cases:
         for beta in (1e-3, 1.0, 100.0):
-            L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol, sectors=sectors)
+            L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol)
             assert np.array_equal(L.matrix, dense_liouvillian(spec, dip, beta, energy_tol))
             covered = np.sort(np.concatenate([idx for _, idx, _ in L.blocks]))
             assert np.array_equal(covered, np.arange(L.dim))
-            assert len(L.weights) == len(L.blocks)
-            if sectors is None:
-                assert [omega for omega, _, _ in L.blocks].count(0.0) == 1
-                assert set(L.weights) == {1}
+            assert [omega for omega, _, _ in L.blocks].count(0.0) == 1
 
 
 def test_block_count_and_size_modulated_six_spins():
@@ -280,9 +274,8 @@ def test_block_count_and_size_modulated_six_spins():
 def test_blocks_are_solved_as_stated():
     # the populations block as it is, every coherence block with its -i omega
     # diagonal taken out before the solve and put back on the eigenvalues
-    for spec, dip, sectors in [(*composite(modulated_gammas(3)), None),
-                               (*composite([1.0] * 3), None), spin_sector_system(4, 0.3)]:
-        L = build_liouvillian(spec, dip, 2.0, sectors=sectors)
+    for spec, dip in [composite(modulated_gammas(3)), composite([1.0] * 3)]:
+        L = build_liouvillian(spec, dip, 2.0)
         ev = qome_spectrum(L).eigenvalues
         start = 0
         for omega, idx, block in L.blocks:

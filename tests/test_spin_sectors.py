@@ -1,9 +1,10 @@
-"""The uniform-field QOME by total-spin sector, refereed by the composite block solver.
+"""The uniform-field QOME by total-spin sector, refereed by the gather route and the composite.
 
 For identical spins the generator acts on each (J, J') coherence sector as
-L_JJ' (x) 1, so the composite 2^N register and the sector system (one copy
-of each J) must give the same spectrum once every sector-pair eigenvalue is
-counted d_J d_J' times.
+L_JJ' (x) 1, so the composite 2^N register, the gathered generator of one
+copy of each J cut by sector pair (``oracles.sector_eigenvalues``) and the
+Jacobi blocks of ``uniform_spin_spectrum`` must give the same spectrum once
+every sector-pair eigenvalue is counted d_J d_J' times.
 """
 
 import functools
@@ -15,19 +16,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from thermotimes.errors import NoDissipativeEigenvalue
+from thermotimes import cli, model, qome
+from thermotimes.errors import CapExceeded, NoDissipativeEigenvalue
+from thermotimes.lba import SMALL_X, _blackbody_weight
 from thermotimes.model import (
     QubitSystem,
     diagonalize,
     dipole_data,
     free_spin_chain,
     free_spin_system,
-    spin_sector_system,
 )
-from thermotimes.qome import build_liouvillian, qome_spectrum
+from thermotimes.qome import (
+    TOL_ZERO,
+    _classify,
+    _spin_pairs,
+    build_liouvillian,
+    qome_spectrum,
+    uniform_spin_spectrum,
+)
 
-CATALAN = (1, 2, 5, 14, 42, 132)
+from oracles import sector_blocks, sector_eigenvalues, spin_sector_system
+
 GRID = [(beta, Gamma) for beta in (1e-3, 1.0, 1e4) for Gamma in (1e-3, 1.0, 1e3)]
+
+
+def catalan(N):
+    return math.comb(2 * N, N) // (N + 1)
 
 
 def composite_system(N, Gamma):
@@ -42,10 +56,18 @@ def composite_route(N, beta, Gamma):
     return L, qome_spectrum(L)
 
 
-def sector_route(N, beta, Gamma, energy_tol=None):
-    spec, dip, sectors = spin_sector_system(N, Gamma)
-    L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol, sectors=sectors)
-    return L, qome_spectrum(L)
+def jacobi_route(N, beta, Gamma, energy_tol=None):
+    return uniform_spin_spectrum(N, Gamma, beta, energy_tol=energy_tol)
+
+
+def jacobi_eigenvalues(N, beta, Gamma):
+    """The Jacobi route's eigenvalues in block order, omega = 0 mask and weights."""
+    *_, bohr, weight = _spin_pairs(N)
+    return jacobi_route(N, beta, Gamma).eigenvalues, bohr == 0, weight
+
+
+def gather_route(N, beta, Gamma):
+    return _classify(*sector_eigenvalues(N, Gamma, beta), TOL_ZERO)
 
 
 def assert_routes_agree(ref, got):
@@ -63,31 +85,95 @@ def assert_routes_agree(ref, got):
 @pytest.mark.parametrize("beta, Gamma", [(1.0, 1.0), (1e-3, 1e3)])
 def test_full_spectrum_is_the_weighted_union_of_sector_spectra(N, beta, Gamma):
     _, ref = composite_route(N, beta, Gamma)
-    L_sec, got = sector_route(N, beta, Gamma)
-    sizes = [len(idx) for _, idx, _ in L_sec.blocks]
-    weighted = np.repeat(got.eigenvalues, np.repeat(L_sec.weights, sizes))
+    ev, _, weight = jacobi_eigenvalues(N, beta, Gamma)
+    weighted = np.repeat(ev, weight.astype(int))
     assert len(weighted) == len(ref.eigenvalues) == 4**N
     cost = np.abs(ref.eigenvalues[:, None] - weighted[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-12 * ref.scale
+    got = jacobi_route(N, beta, Gamma)
     assert got.scale == pytest.approx(ref.scale, rel=1e-12)
-    assert got.zero_multiplicity == ref.zero_multiplicity == CATALAN[N - 1]
+    assert got.zero_multiplicity == ref.zero_multiplicity == catalan(N)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("beta, Gamma", [(1.0, 1.0), (1e-3, 1e3), (30.0, 1.0), (1e-5, 1e-4)])
+def test_jacobi_blocks_match_the_gather_referee(N, beta, Gamma):
+    # the same weighted eigenvalue multiset: an eigenvalue is matched only to one
+    # of the same weight d_J d_J'
+    ref_ev, ref_static, ref_w = sector_eigenvalues(N, Gamma, beta)
+    ev, static, weight = jacobi_eigenvalues(N, beta, Gamma)
+    assert len(ev) == len(ref_ev) and sum(weight) == sum(ref_w) == 4**N
+    assert sum(weight[static]) == sum(ref_w[ref_static])
+    cost = np.abs(ref_ev[:, None] - ev[None, :])
+    cost[ref_w[:, None] != weight[None, :]] = np.inf
+    rows, cols = linear_sum_assignment(cost)
+    ref, got = _classify(ref_ev, ref_static, ref_w, TOL_ZERO), jacobi_route(N, beta, Gamma)
+    assert cost[rows, cols].max() <= 1e-12 * ref.scale
+    assert got.scale == pytest.approx(ref.scale, rel=1e-12)
+    assert_routes_agree(ref, got)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_times_match_the_gather_referee_where_its_blocks_are_far_from_normal(N):
+    # at beta Gamma = 5 the gathered blocks are similar to symmetric ones only
+    # through a diagonal scaling that spans e^(5 N): at N = 5 their nonsymmetric
+    # eigensolve misplaces an eigenvalue by 5.9e-11 (1.2e-10 of scale), while
+    # the Jacobi eigenvalues stay within 6e-17 of a 50-digit mpmath solve of
+    # the same blocks; the times still agree
+    assert_routes_agree(gather_route(N, 100.0, 0.05), jacobi_route(N, 100.0, 0.05))
 
 
 @pytest.mark.parametrize("N", range(1, 6))
 @pytest.mark.parametrize("beta, Gamma", GRID)
 def test_times_match_the_composite(N, beta, Gamma):
-    ref, got = composite_route(N, beta, Gamma)[1], sector_route(N, beta, Gamma)[1]
+    ref, got = composite_route(N, beta, Gamma)[1], jacobi_route(N, beta, Gamma)
     assert_routes_agree(ref, got)
     assert got.tau_Q == pytest.approx(ref.tau_Q, rel=1e-12, abs=0)
 
 
 def test_six_spins_match_the_composite_at_the_hot_strong_corner():
     # one composite solve at N = 6 (a 924 x 924 population block) takes seconds
-    ref, got = composite_route(6, 1e-3, 1e3)[1], sector_route(6, 1e-3, 1e3)[1]
+    ref, got = composite_route(6, 1e-3, 1e3)[1], jacobi_route(6, 1e-3, 1e3)
     assert_routes_agree(ref, got)
     assert got.tau_Q == pytest.approx(ref.tau_Q, rel=1e-12, abs=0)
     assert got.zero_multiplicity == 132
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_small_gap_series_regime(N):
+    # beta 2 Gamma = 2e-9 < SMALL_X: every weight comes from the small-gap series
+    beta, Gamma = 1e-5, 1e-4
+    assert beta * 2 * Gamma < SMALL_X
+    got = jacobi_route(N, beta, Gamma)
+    assert_routes_agree(composite_route(N, beta, Gamma)[1], got)
+    assert_routes_agree(gather_route(N, beta, Gamma), got)
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_cold_limit_where_the_uphill_weight_underflows(N):
+    # beta Gamma = 700: w_up = W~(2 Gamma) underflows to 0, so every coupling
+    # vanishes and the Jacobi blocks are diagonal; the gathered blocks are
+    # triangular with the same diagonal
+    beta, Gamma = 700.0, 1.0
+    assert _blackbody_weight(np.array([2.0 * Gamma]), beta, detailed_balance=True)[0] == 0.0
+    got = jacobi_route(N, beta, Gamma)
+    assert_routes_agree(composite_route(N, beta, Gamma)[1], got)
+    assert_routes_agree(gather_route(N, beta, Gamma), got)
+    assert got.zero_multiplicity == catalan(N)
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+def test_catalan_count_is_exact_to_the_size_cap(N):
+    # N = 14 has sum_J (2J + 1) = 64 levels, the most the QOME size rule admits
+    got = jacobi_route(N, 1.0, 1.0)
+    assert type(got.zero_multiplicity) is int and got.zero_multiplicity == catalan(N)
+
+
+def test_fifteen_spins_exceed_the_size_cap():
+    # 72 levels, refused before anything is built
+    with pytest.raises(CapExceeded):
+        jacobi_route(15, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("N", range(2, 5))
@@ -100,7 +186,22 @@ def test_wide_energy_tol_gives_the_same_outcome(N, factor):
         qome_spectrum(build_liouvillian(*composite_system(N, Gamma), 1.0,
                                         energy_tol=factor * Gamma))
     with pytest.raises(NoDissipativeEigenvalue):
-        sector_route(N, 1.0, Gamma, energy_tol=factor * Gamma)
+        jacobi_route(N, 1.0, Gamma, energy_tol=factor * Gamma)
+
+
+@pytest.mark.parametrize("Gamma", [1.0, 0.37])
+def test_energy_tol_merges_the_levels_exactly_at_the_spacing(Gamma):
+    # the gathered sector route classed rounded gaps: at Gamma = 0.37 the
+    # tolerance one ulp below 2 Gamma merged some gaps and gave 7 steady states
+    # and tau_Q = inf; the spacing now decides, whatever the rounding
+    default = jacobi_route(3, 1.0, Gamma)
+    with pytest.raises(NoDissipativeEigenvalue, match="level spacing"):
+        jacobi_route(3, 1.0, Gamma, energy_tol=2 * Gamma)
+    for energy_tol in (math.nextafter(2 * Gamma, 0), 1e-3 * Gamma, 0.0):
+        got = jacobi_route(3, 1.0, Gamma, energy_tol=energy_tol)
+        assert np.array_equal(got.eigenvalues, default.eigenvalues)
+        assert (got.tau_P, got.tau_Q, got.zero_multiplicity, got.tau_P_multiplicity) == \
+            (default.tau_P, default.tau_Q, 5, default.tau_P_multiplicity)
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,7 +213,7 @@ def test_wide_energy_tol_gives_the_same_outcome(N, factor):
 def test_sector_route_property(log_beta, log_Gamma, N):
     beta, Gamma = 10.0 ** log_beta, 10.0 ** log_Gamma
     ref = qome_spectrum(build_liouvillian(*composite_system(N, Gamma), beta))
-    assert_routes_agree(ref, sector_route(N, beta, Gamma)[1])
+    assert_routes_agree(ref, jacobi_route(N, beta, Gamma))
 
 
 @pytest.mark.parametrize("N", range(1, 41))
@@ -122,7 +223,7 @@ def test_sector_bookkeeping_is_exact(N):
     sizes = np.bincount(level_sector)
     assert sizes.tolist() == [N - 2 * k + 1 for k in range(N // 2 + 1)]
     assert sum(int(size) * d for size, d in zip(sizes, mult)) == 2**N
-    assert sum(d * d for d in mult) == math.comb(2 * N, N) // (N + 1)
+    assert sum(d * d for d in mult) == catalan(N)
     assert np.all(np.diff(spec.energies) >= 0)
 
 
@@ -132,6 +233,9 @@ def test_one_spin_sector_system_is_the_free_spin():
     assert np.array_equal(spec.energies, ref_spec.energies)
     assert np.array_equal(dip.D, ref_dip.D)
     assert level_sector.tolist() == [0, 0] and mult == (1,)
+    for beta in (1e-3, 1.0, 100.0):
+        ref = qome_spectrum(build_liouvillian(ref_spec, ref_dip, beta))
+        assert_routes_agree(ref, uniform_spin_spectrum(1, 0.7, beta, gamma=1.3))
 
 
 def test_slow_coherence_rate_keeps_its_own_precision():
@@ -139,5 +243,40 @@ def test_slow_coherence_rate_keeps_its_own_precision():
     # solved with its -i omega diagonal in place it was resolved only to round-off
     # of |omega| (tau_Q 55060064.7301). Reference: a 40-digit mpmath eigensolve of
     # the same coherence blocks.
-    _, spectrum = sector_route(6, 100.0, 0.05)
+    spectrum = jacobi_route(6, 100.0, 0.05)
     assert spectrum.tau_Q == pytest.approx(55060064.64391887, rel=1e-11, abs=0)
+
+
+def test_one_eigvalsh_per_block_size(monkeypatch):
+    # 8 spins hold 625 level pairs in 165 blocks of 9 sizes: one eigvalsh each
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    eigvalsh = qome.np.linalg.eigvalsh
+    monkeypatch.setattr(qome.np.linalg, "eigvalsh", counted)
+    jacobi_route(8, 1.0, 1.0)
+    sizes = {len(block) for _, _, block in sector_blocks(8, 1.0, 1.0)}
+    assert len(calls) == len(sizes) == 9
+    assert sorted(shape[-1] for shape in calls) == sorted(sizes)
+    assert sum(shape[0] for shape in calls) == len(sector_blocks(8, 1.0, 1.0))
+
+
+def test_uniform_analyze_never_gathers(tmp_path, monkeypatch):
+    # the uniform QOME goes through the Jacobi blocks alone: no gathered
+    # generator, no float classes of gaps, no nonsymmetric eigensolve
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gather route ran")
+
+    for module, name in [(cli, "build_liouvillian"), (qome, "build_liouvillian"),
+                         (qome, "_gap_structure"), (model, "_gap_structure"),
+                         (np.linalg, "eigvals")]:
+        monkeypatch.setattr(module, name, refuse)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"family": "free_spins_uniform", "Gamma": 1.0, "N_list": [1, 2, 3, 4, 5, 6],'
+                   ' "methods": ["qome"], "tolerances": {"energy_tol": 1e-3}}')
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[5]) for row in rows] == [catalan(N) for N in range(1, 7)]
