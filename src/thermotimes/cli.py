@@ -250,7 +250,8 @@ def _run_qome(config: RunConfig, N: int):
                                      energy_tol=config.energy_tol, tol_zero=config.tol_zero)
     system = _composite_system(config, N)
     spec = diagonalize(system)
-    L = build_liouvillian(spec, dipole_data(system, spec), config.beta, config.energy_tol)
+    dip = dipole_data(system, spec)
+    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol)
     return qome_spectrum(L, tol_zero=config.tol_zero)
 
 

@@ -38,7 +38,6 @@ only: a tolerance wide enough to merge levels or dipole-free gaps of the
 composite lies outside it, so a wider tolerance needs the composite.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -141,7 +140,9 @@ def build_liouvillian(
     _check_beta(beta)
     M = spec.M
     if dip.M != M:
-        raise DimensionMismatch(f"dipole dimension {dip.M} does not match spectrum dimension {M}")
+        raise DimensionMismatch(
+            f"dipole dimension {dip.M} does not match spectrum dimension {M}"
+        )
     _check_qome_size(M)
     E = spec.energies
     if energy_tol is None:
@@ -185,8 +186,13 @@ def build_liouvillian(
         for omega, start, size, end in zip(*(x.tolist() for x in (omegas, starts, sizes, ends)))
     )
 
-    return Liouvillian(dim=M * M, blocks=blocks, energies=E.copy(),
-                       energy_tol=float(energy_tol), beta=float(beta))
+    return Liouvillian(
+        dim=M * M,
+        blocks=blocks,
+        energies=E.copy(),
+        energy_tol=float(energy_tol),
+        beta=float(beta),
+    )
 
 
 def jump_operator_groups(energies: Sequence[float]) -> list:
@@ -261,13 +267,16 @@ def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
         raise NoDissipativeEigenvalue("the generator vanishes identically")
     zero = static & (np.abs(ev) < tol_zero * scale)
     osc = ev[~static]
+
     rates = np.abs(ev[static & ~zero].real)
     if not len(rates):
-        raise NoDissipativeEigenvalue("no nonzero population-sector eigenvalue: "
-                                      "dissipation time undefined")
+        raise NoDissipativeEigenvalue(
+            "no nonzero population-sector eigenvalue: dissipation time undefined"
+        )
     slowest_real = float(rates.min())
     tau_P = 1.0 / slowest_real
     tau_P_mult = int(weight[static & ~zero][np.abs(rates - slowest_real) <= tol_zero * scale].sum())
+
     tau_Q: Optional[float]
     if len(osc):
         slowest = float(np.abs(osc.real).min())
@@ -275,9 +284,15 @@ def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
     else:
         tau_Q = None
 
-    return LiouvillianSpectrum(eigenvalues=ev, zero_multiplicity=int(weight[zero].sum()),
-                               tau_P=tau_P, tau_Q=tau_Q, tol_zero=tol_zero, scale=scale,
-                               tau_P_multiplicity=tau_P_mult)
+    return LiouvillianSpectrum(
+        eigenvalues=ev,
+        zero_multiplicity=int(weight[zero].sum()),
+        tau_P=tau_P,
+        tau_Q=tau_Q,
+        tol_zero=tol_zero,
+        scale=scale,
+        tau_P_multiplicity=tau_P_mult,
+    )
 
 
 def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
@@ -321,10 +336,9 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     return _classify(lam - 1j * omega, omega == 0.0, weight, tol_zero)
 
 
-@functools.lru_cache(maxsize=None)  # at most the 14 sizes that pass the size rule
 def _spin_pairs(N: int) -> tuple:
     """The level pairs (m, n) of ``uniform_spin_spectrum`` in block order, which depend
-    on N alone (read only): the pair indices of each block size, c_J(m)^2 + c_J'(n)^2,
+    on N alone: the pair indices of each block size, c_J(m)^2 + c_J'(n)^2,
     c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m) and d_J d_J' (Python ints)."""
     two_J, S = np.arange(N, -1, -2), N // 2 + 1
     mult = [math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in range(S)]

@@ -147,8 +147,8 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, extra, key):
      "_kronecker_sum"),
 ])
 def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, raw, builder):
-    def refuse(*args):
-        raise AssertionError("the composite Hamiltonian was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{builder} was reached before the size check")
 
     monkeypatch.setattr(cli, builder, refuse)
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["qome"]})
