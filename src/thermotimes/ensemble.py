@@ -10,10 +10,11 @@ eigensolve for small products, and above DENSE_EIG_LIMIT a plain three-term
 Lanczos recurrence (no restarts, no reorthogonalization) for the smallest
 eigenvalue of a sparse S with the exact null vector sqrt(Gibbs) shifted out
 of the way. Only that Lanczos branch imports scipy (``scipy.sparse`` for S,
-``scipy.linalg`` for the tridiagonal Ritz pairs), at the point of use, so
-the closed forms and small products run on numpy alone. Every Kronecker sum,
-dense or sparse, comes from the one builder in ``model``
-(``_kronecker_sum_entries``); this module only wraps it as a sparse matrix.
+LAPACK's dstebz and dstein from ``scipy.linalg.lapack`` for the tridiagonal
+Ritz pairs), at the point of use, so the closed forms and small products run
+on numpy alone. Every Kronecker sum, dense or sparse, comes from the one
+builder in ``model`` (``_kronecker_sum_entries``), which emits its entries
+grouped by row; this module only wraps them as a CSR matrix.
 """
 
 import math
@@ -63,11 +64,11 @@ DECOUPLING_RTOL = 1e-12
 #: Gibbs-deflated sparse S; only products above it load scipy. A dense
 #: eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool, whose worker
 #: then spins for about 0.1 s while the caller goes on on one thread; the
-#: Lanczos recurrence does not. On two cores (numpy 2.4, scipy 1.17) a call
-#: takes 3.0-5.4 ms against 2.0-3.4 ms dense at 128 and 3.2-6.0 ms against
-#: 6.8-9.2 ms at 256, while a reference-table job without the QOME
-#: (N = 1..13) takes 0.11-0.17 CPU-s, as much as its wall time, at 64,
-#: against 0.20-0.25 CPU-s for 0.10-0.13 s of wall time at 256.
+#: Lanczos recurrence does not. On two cores (numpy 2.4, scipy 1.17; quartiles
+#: over eight temperatures) a call takes 2.2-4.0 ms against 1.9-4.3 ms dense
+#: at 128 and 2.8-4.7 ms against 5.9-9.1 ms at 256, while a reference-table
+#: job without the QOME (N = 1..13) takes 0.08-0.12 CPU-s, as much as its wall
+#: time, at 64, against 0.17 CPU-s for 0.085-0.093 s of wall time at 256.
 #: The price falls on a fresh process whose first large product is 128 or
 #: 256 (``analyze`` of N = 7 or 8 spins with ``lba_numeric``): it loads
 #: ``scipy.sparse`` and ``scipy.linalg``, 0.2-0.4 -> 0.5-0.7 s and
@@ -173,8 +174,11 @@ def _sparse_kronecker_sum(mats: Sequence[np.ndarray]):
     """``model._kronecker_sum`` as a scipy.sparse CSR matrix, for the Lanczos branch."""
     import scipy.sparse as sp
 
-    dim, rows, cols, vals = _kronecker_sum_entries(mats)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    indptr, indices, data = _kronecker_sum_entries(mats)
+    dim = indptr.size - 1
+    S = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    S.sort_indices()
+    return S
 
 
 def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
@@ -213,40 +217,64 @@ def _deterministic_start(dim: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
+def _smallest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> Tuple[float, float]:
+    """Smallest eigenvalue theta of the symmetric tridiagonal (alpha, beta) and the
+    last component of its unit eigenvector s.
+
+    LAPACK's dstebz (bisection, index range 1..1, block order) and dstein
+    (inverse iteration), called as ``scipy.linalg.eigh_tridiagonal(alpha, beta,
+    select="i", select_range=(0, 0))`` calls them, 1 x 1 shortcut included, so
+    theta and s are its values bit for bit without its argument checks. Raises
+    NoConvergence if either routine reports a failure.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if alpha.size == 1:
+        return float(alpha[0]), 1.0
+    m, w, iblock, isplit, info = dstebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(alpha, beta, w[:m], iblock, isplit)
+    if info != 0:
+        raise NoConvergence(
+            f"LAPACK failed on the {alpha.size} x {alpha.size} Lanczos tridiagonal (info {info})"
+        )
+    return float(w[0]), float(z[-1, 0])
+
+
 def _lanczos_smallest(apply, v, scale: float, max_steps: int) -> float:
     """Smallest eigenvalue of the symmetric operator ``apply``, whose norm ``scale`` bounds.
 
     Plain three-term Lanczos from the unit vector ``v``: no restarts and no
-    reorthogonalization, only the tridiagonal's alpha and beta are kept.
-    Every five steps, and at once when beta_j itself falls to the tolerance
-    (an invariant subspace), the smallest Ritz pair (theta, s) of the
-    tridiagonal is taken, and theta is returned once its Ritz estimate
+    reorthogonalization, only the tridiagonal's alpha and beta are kept, in
+    arrays of ``max_steps``. Every five steps, and at once when beta_j itself
+    falls to the tolerance (an invariant subspace), the smallest Ritz pair
+    (theta, s) of the tridiagonal is taken from LAPACK's dstebz and dstein
+    (``_smallest_ritz_pair``), and theta is returned once its Ritz estimate
     |beta_j s_j| is at most sqrt(n) eps scale; even after orthogonality is
     lost, that estimate bounds the distance from theta to an eigenvalue of
     the operator (Paige, Linear Algebra Appl. 34, 235 (1980)). The sqrt(n)
     puts the tolerance just above the rounding floor of a length-n residual:
     at eps scale the estimate of a converged theta hovers between one and a
     few tolerances, and 11 of 750 products of random members never stopped.
-    Raises NoConvergence after ``max_steps``.
+    Raises NoConvergence after ``max_steps``, or if LAPACK fails.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     tol = math.sqrt(v.size) * np.finfo(float).eps * scale
-    alpha, beta = [], []
+    alpha, beta = np.empty(max_steps), np.empty(max_steps)
     v_prev, b = np.zeros_like(v), 0.0
     for step in range(1, max_steps + 1):
-        w = apply(v) - b * v_prev
+        w = apply(v)
+        w -= b * v_prev
         a = float(v @ w)
         w -= a * v
         b = math.sqrt(w @ w)
-        alpha.append(a)
-        beta.append(b)
+        alpha[step - 1], beta[step - 1] = a, b
         if step % 5 == 0 or b <= tol or step == max_steps:
-            theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, 0))
-            estimate = abs(b * s[-1, 0])
+            theta, s_last = _smallest_ritz_pair(alpha[:step], beta[:step - 1])
+            estimate = abs(b * s_last)
             if estimate <= tol:
-                return float(theta[0])
-        v_prev, v = v, w / b
+                return theta
+        w /= b
+        v_prev, v = v, w
     raise NoConvergence(
         f"Lanczos on dimension {v.size} took {max_steps} steps without converging: "
         f"last Ritz estimate {estimate:.3e} > {tol:.3e}"
@@ -289,9 +317,14 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
                 f"sqrt(Gibbs) is not a null vector of S: |S q|_inf = {residual:.3e}, "
                 f"row-sum bound {c:.3e}"
             )
-        mu2 = _lanczos_smallest(
-            lambda x: S @ x + c * q * (q @ x), _deterministic_start(dim), c, dim,
-        )
+        cq = c * q
+
+        def deflated(x):
+            y = S @ x
+            y += cq * (q @ x)
+            return y
+
+        mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
 
     B_sorted = np.sort(_product_sum([rates.B for rates, _ in copies]))
     tau_P = 1.0 / mu2

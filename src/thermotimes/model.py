@@ -32,10 +32,15 @@ def _check_positive(name: str, value) -> None:
     """Raise NonPositiveField unless ``value`` (a number or an array) is finite and > 0.
 
     The one rule for field strengths, coupling constants and tolerances that
-    must be positive: a NaN or an infinity is refused like a zero.
+    must be positive: a NaN or an infinity is refused like a zero. Python and
+    numpy real scalars skip the array round trip.
     """
-    v = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(v) & (v > 0)):
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        ok = math.isfinite(value) and value > 0
+    else:
+        v = np.asarray(value, dtype=float)
+        ok = np.all(np.isfinite(v) & (v > 0))
+    if not ok:
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
 
 
@@ -74,31 +79,49 @@ def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
-    """(dim, rows, cols, vals) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn.
+    """(indptr, indices, data) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn,
+    grouped by row as in a CSR matrix.
 
-    An off-diagonal entry of the sum comes from exactly one factor, so all of
-    them are scattered in one pass with no index repeated; the diagonal is the
-    product sum of the factor diagonals.
+    An off-diagonal entry of the sum comes from exactly one factor, so every
+    row has one slot for its diagonal (the product sum of the factor
+    diagonals) and m - 1 slots per factor of size m, filled in one broadcast
+    over the (left, m, right) view of the rows with no index repeated. Within
+    a row the slots run diagonal first, then factor by factor; slots whose
+    factor entry is zero (as ``np.nonzero`` sees it) are dropped, the
+    diagonal never is. The indices are 32-bit wherever they fit, as scipy
+    stores them.
     """
     if not mats:
         raise DimensionMismatch("a Kronecker sum needs at least one factor")
-    dim = int(np.prod([X.shape[0] for X in mats]))
-    rows, cols = [np.arange(dim)], [np.arange(dim)]
-    vals = [_product_sum([np.diag(X) for X in mats])]
-    left = 1
-    for X in mats:
-        m = X.shape[0]
+    sizes = [X.shape[0] for X in mats]
+    dim = math.prod(sizes)
+    width = 1 + sum(sizes) - len(sizes)
+    index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
+    data = np.empty((dim, width), dtype=np.result_type(*mats))
+    indices = np.empty((dim, width), dtype=index)
+    rows = np.arange(dim, dtype=index)
+    data[:, 0] = _product_sum([np.diag(X) for X in mats])
+    indices[:, 0] = rows
+    left, slot, no_zeros = 1, 1, True
+    for X, m in zip(mats, sizes):
         right = dim // (left * m)
-        a, b = np.nonzero(X)
-        off = a != b
-        a, b = a[off], b[off]
-        # flat index of (i_left, k, i_right) is (i_left * m + k) * right + i_right
-        base = (np.arange(left)[:, None] * (m * right) + np.arange(right)[None, :]).ravel()
-        rows.append((base[:, None] + a * right).ravel())
-        cols.append((base[:, None] + b * right).ravel())
-        vals.append(np.tile(X[a, b], base.size))
-        left *= m
-    return dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        # row (i_left, a, i_right) couples to b = j + (j >= a), the j-th of the
+        # other m - 1 levels, at column row + (b - a) * right
+        a = np.arange(m)[:, None]
+        b = np.arange(m - 1)[None, :] + (np.arange(m - 1)[None, :] >= a)
+        coupling, view = X[a, b], (Ellipsis, slice(slot, slot + m - 1))
+        data.reshape(left, m, right, width)[view] = coupling[:, None, :]
+        indices.reshape(left, m, right, width)[view] = (
+            rows.reshape(left, m, right, 1) + ((b - a) * right)[:, None, :])
+        no_zeros = no_zeros and coupling.all()
+        left, slot = left * m, slot + m - 1
+    if no_zeros:
+        return np.arange(0, dim * width + 1, width, dtype=index), indices.ravel(), data.ravel()
+    keep = data != 0
+    keep[:, 0] = True
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return indptr, indices[keep], data[keep]
 
 
 def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -108,9 +131,10 @@ def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
     The entries are added into zeros, not assigned, so every zero entry is
     +0.0, as in a sum of site-embedded Kronecker products I(x)...(x)X(x)...(x)I.
     """
-    dim, rows, cols, vals = _kronecker_sum_entries(mats)
-    out = np.zeros((dim, dim), dtype=np.result_type(*mats))
-    out[rows, cols] += vals
+    indptr, indices, data = _kronecker_sum_entries(mats)
+    dim = indptr.size - 1
+    out = np.zeros((dim, dim), dtype=data.dtype)
+    out[np.repeat(np.arange(dim), np.diff(indptr)), indices] += data
     return out
 
 

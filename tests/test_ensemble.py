@@ -378,6 +378,78 @@ def test_numeric_route_checks_the_gibbs_null_vector(monkeypatch):
         ensemble_times_numeric(_spin_ensemble(modulated_gammas(9), 1.0))
 
 
+def _assert_csr_rows_store_diagonal_and_no_zero(S):
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    diagonal = rows == S.indices
+    assert np.array_equal(rows[diagonal], np.arange(S.shape[0]))
+    assert np.all(S.data[~diagonal] != 0)
+
+
+def test_sparse_kronecker_sum_is_canonical_csr():
+    # the builder groups its entries by row; after one sort_indices the CSR
+    # arrays are those of the chained sparse products (the diagonals are kept
+    # nonzero, since the chained sum drops a zero diagonal that the builder
+    # stores), and every row stores its diagonal and no zero off-diagonal entry
+    rng = np.random.default_rng(43)
+    for n in range(1, 6):
+        for _ in range(4):
+            mats = []
+            for M in rng.choice([1, 2, 3, 4], size=n):
+                if rng.random() < 0.5:
+                    X = _random_symmetric_factor(rng, int(M))
+                    X[X == 0] = rng.choice([0.0, -0.0])
+                    X[np.diag_indices_from(X)] = rng.normal(size=M)
+                else:
+                    X = random_hermitian(rng, int(M))
+                    imaginary, zero = (np.triu(rng.random(X.shape) < 0.3, 1) for _ in range(2))
+                    X.real[imaginary | imaginary.T] = -0.0
+                    X[zero | zero.T] = -0.0
+                mats.append(X)
+            S, reference = ensemble._sparse_kronecker_sum(mats), chained_kronecker_sum(mats)
+            assert S.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(S, name), getattr(reference, name)), name
+            _assert_csr_rows_store_diagonal_and_no_zero(S)
+    # zero diagonals (sigma_x) and signed zeros off the diagonal
+    mats = [np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.array([[1.0, -0.0, 2.0], [-0.0, 0.0, 0.0], [2.0, 0.0, -1.0]])]
+    S = ensemble._sparse_kronecker_sum(mats)
+    assert S.has_canonical_format and S.nnz == 6 + 6 + 4
+    _assert_csr_rows_store_diagonal_and_no_zero(S)
+    assert np.array_equal(S.toarray(), chained_kronecker_sum(mats).toarray())
+
+
+def test_smallest_ritz_pair_equals_eigh_tridiagonal():
+    # split blocks included: off-diagonals of exactly 0 and of 1e-300
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(47)
+    for n in range(1, 151):
+        for split in (0.0, 1e-300, None):
+            alpha, beta = rng.normal(size=n), rng.normal(size=n - 1)
+            if split is not None:
+                beta[rng.random(n - 1) < 0.2] = split
+            theta, s_last = ensemble._smallest_ritz_pair(alpha, beta)
+            w, v = eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+            assert theta == w[0]
+            assert abs(s_last) == abs(v[-1, 0])
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_smallest_ritz_pair_raises_a_typed_error_on_a_lapack_failure(monkeypatch, routine):
+    from scipy.linalg import lapack
+
+    real = getattr(lapack, routine)
+
+    def failing(*args):
+        *out, _ = real(*args)
+        return (*out, 1)
+
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(NoConvergence, match=r"4 x 4 Lanczos tridiagonal \(info 1\)"):
+        ensemble._smallest_ritz_pair(np.arange(4.0), np.ones(3))
+
+
 def test_lanczos_converges_on_random_custom_members():
     # products of dimension 125..256; with a stopping tolerance of eps * scale
     # instead of sqrt(n) eps * scale, 6 of these 150 never stopped, the Ritz

@@ -8,7 +8,11 @@ runs on uniform spins: a beta grid through the QOME at N = 4, a Gamma grid
 through the explicit rate matrix at N = 3, and, through the QOME at N = 5,
 a beta grid from 1e-3 to 600 at Gamma = 1 (its cold rows have tau_Q = inf)
 and a Gamma grid from 1e-3 to 1e3 at beta = 0.5. A refactor that keeps every
-number must keep every byte. To regenerate them after a change
+number must keep every byte. ``lba_numeric_lanczos.json`` holds, as ``repr``
+strings, tau_P and tau_Q of ``ensemble_times_numeric`` on products above
+DENSE_EIG_LIMIT (the Lanczos branch): modulated spins N = 7..13 at five
+temperatures, uniform spins at N = 11 and five copies of a random three-level
+member, compared bit for bit. To regenerate them after a change
 that is meant to move a number, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,9 +24,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from thermotimes.cli import TABLE1_COLUMNS, main
+from thermotimes.cli import TABLE1_COLUMNS, main, modulated_gammas
+from thermotimes.ensemble import EnsembleMember, EnsembleSpec, ensemble_times_numeric
+from thermotimes.model import free_spin_system
+
+from oracles import synthetic_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -89,9 +98,32 @@ CASES = {
 }
 
 
+LANCZOS_GOLDEN = GOLDEN / "lba_numeric_lanczos.json"
+
+
+def lanczos_times() -> dict:
+    """repr tau_P and tau_Q of the Lanczos-sized ensembles of ``lba_numeric_lanczos.json``."""
+    specs = {}
+    for N in range(7, 14):
+        for beta in (1e-3, 1.0, 12.0, 100.0, 1e4):
+            members = tuple(EnsembleMember(*free_spin_system(G)) for G in modulated_gammas(N))
+            specs[f"modulated N={N} beta={beta!r}"] = EnsembleSpec(members, beta=beta)
+    specs["uniform N=11 beta=1.0"] = EnsembleSpec(
+        (EnsembleMember(*free_spin_system(1.0), count=11),), beta=1.0)
+    spec, dip = synthetic_system(np.random.default_rng(7), 3)
+    specs["random M=3 x 5 beta=1.0"] = EnsembleSpec(
+        (EnsembleMember(spec, dip, count=5),), beta=1.0)
+    times = {name: ensemble_times_numeric(spec) for name, spec in specs.items()}
+    return {name: {"tau_P": repr(t.tau_P), "tau_Q": repr(t.tau_Q)} for name, t in times.items()}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     assert CASES[name](tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def test_lanczos_times_match_golden():
+    assert lanczos_times() == json.loads(LANCZOS_GOLDEN.read_text())
 
 
 if __name__ == "__main__":
@@ -102,3 +134,5 @@ if __name__ == "__main__":
         for name, build in CASES.items():
             (GOLDEN / name).write_bytes(build(Path(tmp)))
             print(GOLDEN / name, file=sys.stderr)
+    LANCZOS_GOLDEN.write_text(json.dumps(lanczos_times(), indent=1) + "\n")
+    print(LANCZOS_GOLDEN, file=sys.stderr)
