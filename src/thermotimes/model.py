@@ -32,15 +32,10 @@ def _check_positive(name: str, value) -> None:
     """Raise NonPositiveField unless ``value`` (a number or an array) is finite and > 0.
 
     The one rule for field strengths, coupling constants and tolerances that
-    must be positive: a NaN or an infinity is refused like a zero. Python and
-    numpy real scalars skip the array round trip.
+    must be positive: a NaN or an infinity is refused like a zero.
     """
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        ok = math.isfinite(value) and value > 0
-    else:
-        v = np.asarray(value, dtype=float)
-        ok = np.all(np.isfinite(v) & (v > 0))
-    if not ok:
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v) & (v > 0)):
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
 
 
@@ -102,21 +97,18 @@ def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
     rows = np.arange(dim, dtype=index)
     data[:, 0] = _product_sum([np.diag(X) for X in mats])
     indices[:, 0] = rows
-    left, slot, no_zeros = 1, 1, True
+    left, slot = 1, 1
     for X, m in zip(mats, sizes):
         right = dim // (left * m)
         # row (i_left, a, i_right) couples to b = j + (j >= a), the j-th of the
         # other m - 1 levels, at column row + (b - a) * right
         a = np.arange(m)[:, None]
         b = np.arange(m - 1)[None, :] + (np.arange(m - 1)[None, :] >= a)
-        coupling, view = X[a, b], (Ellipsis, slice(slot, slot + m - 1))
-        data.reshape(left, m, right, width)[view] = coupling[:, None, :]
+        view = (Ellipsis, slice(slot, slot + m - 1))
+        data.reshape(left, m, right, width)[view] = X[a, b][:, None, :]
         indices.reshape(left, m, right, width)[view] = (
             rows.reshape(left, m, right, 1) + ((b - a) * right)[:, None, :])
-        no_zeros = no_zeros and coupling.all()
         left, slot = left * m, slot + m - 1
-    if no_zeros:
-        return np.arange(0, dim * width + 1, width, dtype=index), indices.ravel(), data.ravel()
     keep = data != 0
     keep[:, 0] = True
     indptr = np.zeros(dim + 1, dtype=index)

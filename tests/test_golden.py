@@ -12,8 +12,11 @@ number must keep every byte. ``lba_numeric_lanczos.json`` holds, as ``repr``
 strings, tau_P and tau_Q of ``ensemble_times_numeric`` on products above
 DENSE_EIG_LIMIT (the Lanczos branch): modulated spins N = 7..13 at five
 temperatures, uniform spins at N = 11 and five copies of a random three-level
-member, compared bit for bit. To regenerate them after a change
-that is meant to move a number, run
+member, compared bit for bit. Those bits also depend on the BLAS dot kernel
+and the LAPACK build: the file was made with Python 3.11.7, numpy 2.4.6 and
+scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
+regenerated with any other numpy or scipy. To regenerate the goldens after a
+change that is meant to move a number, run
 
     PYTHONPATH=src python tests/test_golden.py
 """

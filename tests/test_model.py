@@ -19,7 +19,6 @@ from thermotimes.model import (
     PAULI_Y,
     PAULI_Z,
     QubitSystem,
-    _check_positive,
     _gap_structure,
     _kronecker_sum,
     degeneracy_report,
@@ -421,35 +420,3 @@ def test_energy_tolerance_is_checked_once(tol):
     # zero and tau_P came out as 2.25e15 instead of 0.0476
     with pytest.raises(NonPositiveField, match="tol_zero"):
         qome_spectrum(build_liouvillian(*free_spin_system(1.0), 1.0), tol_zero=tol)
-
-
-def _array_positive_rule(name, value):
-    """The positivity rule as every input took it before scalars had their own path."""
-    v = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(v) & (v > 0)):
-        raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
-
-
-def _outcome(check, value):
-    try:
-        check("gamma", value)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
-
-
-@pytest.mark.parametrize("value, accepted", [
-    (float("nan"), False), (float("inf"), False), (float("-inf"), False),
-    (0, False), (0.0, False), (-0.0, False), (-1, False), (-1.0, False),
-    (1e-300, True), (5e-324, True), (1, True), (2.5, True), (True, True), (False, False),
-    (10**400, False),
-    (np.float32(2.5), True), (np.float32("nan"), False), (np.float32(0.0), False),
-    (np.float64("inf"), False), (np.int64(3), True), (np.int64(0), False), (np.int64(-2), False),
-    (np.array(2.0), True), (np.array(0.0), False), (np.array(np.nan), False),
-    ([1.0, 2.0], True), ([1.0, 0.0], False), ([], True),
-    (np.array([1.0, 2.0]), True), (np.array([1.0, np.inf]), False),
-])
-def test_check_positive_scalar_path_keeps_the_rule(value, accepted):
-    outcome = _outcome(_check_positive, value)
-    assert outcome == _outcome(_array_positive_rule, value)
-    assert (outcome is None) == accepted
