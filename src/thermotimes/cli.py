@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import (
-    EnsembleMember,
     EnsembleSpec,
-    ensemble_times,
-    ensemble_times_numeric,
+    _ensemble_times,
+    _ensemble_times_numeric,
+    _member_analysis,
     free_spins_times,
 )
 from .errors import CapExceeded, ConfigError, ResonantMembers, ThermotimesError
@@ -202,20 +202,34 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
     return modulated_gammas(N, **config.law)
 
 
-def _ensemble_spec(config: RunConfig, N: int) -> EnsembleSpec:
-    if config.family == "custom_hamiltonian":
-        member = system_from_json(config.hamiltonian, gamma=config.gamma)
-        spec = diagonalize(member)
-        members = (EnsembleMember(spec, dipole_data(member, spec), count=N),)
-    elif config.family == "free_spins_uniform":
-        spec, dip = free_spin_system(config.Gamma, config.gamma)
-        members = (EnsembleMember(spec, dip, count=N),)
-    else:
-        members = tuple(
-            EnsembleMember(*free_spin_system(G, config.gamma))
-            for G in _field_strengths(config, N)
-        )
-    return EnsembleSpec(members=members, beta=config.beta)
+def _run_members(config: RunConfig, N_max: int):
+    """``members(N)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis`` parts,
+    built on the first call and analysed on the first that asks for parts. Gamma_i is set
+    by i alone, so modulated spins give the first N of N_max (``analysed=False``: their
+    ``(spectrum, dipole)`` pairs); a uniform or custom member gets count N."""
+    pairs, parts = [], []
+
+    def members(N: int, analysed: bool = True) -> list:
+        if not pairs:
+            if config.family == "custom_hamiltonian":
+                system = system_from_json(config.hamiltonian, gamma=config.gamma)
+                spec = diagonalize(system)
+                pairs.append((spec, dipole_data(system, spec)))
+            elif config.family == "free_spins_uniform":
+                pairs.append(free_spin_system(config.Gamma, config.gamma))
+            else:
+                pairs.extend(free_spin_system(G, config.gamma)
+                             for G in _field_strengths(config, N_max))
+        if not analysed:
+            return pairs[:N]
+        if not parts:
+            parts.extend(_member_analysis(EnsembleSpec(members=pairs, beta=config.beta)))
+        if config.family == "free_spins_modulated":
+            return parts[:N]
+        (member, *analysis), = parts
+        return [(replace(member, count=N), *analysis)]
+
+    return members
 
 
 def _composite_system(config: RunConfig, N: int) -> QubitSystem:
@@ -229,7 +243,7 @@ def _composite_system(config: RunConfig, N: int) -> QubitSystem:
     return QubitSystem(K=N, H=free_spin_chain(_field_strengths(config, N)), gamma=config.gamma)
 
 
-def _run_qome(config: RunConfig, N: int):
+def _run_qome(config: RunConfig, N: int, members):
     """QOME spectrum of N members: modulated spins at the default tolerance go
     through their own generators unless two share a transition frequency,
     identical spins through their total-spin sectors, every other ensemble
@@ -239,9 +253,9 @@ def _run_qome(config: RunConfig, N: int):
     # see; the default one is far below such chains (the default law keeps the
     # member frequencies over 1e6 tolerances apart up to N = 13).
     if config.family == "free_spins_modulated" and config.energy_tol is None:
-        members = [free_spin_system(G, config.gamma) for G in _field_strengths(config, N)]
         try:
-            return mixture_spectrum(members, config.beta, tol_zero=config.tol_zero)
+            return mixture_spectrum(members(N, analysed=False), config.beta,
+                                    tol_zero=config.tol_zero)
         except ResonantMembers:
             pass
     if config.family == "free_spins_uniform":
@@ -255,18 +269,20 @@ def _run_qome(config: RunConfig, N: int):
     return qome_spectrum(L, tol_zero=config.tol_zero)
 
 
-def _run_method(config: RunConfig, N: int, method: str) -> dict:
-    """One record; ``wall_s`` times the whole method, member construction included."""
+def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
+    """One record, from the run's shared ``members`` (``_run_members``). ``wall_s``
+    times the whole method, with any build or analysis of those members that this
+    record is the first to need; later records reuse them at no charge."""
     record = {"N": N, "method": method, "qome_zero_multiplicity": None, "wall_s": None}
     t0 = time.perf_counter()
     if method == "lba_analytic" and config.family in ("free_spins_uniform", "free_spins_modulated"):
         times = free_spins_times(_field_strengths(config, N), config.beta, config.gamma)
     elif method == "lba_analytic":
-        times = ensemble_times(_ensemble_spec(config, N))
+        times = _ensemble_times(members(N))
     elif method == "lba_numeric":
-        times = ensemble_times_numeric(_ensemble_spec(config, N))
+        times = _ensemble_times_numeric(members(N), config.beta)
     elif method == "qome":
-        times = _run_qome(config, N)
+        times = _run_qome(config, N, members)
         record["qome_zero_multiplicity"] = times.zero_multiplicity
     else:
         raise ConfigError(f"unknown method {method!r}")
@@ -284,7 +300,8 @@ def analyze_records(config: RunConfig) -> list:
     grids = [key for key in ("beta_grid", "Gamma_grid") if getattr(config, key) is not None]
     if grids:
         raise ConfigError(f"analyze does not read {', '.join(grids)}; sweep does")
-    return [_run_method(config, N, m) for N in config.N_list for m in config.methods]
+    members = _run_members(config, max(config.N_list))
+    return [_run_method(config, N, m, members) for N in config.N_list for m in config.methods]
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +390,10 @@ def table1_rows(
     ``max_qome_n`` additionally the quantum optical master equation (through
     the member generators at the default tolerance); the four large sizes
     are analytic only. ``lba_cpu_s`` and ``qome_cpu_s`` hold the wall-clock
-    seconds of the explicit-matrix and the master-equation method. The
-    warnings cell flags degenerate steady states and undamped coherences of
-    the microscopic route.
+    seconds of the explicit-matrix and the master-equation method; the 13
+    members, which every row shares, are built and analysed before the first
+    row, so no row charges them. The warnings cell flags degenerate steady
+    states and undamped coherences of the microscopic route.
     """
     # every table reaches the Lanczos branch (N = 7..13): load its scipy modules
     # (the sparse S and the tridiagonal eigensolver) here, so that the first
@@ -387,18 +405,20 @@ def table1_rows(
         family="free_spins_modulated", N_list=(1,), beta=beta,
         energy_tol=energy_tol, include_timings=True,
     )
+    members = _run_members(config, TABLE1_SMALL_N[-1])
+    members(1)  # build them here, so that no row times it
     rows = []
     for N in list(TABLE1_SMALL_N) + list(TABLE1_LARGE_N):
-        lba = _run_method(config, N, "lba_analytic")
+        lba = _run_method(config, N, "lba_analytic", members)
         row = {**dict.fromkeys(TABLE1_COLUMNS), "N": N,
                "lba_tauP": lba["tau_P"], "lba_tauQ": lba["tau_Q"]}
         warnings = []
         if N in TABLE1_SMALL_N:
-            num = _run_method(config, N, "lba_numeric")
+            num = _run_method(config, N, "lba_numeric", members)
             row.update(lba_num_tauP=num["tau_P"], lba_num_tauQ=num["tau_Q"],
                        lba_cpu_s=round(num["wall_s"], 3))
         if N in TABLE1_SMALL_N and N <= max_qome_n:
-            qome = _run_method(config, N, "qome")
+            qome = _run_method(config, N, "qome", members)
             row.update(qome_tauP=qome["tau_P"], qome_tauQ=qome["tau_Q"],
                        qome_cpu_s=round(qome["wall_s"], 3))
             if qome["qome_zero_multiplicity"] > 1:
@@ -416,6 +436,7 @@ def cmd_table1(
     energy_tol: Optional[float] = None,
 ) -> str:
     """Emit the reference table as CSV."""
+    max_qome_n = _number("--max-qome-n", max_qome_n, ">= 0", integer=True)
     if energy_tol is not None:
         energy_tol = _number("--energy-tol", energy_tol, ">= 0")
         # only the default tolerance takes the member route (see _run_qome)
@@ -444,7 +465,7 @@ def sweep_records(config: RunConfig) -> list:
 
     def run_point(value):
         point = replace(config, beta_grid=None, Gamma_grid=None, **{key: value})
-        rec = _run_method(point, point.N_list[0], method)
+        rec = _run_method(point, point.N_list[0], method, _run_members(point, point.N_list[0]))
         return {key: value, **{k: rec[k] for k in ("tau_P", "tau_Q", "tau", "wall_s")}}
 
     return [run_point(value) for value in grid]

@@ -135,7 +135,8 @@ class EnsembleTimes:
 
 
 def _member_analysis(spec: EnsembleSpec):
-    """Per-member rates, rate matrices and characteristic quantities."""
+    """Per-member (member, rates, pm, tt) tuples: what the bodies of the two routes,
+    ``_ensemble_times`` and ``_ensemble_times_numeric``, take."""
     out = []
     for member in spec.members:
         rates = thermal_rates(member.spectrum, member.dipole, spec.beta)
@@ -154,7 +155,10 @@ def ensemble_times(spec: EnsembleSpec) -> EnsembleTimes:
     tau_Q = 2 / (2 sum_i n_i B_min,i + min_i (B_second,i - B_min,i)); for N
     equal members this is 2 / ((2N-1) B_(1) + B_(2)).
     """
-    parts = _member_analysis(spec)
+    return _ensemble_times(_member_analysis(spec))
+
+
+def _ensemble_times(parts) -> EnsembleTimes:
     mu2s = np.array([tt.mu2 for _, _, _, tt in parts])
     B_min_total = sum(m.count * tt.B1 for m, _, _, tt in parts)
     min_second_gap = min(tt.B2 - tt.B1 for _, _, _, tt in parts)
@@ -297,7 +301,10 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     Raises DetailedBalanceViolation if |S q|_inf exceeds NULL_VECTOR_RTOL * c,
     and NoConvergence if the recurrence has not converged after dim steps.
     """
-    parts = _member_analysis(spec)
+    return _ensemble_times_numeric(_member_analysis(spec), spec.beta)
+
+
+def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
     dim = 1
     for member, _, _, _ in parts:
         dim *= member.spectrum.M ** member.count
@@ -309,7 +316,7 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
         mu2 = compose_rate_matrix([pm for _, pm in copies]).mu2
     else:
         S = _sparse_kronecker_sum([pm.S for _, pm in copies])
-        q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), spec.beta))
+        q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), beta))
         c = float(abs(S).sum(axis=1).max())
         residual = float(np.abs(S @ q).max())
         if residual > NULL_VECTOR_RTOL * c:

@@ -23,6 +23,7 @@ from thermotimes.cli import (
     modulated_gammas,
     sweep_records,
 )
+from thermotimes.ensemble import EnsembleSpec, ensemble_times_numeric
 from thermotimes.errors import ConfigError
 from thermotimes.model import QubitSystem, diagonalize, dipole_data, free_spin_chain, free_spin_system
 from thermotimes.qome import build_liouvillian, mixture_spectrum, qome_spectrum
@@ -222,7 +223,7 @@ def test_table1_checks_the_composite_size_before_anything_is_built(tmp_path, mon
     def refuse(*args, **kwargs):
         raise AssertionError("something was built")
 
-    for name in ("free_spin_chain", "diagonalize", "ensemble_times_numeric"):
+    for name in ("free_spin_chain", "diagonalize", "free_spin_system", "_ensemble_times_numeric"):
         monkeypatch.setattr(cli, name, refuse)
     # an explicit energy_tol, even an exact one, takes the composite route, capped at 6
     out = str(tmp_path / "t.csv")
@@ -251,6 +252,36 @@ def test_modulated_qome_at_an_explicit_tolerance_is_the_composites(tmp_path, ene
     assert record["qome_zero_multiplicity"] == ref.zero_multiplicity
     members = mixture_spectrum([free_spin_system(G) for G in modulated_gammas(3)], 1.0)
     assert (ref.tau_P, ref.tau_Q) != (members.tau_P, members.tau_Q)
+
+
+def test_modulated_members_at_n_are_the_first_n_at_13():
+    # the premise that lets one table share its members across the sizes
+    for N in range(1, 14):
+        assert modulated_gammas(13)[:N].tobytes() == modulated_gammas(N).tobytes()
+
+
+def fresh_spins(N):
+    return [free_spin_system(G) for G in modulated_gammas(N)]
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 100.0, 1e4])
+@pytest.mark.parametrize("energy_tol, max_qome_n", [(None, 5), (1.0, 4)])
+def test_table1_rows_equal_the_per_n_public_route(beta, energy_tol, max_qome_n):
+    # each row's shared members give what a fresh N-ensemble gives, bit for bit;
+    # at an explicit tolerance the QOME columns come from the composite register
+    rows = {row["N"]: row for row in cli.table1_rows(max_qome_n, energy_tol, beta)}
+    for N in range(1, 14):
+        times = ensemble_times_numeric(EnsembleSpec(members=fresh_spins(N), beta=beta))
+        assert (rows[N]["lba_num_tauP"], rows[N]["lba_num_tauQ"]) == (times.tau_P, times.tau_Q)
+    for N in range(1, max_qome_n + 1):
+        if energy_tol is None:
+            ref = mixture_spectrum(fresh_spins(N), beta)
+        else:
+            system = QubitSystem(K=N, H=free_spin_chain(modulated_gammas(N)))
+            spec = diagonalize(system)
+            L = build_liouvillian(spec, dipole_data(system, spec), beta, energy_tol=energy_tol)
+            ref = qome_spectrum(L)
+        assert (rows[N]["qome_tauP"], rows[N]["qome_tauQ"]) == (ref.tau_P, ref.tau_Q)
 
 
 def test_readme_config_examples_are_valid():
@@ -490,6 +521,75 @@ def test_main_exit_codes(tmp_path):
 def test_table1_energy_tol_follows_the_number_rule(tmp_path, energy_tol):
     out = str(tmp_path / "t.csv")
     assert main(["table1", "--max-qome-n", "2", "--energy-tol", energy_tol, "--out", out]) == 2
+
+
+def test_table1_max_qome_n_follows_the_number_rule(tmp_path, capsys):
+    # -1 ran with exit 0 as a table without the QOME columns
+    out = str(tmp_path / "t.csv")
+    assert main(["table1", "--max-qome-n", "-1", "--out", out]) == 2
+    assert "--max-qome-n" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["table1", "--max-qome-n", "0", "--out", out]) == 0
+    assert all(row["qome_tauP"] == "" for row in read_csv(out))
+
+
+def count_member_work(monkeypatch):
+    """Count member builds (``free_spin_system`` as the CLI calls it) and member
+    analyses (``thermal_rates`` as ``ensemble`` calls it)."""
+    calls = {"built": 0, "analysed": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "free_spin_system", counted("built", cli.free_spin_system))
+    monkeypatch.setattr(ensemble, "thermal_rates", counted("analysed", ensemble.thermal_rates))
+    return calls
+
+
+def test_table1_builds_and_analyses_each_member_once(monkeypatch):
+    # the modulated members at N are the first N at 13, so the rows share one
+    # build and one analysis
+    calls = count_member_work(monkeypatch)
+    cli.table1_rows(max_qome_n=5)
+    assert calls == {"built": 13, "analysed": 13}
+
+
+def test_analyze_builds_each_member_once(monkeypatch):
+    calls = count_member_work(monkeypatch)
+    analyze_records(RunConfig.from_dict({
+        "family": "free_spins_modulated", "N_list": [1, 2, 3, 4, 5, 6],
+        "methods": ["lba_numeric", "qome"],
+    }))
+    assert calls == {"built": 6, "analysed": 6}
+    calls.update(built=0, analysed=0)
+    analyze_records(RunConfig.from_dict({
+        "family": "free_spins_uniform", "Gamma": 1.0, "N_list": [1, 2, 3, 4, 5],
+        "methods": ["lba_analytic", "lba_numeric", "qome"],
+    }))
+    assert calls == {"built": 1, "analysed": 1}
+
+
+def test_members_are_built_only_when_a_method_reads_them(monkeypatch):
+    calls = count_member_work(monkeypatch)
+    analyze_records(RunConfig.from_dict({
+        "family": "free_spins_modulated", "N_list": [1, 100000], "methods": ["lba_analytic"],
+    }))
+    assert calls == {"built": 0, "analysed": 0}
+    # the QOME member route reads the spectra and dipoles, not the rates
+    analyze_records(RunConfig.from_dict({
+        "family": "free_spins_modulated", "N_list": [1, 2, 3, 4], "methods": ["qome"],
+    }))
+    assert calls == {"built": 4, "analysed": 0}
+    calls.update(built=0)
+    sweep_records(RunConfig.from_dict({
+        "family": "free_spins_uniform", "Gamma": 1.0, "N": 3, "Gamma_grid": [0.5, 2.0],
+        "methods": ["lba_numeric"],
+    }))
+    # one build per grid point, since Gamma changes there
+    assert calls == {"built": 2, "analysed": 2}
 
 
 IMPORT_PROBE = """
