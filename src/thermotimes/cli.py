@@ -204,25 +204,20 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
 
 def _run_members(config: RunConfig, N_max: int):
     """``members(N)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis`` parts,
-    built on the first call and analysed on the first that asks for parts. Gamma_i is set
-    by i alone, so modulated spins give the first N of N_max (``analysed=False``: their
-    ``(spectrum, dipole)`` pairs); a uniform or custom member gets count N."""
-    pairs, parts = [], []
+    built and analysed on the first call. Gamma_i is set by i alone, so modulated spins
+    give the first N of N_max; a uniform or custom member gets count N."""
+    parts = []
 
-    def members(N: int, analysed: bool = True) -> list:
-        if not pairs:
+    def members(N: int) -> list:
+        if not parts:
             if config.family == "custom_hamiltonian":
                 system = system_from_json(config.hamiltonian, gamma=config.gamma)
                 spec = diagonalize(system)
-                pairs.append((spec, dipole_data(system, spec)))
+                pairs = [(spec, dipole_data(system, spec))]
             elif config.family == "free_spins_uniform":
-                pairs.append(free_spin_system(config.Gamma, config.gamma))
+                pairs = [free_spin_system(config.Gamma, config.gamma)]
             else:
-                pairs.extend(free_spin_system(G, config.gamma)
-                             for G in _field_strengths(config, N_max))
-        if not analysed:
-            return pairs[:N]
-        if not parts:
+                pairs = [free_spin_system(G, config.gamma) for G in _field_strengths(config, N_max)]
             parts.extend(_member_analysis(EnsembleSpec(members=pairs, beta=config.beta)))
         if config.family == "free_spins_modulated":
             return parts[:N]
@@ -254,8 +249,8 @@ def _run_qome(config: RunConfig, N: int, members):
     # member frequencies over 1e6 tolerances apart up to N = 13).
     if config.family == "free_spins_modulated" and config.energy_tol is None:
         try:
-            return mixture_spectrum(members(N, analysed=False), config.beta,
-                                    tol_zero=config.tol_zero)
+            return mixture_spectrum([(m.spectrum, m.dipole) for m, *_ in members(N)],
+                                    config.beta, tol_zero=config.tol_zero)
         except ResonantMembers:
             pass
     if config.family == "free_spins_uniform":
@@ -270,9 +265,8 @@ def _run_qome(config: RunConfig, N: int, members):
 
 
 def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
-    """One record, from the run's shared ``members`` (``_run_members``). ``wall_s``
-    times the whole method, with any build or analysis of those members that this
-    record is the first to need; later records reuse them at no charge."""
+    """One record from the run's shared ``members`` (``_run_members``). ``wall_s`` times the
+    method, and the members' build and analysis if this record is the first to read them."""
     record = {"N": N, "method": method, "qome_zero_multiplicity": None, "wall_s": None}
     t0 = time.perf_counter()
     if method == "lba_analytic" and config.family in ("free_spins_uniform", "free_spins_modulated"):

@@ -135,8 +135,7 @@ class EnsembleTimes:
 
 
 def _member_analysis(spec: EnsembleSpec):
-    """Per-member (member, rates, pm, tt) tuples: what the bodies of the two routes,
-    ``_ensemble_times`` and ``_ensemble_times_numeric``, take."""
+    """Per-member (member, rates, pm, tt): the parts the two route bodies take."""
     out = []
     for member in spec.members:
         rates = thermal_rates(member.spectrum, member.dipole, spec.beta)

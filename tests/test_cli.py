@@ -578,12 +578,6 @@ def test_members_are_built_only_when_a_method_reads_them(monkeypatch):
         "family": "free_spins_modulated", "N_list": [1, 100000], "methods": ["lba_analytic"],
     }))
     assert calls == {"built": 0, "analysed": 0}
-    # the QOME member route reads the spectra and dipoles, not the rates
-    analyze_records(RunConfig.from_dict({
-        "family": "free_spins_modulated", "N_list": [1, 2, 3, 4], "methods": ["qome"],
-    }))
-    assert calls == {"built": 4, "analysed": 0}
-    calls.update(built=0)
     sweep_records(RunConfig.from_dict({
         "family": "free_spins_uniform", "Gamma": 1.0, "N": 3, "Gamma_grid": [0.5, 2.0],
         "methods": ["lba_numeric"],
