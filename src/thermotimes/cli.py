@@ -241,8 +241,8 @@ def _composite_system(config: RunConfig, N: int) -> QubitSystem:
 def _run_qome(config: RunConfig, N: int, members):
     """QOME spectrum of N members: modulated spins at the default tolerance go
     through their own generators unless two share a transition frequency,
-    identical spins through their total-spin sectors, every other ensemble
-    through the composite register."""
+    identical spins through their total-spin sectors under that route's own
+    size rule (N <= 14), every other ensemble through the composite register."""
     # An explicit tolerance can chain composite gaps or levels (dipole-free
     # ones too) that the premise, comparing member frequencies only, does not
     # see; the default one is far below such chains (the default law keeps the
@@ -254,7 +254,6 @@ def _run_qome(config: RunConfig, N: int, members):
         except ResonantMembers:
             pass
     if config.family == "free_spins_uniform":
-        _check_qome_size(2, N)
         return uniform_spin_spectrum(N, config.Gamma, config.beta, config.gamma,
                                      energy_tol=config.energy_tol, tol_zero=config.tol_zero)
     system = _composite_system(config, N)

@@ -177,7 +177,7 @@ class QubitSystem:
 
 @dataclass(frozen=True)
 class EnergySpectrum:
-    """Sorted energy levels together with the eigenbasis that produced them.
+    """M >= 1 sorted energy levels together with the eigenbasis that produced them.
 
     ``eigenbasis`` holds the eigenvectors as columns, expressed in the basis
     the Hamiltonian was written in. The energies are finite and ascending and
@@ -191,6 +191,7 @@ class EnergySpectrum:
     degeneracy_tol: float = 0.0
 
     def __post_init__(self):
+        _check_size("M", self.M)
         E = np.asarray(self.energies, dtype=float)
         U = np.asarray(self.eigenbasis, dtype=complex)
         if E.shape != (self.M,) or U.shape != (self.M, self.M):
@@ -218,10 +219,10 @@ class DipoleData:
     """Per-axis dipole transition amplitudes and the squared dipole matrix they give.
 
     d_x, d_y, d_z are the matrix elements of the collective spin components
-    in the system eigenbasis (Hermitian). D is derived from them, never
-    passed: D[m, n] = gamma * sum_h |d_h[m, n]|^2, symmetrized, with the
-    diagonal forced to zero: diagonal dipole transitions are forbidden in
-    first-order perturbation theory.
+    in the system eigenbasis (Hermitian, M x M with M >= 1). D is derived
+    from them, never passed: D[m, n] = gamma * sum_h |d_h[m, n]|^2,
+    symmetrized, with the diagonal forced to zero: diagonal dipole
+    transitions are forbidden in first-order perturbation theory.
     """
 
     d_x: np.ndarray
@@ -233,7 +234,7 @@ class DipoleData:
     def __post_init__(self):
         _check_positive("gamma", self.gamma)
         amps = [np.asarray(getattr(self, name), dtype=complex) for name in ("d_x", "d_y", "d_z")]
-        M = len(amps[0]) if amps[0].ndim else 0
+        M = _check_size("dipole dimension", len(amps[0]) if amps[0].ndim else 0)
         for name, d in zip(("d_x", "d_y", "d_z"), amps):
             if d.shape != (M, M):
                 raise DimensionMismatch(f"{name} has shape {d.shape}, expected {(M, M)}")

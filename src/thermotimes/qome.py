@@ -13,9 +13,10 @@ does not affect either characteristic time.
 The secular generator commutes with [H, .], so it is block diagonal by Bohr
 frequency (Buca & Prosen, NJP 14, 073007, 2012): the omega = 0 block holds the
 populations and fixes the dissipation time, the other blocks hold the
-coherences and fix the decoherence time. All blocks are gathered at once and
-solved by one batched eigensolve per size, a coherence block without its
--i omega diagonal so that its slow rates keep their own precision.
+coherences and fix the decoherence time. Only a block's dissipator is stored
+(its coherent part is -i omega times the identity), stacked with the blocks of
+its size; one batched eigensolve per stack, -i omega put on the eigenvalues
+after it, keeps slow coherence rates at their own precision.
 
 Identical spins in a uniform field take ``uniform_spin_spectrum``: on one copy
 of each total-spin sector J, counted d_J times (Chase & Geremia, PRA 78,
@@ -93,12 +94,13 @@ def _default_energy_tol(spread: float) -> float:
 class Liouvillian:
     """Generator of the quantum optical master equation, one block per Bohr frequency.
 
-    Element (m, n) of the density matrix sits at the row-major index m*M + n.
-    ``blocks`` holds one (omega, indices, matrix) entry per Bohr-frequency
-    class E_m - E_n = omega (omega exactly 0 for the populations), in
-    ascending omega: the indices of the class, ascending, and the generator on
-    them, a view into one array that holds every block; the Kronecker deltas
-    treat energies within ``energy_tol`` as equal.
+    Element (m, n) of the density matrix sits at the row-major index m*M + n,
+    and a Bohr-frequency class E_m - E_n = omega (omega exactly 0 for the
+    populations; energies within ``energy_tol`` count as equal) is one block.
+    A block's coherent part is -i omega times the identity, so ``blocks``
+    holds dissipators only: one (omegas, idx, stack) entry per block size s,
+    ascending, with the nb classes of that size in ascending omega, their
+    ascending indices idx (nb, s) and their dissipators stack (nb, s, s).
     """
 
     dim: int
@@ -113,10 +115,11 @@ class Liouvillian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense M^2 x M^2 generator, scattered from the blocks."""
+        """The dense M^2 x M^2 generator, scattered from the blocks, -i omega put back."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, idx, block in self.blocks:
-            out[np.ix_(idx, idx)] = block
+        for omegas, idx, stack in self.blocks:
+            out[idx[:, :, None], idx[:, None, :]] = stack
+            out[idx, idx] += -1.0j * omegas[:, None]
         return out
 
 
@@ -126,16 +129,16 @@ def build_liouvillian(
     beta: float,
     energy_tol: Optional[float] = None,
 ) -> Liouvillian:
-    """Assemble the quantum optical master equation generator, all blocks in one pass.
+    """Assemble the quantum optical master equation generator, one stack per block size.
 
-    A stable sort groups the indices by block and one gather yields all their
-    entries, with no loop over blocks. The spectrum may be degenerate. Within a
-    Bohr-frequency class the dissipator consists of two escape sums gated by
-    equality of level energies and a feeding term gated by equality of
-    transition frequencies, all with the blackbody weight W~ and the squared
-    coupling gamma carried by the dipole data; the coherent part is -i omega.
-    Coefficients are evaluated on per-class representative energies, so gating
-    and weights never disagree.
+    A stable sort by (class size, class id) lines the Bohr classes up by size,
+    and each size is built at once over (nb, s, s), with no loop over blocks.
+    The spectrum may be degenerate. Within a Bohr-frequency class the
+    dissipator consists of two escape sums gated by equality of level
+    energies and a feeding term gated by equality of transition frequencies,
+    all with the blackbody weight W~ and the squared coupling gamma carried by
+    the dipole data. Coefficients are evaluated on per-class representative
+    energies, so gating and weights never disagree.
     """
     _check_beta(beta)
     M = spec.M
@@ -159,36 +162,28 @@ def build_liouvillian(
     Phi *= gamma
     Phi_gated = Phi * (lev_ids[:, None] == lev_ids[None, :])
 
-    # one block per Bohr class
-    order = np.argsort(gap_ids.ravel(), kind="stable")
-    _, starts, sizes = np.unique(gap_ids.ravel()[order], return_index=True, return_counts=True)
-    # all entries at once: entry p of row r (the r-th sorted index) reads column p - shift[r];
-    # row (m, n) receives from column (k, j), gathered by the flat indices mm = (m, k), nn = (n, j)
-    m, n = np.divmod(order, M)
-    width = np.repeat(sizes, sizes)
-    shift = np.cumsum(width) - width - np.repeat(starts, sizes)
-    col = np.arange(width.sum()) - np.repeat(shift, width)
-    mm, nn = np.repeat(m * M, width) + m[col], np.repeat(n * M, width) + n[col]
-    same = np.eye(M, dtype=bool).ravel()  # same[mm] is m == k
-    # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
-    # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
-    # complex products like the dense outer product einsum("mk,nj->mnkj")
-    entries = np.zeros(len(col), dtype=complex)
-    for d in dip.amplitudes:
-        entries += gamma * np.einsum("i,i->i", (d * Wt).ravel()[mm], np.conj(d).ravel()[nn])
-    entries *= gap_ids.T.ravel()[mm] == gap_ids.T.ravel()[nn]
-    entries -= 0.5 * Phi_gated.T.ravel()[mm] * same[nn]
-    entries -= 0.5 * Phi_gated.conj().T.ravel()[nn] * same[mm]
-    entries[np.arange(M * M) + shift] += -1.0j * gap_rep.ravel()[order]  # the diagonals
-    omegas, ends = gap_rep.ravel()[order[starts]], np.cumsum(sizes * sizes)
-    blocks = tuple(
-        (omega, order[start:start + size], entries[end - size * size:end].reshape(size, size))
-        for omega, start, size, end in zip(*(x.tolist() for x in (omegas, starts, sizes, ends)))
-    )
+    ids = gap_ids.ravel()
+    size = np.bincount(ids)[ids]
+    order = np.lexsort((ids, size))  # by class size, then class id; each class ascending
+    blocks = []
+    for s in sorted(set(size.tolist())):
+        idx = order[size[order] == s].reshape(-1, s)
+        # row (m, n) of a block receives from column (k, j)
+        (m, n), (k, j) = np.divmod(idx[:, :, None], M), np.divmod(idx[:, None, :], M)
+        # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
+        # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
+        # complex products like the dense outer product einsum("mk,nj->mnkj")
+        stack = np.zeros(idx.shape + (s,), dtype=complex)
+        for d in dip.amplitudes:
+            stack += gamma * np.einsum("...,...->...", (d * Wt)[m, k], np.conj(d)[n, j])
+        stack *= gap_ids.T[m, k] == gap_ids.T[n, j]
+        stack -= 0.5 * Phi_gated.T[m, k] * (n == j)
+        stack -= 0.5 * Phi_gated.conj().T[n, j] * (m == k)
+        blocks.append((gap_rep.ravel()[idx[:, 0]], idx, stack))
 
     return Liouvillian(
         dim=M * M,
-        blocks=blocks,
+        blocks=tuple(blocks),
         energies=E.copy(),
         energy_tol=float(energy_tol),
         beta=float(beta),
@@ -222,8 +217,9 @@ class LiouvillianSpectrum:
     tau_Q comes from the eigenvalue of smallest |Re| in the omega != 0
     blocks. tau_Q is None when there is no such block and infinite when the
     slowest oscillatory mode is undamped. ``eigenvalues`` lists the block
-    spectra in block order, each once; the two multiplicities count every
-    eigenvalue d_J d_J' times on the total-spin route, once on any other (exact ints).
+    spectra in block order (``Liouvillian.blocks`` stack by stack), each once;
+    the two multiplicities count every eigenvalue d_J d_J' times on the
+    total-spin route, once on any other (exact ints).
     """
 
     eigenvalues: np.ndarray
@@ -238,24 +234,17 @@ class LiouvillianSpectrum:
 def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpectrum:
     """Diagonalize the Liouvillian per block size and extract the characteristic times.
 
-    Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
+    One batched eigensolve per stack, -i omega put on the eigenvalues after
+    it. Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
     eigenvalue (e.g. a decoupled system), and NonPositiveField unless
     ``tol_zero`` is finite and > 0; a missing oscillatory block is reported
     as tau_Q = None.
     """
     _check_positive("tol_zero", tol_zero)
-    omegas, sizes = map(np.array, zip(*((omega, len(idx)) for omega, idx, _ in L.blocks)))
-    ev = np.empty(sizes.sum(), dtype=complex)
-    # one batched eigensolve per block size, eigenvalues put back in block order;
-    # a coherence block is solved with its -i omega diagonal taken out, so that a
-    # slow rate is not lost to round-off of |omega| (the populations go as they are)
-    for size in np.unique(sizes):
-        k = np.flatnonzero(sizes == size)
-        stack = np.stack([L.blocks[i][2] for i in k])
-        osc, diag, shift = np.flatnonzero(omegas[k]), np.arange(size), 1j * omegas[k, None]
-        stack[osc[:, None], diag, diag] += shift[osc]
-        ev[(np.cumsum(sizes) - size)[k, None] + diag] = np.linalg.eigvals(stack) - shift
-    return _classify(ev, np.repeat(omegas == 0.0, sizes), np.ones(len(ev), dtype=int), tol_zero)
+    ev = np.concatenate([(np.linalg.eigvals(stack) - 1j * omegas[:, None]).ravel()
+                         for omegas, _, stack in L.blocks])
+    static = np.concatenate([np.repeat(omegas == 0.0, idx.shape[1]) for omegas, idx, _ in L.blocks])
+    return _classify(ev, static, np.ones(len(ev), dtype=int), tol_zero)
 
 
 def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
@@ -309,7 +298,8 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     eigenvalues, -i omega put back, count d_J d_J' times and are classified as
     by :func:`qome_spectrum`. Levels lie 2 Gamma apart: an ``energy_tol`` >=
     2 Gamma merges them all and the generator vanishes (NoDissipativeEigenvalue);
-    any smaller one gives the default numbers. Size rule as ``build_liouvillian``.
+    any smaller one gives the default numbers. Size rule as ``build_liouvillian``,
+    on the sum of the sector sizes: at most 64 levels, N <= 14.
     """
     N = _check_size("N", N)
     _check_positive("Gamma", Gamma)

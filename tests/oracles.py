@@ -270,34 +270,35 @@ def spin_sector_system(N, Gamma, gamma=1.0):
 
 
 def sector_blocks(N, Gamma, beta, gamma=1.0, energy_tol=None):
-    """(omega, weight, block) of every Bohr block of the sector system, split by sector pair.
+    """(omega, weight, dissipator) of every Bohr block of the sector system, split by sector pair.
 
     The gathered generator of ``spin_sector_system`` is cut, one sector pair
     (J, J') at a time, into the parts of each Bohr block; the cut is exact
     (checked: no entry couples two sector pairs) and each part counts
-    d_J d_J' times in the 2^N register.
+    d_J d_J' times in the 2^N register. Like the blocks, a part leaves out
+    the coherent -i omega.
     """
     spec, dip, (level_sector, mult) = spin_sector_system(N, Gamma, gamma)
     L = build_liouvillian(spec, dip, beta, energy_tol=energy_tol)
     out = []
-    for omega, idx, block in L.blocks:
-        m, n = np.divmod(idx, spec.M)
-        pair = level_sector[m] * len(mult) + level_sector[n]
-        for p in np.unique(pair):
-            mask = pair == p
-            assert not block[np.ix_(mask, ~mask)].any()
-            out.append((omega, mult[p // len(mult)] * mult[p % len(mult)],
-                        block[np.ix_(mask, mask)]))
+    for omegas, idxs, stack in L.blocks:
+        for omega, idx, block in zip(omegas, idxs, stack):
+            m, n = np.divmod(idx, spec.M)
+            pair = level_sector[m] * len(mult) + level_sector[n]
+            for p in np.unique(pair):
+                mask = pair == p
+                assert not block[np.ix_(mask, ~mask)].any()
+                out.append((omega, mult[p // len(mult)] * mult[p % len(mult)],
+                            block[np.ix_(mask, mask)]))
     return out
 
 
 def sector_eigenvalues(N, Gamma, beta, gamma=1.0, energy_tol=None):
     """Eigenvalues, omega = 0 mask and weights of ``sector_blocks``, one ``eigvals``
-    per block; a coherence block is solved without its -i omega diagonal."""
+    per block, -i omega put on the eigenvalues."""
     ev, static, weight = [], [], []
     for omega, w, block in sector_blocks(N, Gamma, beta, gamma, energy_tol):
-        shift = 1j * omega * np.eye(len(block))
-        ev.append(np.linalg.eigvals(block + shift) - 1j * omega)
+        ev.append(np.linalg.eigvals(block) - 1j * omega)
         static += [omega == 0.0] * len(block)
         weight += [w] * len(block)
     return np.concatenate(ev), np.array(static), np.array(weight, dtype=object)

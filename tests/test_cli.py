@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from thermotimes import cli, ensemble, model
+from thermotimes import cli, ensemble, model, qome
 from thermotimes.cli import (
     RunConfig,
     analyze_records,
@@ -26,7 +26,12 @@ from thermotimes.cli import (
 from thermotimes.ensemble import EnsembleSpec, ensemble_times_numeric
 from thermotimes.errors import ConfigError
 from thermotimes.model import QubitSystem, diagonalize, dipole_data, free_spin_chain, free_spin_system
-from thermotimes.qome import build_liouvillian, mixture_spectrum, qome_spectrum
+from thermotimes.qome import (
+    build_liouvillian,
+    mixture_spectrum,
+    qome_spectrum,
+    uniform_spin_spectrum,
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -142,7 +147,8 @@ def test_malformed_numbers_are_config_errors(tmp_path, command, extra, key):
 
 
 @pytest.mark.parametrize("raw, builder", [
-    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 12}, "uniform_spin_spectrum"),
+    # 72 sector levels: the route's own rule (at most 64) refuses N = 15
+    ({"family": "free_spins_uniform", "Gamma": 1.0, "N": 15}, "_spin_pairs"),
     ({"family": "custom_hamiltonian", "N": 4,
       "hamiltonian": {"dim": 4, "re": np.diag([0.0, 1.0, 2.5, 4.2]).tolist()}},
      "_kronecker_sum"),
@@ -151,7 +157,7 @@ def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, ra
     def refuse(*args, **kwargs):
         raise AssertionError(f"{builder} was reached before the size check")
 
-    monkeypatch.setattr(cli, builder, refuse)
+    monkeypatch.setattr({"_spin_pairs": qome, "_kronecker_sum": cli}[builder], builder, refuse)
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["qome"]})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
 
@@ -192,6 +198,24 @@ def test_uniform_qome_never_builds_the_composite(tmp_path, monkeypatch):
         records = json.load(fh)["records"]
     assert [r["qome_zero_multiplicity"] for r in records] == [1, 2, 5, 14, 42, 132]
     assert all(r["tau_P"] == pytest.approx(0.0476, abs=1e-4) for r in records)
+
+
+def test_uniform_qome_takes_its_own_size_rule(tmp_path):
+    # the sector route holds N <= 14 (64 levels); the 2^N register cap of the
+    # composite stopped it at N = 6
+    cfg = write_config(tmp_path, "c.json", {
+        "family": "free_spins_uniform", "Gamma": 1.0, "N_list": [7, 14],
+        "methods": ["qome"], "output": "json",
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", "--config", cfg, "--out", out]) == 0
+    with open(out) as fh:
+        records = json.load(fh)["records"]
+    for record, N in zip(records, (7, 14)):
+        want = uniform_spin_spectrum(N, 1.0, 1.0)
+        assert (record["tau_P"], record["tau_Q"], record["qome_zero_multiplicity"]) == (
+            want.tau_P, want.tau_Q, want.zero_multiplicity)
+    assert [r["qome_zero_multiplicity"] for r in records] == [429, 2674440]
 
 
 def test_modulated_qome_never_builds_the_composite(tmp_path, monkeypatch):
@@ -504,7 +528,7 @@ def test_main_exit_codes(tmp_path):
     assert main(["analyze", "--config", bad]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
     capped = write_config(tmp_path, "capped.json", {
-        "family": "free_spins_uniform", "Gamma": 1.0, "N": 7, "beta": 1.0,
+        "family": "free_spins_uniform", "Gamma": 1.0, "N": 15, "beta": 1.0,
         "methods": ["qome"],
     })
     assert main(["analyze", "--config", capped,

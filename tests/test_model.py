@@ -376,6 +376,16 @@ def test_empty_products_are_refused():
         total_spin_operator(0, "x")
 
 
+def test_empty_systems_are_refused_by_the_size_rule():
+    # both stopped in a raw ValueError from the max of an empty unitarity or
+    # Hermiticity defect
+    with pytest.raises(DimensionMismatch, match="M must be an integer >= 1, got 0"):
+        EnergySpectrum(M=0, energies=[], eigenbasis=np.zeros((0, 0)))
+    empty = np.zeros((0, 0), dtype=complex)
+    with pytest.raises(DimensionMismatch, match="dimension must be an integer >= 1, got 0"):
+        DipoleData(d_x=empty, d_y=empty, d_z=empty)
+
+
 def test_system_from_json_roundtrip():
     H = np.array([[0.0, 1.0], [1.0, 0.5]])
     sys_ = system_from_json({"dim": 2, "re": H.tolist()}, gamma=2.0)
