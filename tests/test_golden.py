@@ -12,8 +12,13 @@ number must keep every byte. ``lba_numeric_lanczos.json`` holds, as ``repr``
 strings, tau_P and tau_Q of ``ensemble_times_numeric`` on products above
 DENSE_EIG_LIMIT (the Lanczos branch): modulated spins N = 7..13 at five
 temperatures, uniform spins at N = 11 and five copies of a random three-level
-member, compared bit for bit. Those bits also depend on the BLAS dot kernel
-and the LAPACK build: the file was made with Python 3.11.7, numpy 2.4.6 and
+member, compared bit for bit. ``dense_and_uniform.json`` pins, the same way,
+the dense branch (products up to DENSE_EIG_LIMIT: modulated and uniform spins
+at N = 2..6 and one to three copies of the random three-level member, each at
+five temperatures) and ``uniform_spin_spectrum`` (tau_P, tau_Q and both
+multiplicities for N = 1..8 on a beta x Gamma grid that reaches
+beta Gamma = 1e5). Those bits also depend on the BLAS dot kernel and the
+LAPACK build: both files were made with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
 regenerated with any other numpy or scipy. To regenerate the goldens after a
 change that is meant to move a number, run
@@ -33,6 +38,7 @@ import pytest
 from thermotimes.cli import TABLE1_COLUMNS, main, modulated_gammas
 from thermotimes.ensemble import EnsembleMember, EnsembleSpec, ensemble_times_numeric
 from thermotimes.model import free_spin_system
+from thermotimes.qome import uniform_spin_spectrum
 
 from oracles import synthetic_system
 
@@ -102,13 +108,49 @@ CASES = {
 
 
 LANCZOS_GOLDEN = GOLDEN / "lba_numeric_lanczos.json"
+DENSE_UNIFORM_GOLDEN = GOLDEN / "dense_and_uniform.json"
+
+#: The temperatures of both full-precision pins.
+BETAS = (1e-3, 1.0, 12.0, 100.0, 1e4)
+
+
+def _times(specs: dict) -> dict:
+    times = {name: ensemble_times_numeric(spec) for name, spec in specs.items()}
+    return {name: {"tau_P": repr(t.tau_P), "tau_Q": repr(t.tau_Q)} for name, t in times.items()}
+
+
+def dense_and_uniform_times() -> dict:
+    """repr times of ``dense_and_uniform.json``: the dense branch of ``ensemble_times_numeric``
+    and ``uniform_spin_spectrum``, with its two multiplicities."""
+    specs = {}
+    for beta in BETAS:
+        for N in range(2, 7):
+            members = tuple(EnsembleMember(*free_spin_system(G)) for G in modulated_gammas(N))
+            specs[f"modulated N={N} beta={beta!r}"] = EnsembleSpec(members, beta=beta)
+            specs[f"uniform N={N} beta={beta!r}"] = EnsembleSpec(
+                (EnsembleMember(*free_spin_system(1.0), count=N),), beta=beta)
+        spec, dip = synthetic_system(np.random.default_rng(7), 3)
+        for count in (1, 2, 3):
+            specs[f"random M=3 x {count} beta={beta!r}"] = EnsembleSpec(
+                (EnsembleMember(spec, dip, count=count),), beta=beta)
+    out = _times(specs)
+    for N in range(1, 9):
+        for beta in BETAS:
+            for Gamma in (1e-3, 1.0, 10.0):
+                s = uniform_spin_spectrum(N, Gamma, beta)
+                out[f"uniform_spin_spectrum N={N} beta={beta!r} Gamma={Gamma!r}"] = {
+                    "tau_P": repr(s.tau_P), "tau_Q": repr(s.tau_Q),
+                    "zero_multiplicity": s.zero_multiplicity,
+                    "tau_P_multiplicity": s.tau_P_multiplicity,
+                }
+    return out
 
 
 def lanczos_times() -> dict:
     """repr tau_P and tau_Q of the Lanczos-sized ensembles of ``lba_numeric_lanczos.json``."""
     specs = {}
     for N in range(7, 14):
-        for beta in (1e-3, 1.0, 12.0, 100.0, 1e4):
+        for beta in BETAS:
             members = tuple(EnsembleMember(*free_spin_system(G)) for G in modulated_gammas(N))
             specs[f"modulated N={N} beta={beta!r}"] = EnsembleSpec(members, beta=beta)
     specs["uniform N=11 beta=1.0"] = EnsembleSpec(
@@ -116,8 +158,7 @@ def lanczos_times() -> dict:
     spec, dip = synthetic_system(np.random.default_rng(7), 3)
     specs["random M=3 x 5 beta=1.0"] = EnsembleSpec(
         (EnsembleMember(spec, dip, count=5),), beta=1.0)
-    times = {name: ensemble_times_numeric(spec) for name, spec in specs.items()}
-    return {name: {"tau_P": repr(t.tau_P), "tau_Q": repr(t.tau_Q)} for name, t in times.items()}
+    return _times(specs)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -129,6 +170,10 @@ def test_lanczos_times_match_golden():
     assert lanczos_times() == json.loads(LANCZOS_GOLDEN.read_text())
 
 
+def test_dense_and_uniform_times_match_golden():
+    assert dense_and_uniform_times() == json.loads(DENSE_UNIFORM_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -137,5 +182,7 @@ if __name__ == "__main__":
         for name, build in CASES.items():
             (GOLDEN / name).write_bytes(build(Path(tmp)))
             print(GOLDEN / name, file=sys.stderr)
-    LANCZOS_GOLDEN.write_text(json.dumps(lanczos_times(), indent=1) + "\n")
-    print(LANCZOS_GOLDEN, file=sys.stderr)
+    for path, times in ((LANCZOS_GOLDEN, lanczos_times),
+                        (DENSE_UNIFORM_GOLDEN, dense_and_uniform_times)):
+        path.write_text(json.dumps(times(), indent=1) + "\n")
+        print(path, file=sys.stderr)
