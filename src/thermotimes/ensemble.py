@@ -288,7 +288,8 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     """Verification path: explicit product-space rate matrix and escape rates.
 
     mu2 comes from the symmetrized Kronecker-sum matrix S. Up to
-    DENSE_EIG_LIMIT it is the ``mu2`` of :func:`compose_rate_matrix`.
+    DENSE_EIG_LIMIT it is the second eigenvalue of S, built dense and alone
+    (without the A, product energies and Gibbs state of :func:`compose_rate_matrix`).
     Above it, S is built sparse, and detailed balance gives it the exact null
     vector q = sqrt(Gibbs); adding c q q^T, with c the largest absolute row
     sum of S (a Gershgorin bound), lifts that zero above the spectrum, and
@@ -304,15 +305,13 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
 
 
 def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
-    dim = 1
-    for member, _, _, _ in parts:
-        dim *= member.spectrum.M ** member.count
+    dim = math.prod(member.spectrum.M ** member.count for member, _, _, _ in parts)
     if dim > NUMERIC_CAP:
         raise CapExceeded(f"product dimension {dim} exceeds cap {NUMERIC_CAP}")
 
     copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
     if dim <= DENSE_EIG_LIMIT:
-        mu2 = compose_rate_matrix([pm for _, pm in copies]).mu2
+        mu2 = float(np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))[1])
     else:
         S = _sparse_kronecker_sum([pm.S for _, pm in copies])
         q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), beta))

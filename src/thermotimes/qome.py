@@ -318,18 +318,18 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     off = 2 * gamma * np.sqrt(w_dn) * np.sqrt(w_up) * ladder  # of (m, n) to (m - 1, n - 1)
     lam = np.empty(len(bohr))
     for rows in blocks:  # one eigvalsh per block size; it reads the lower triangle
-        r = np.arange(rows.shape[1])
-        T = np.zeros(rows.shape + r.shape)
-        T[:, r, r], T[:, r[1:], r[:-1]] = diag[rows], off[rows[:, 1:]]
-        lam[rows] = np.linalg.eigvalsh(T)
+        nb, s = rows.shape  # of each flat s x s row, fill the diagonal and the subdiagonal
+        T = np.zeros((nb, s * s))
+        T[:, ::s + 1], T[:, s::s + 1] = diag[rows], off[rows[:, 1:]]
+        lam[rows] = np.linalg.eigvalsh(T.reshape(nb, s, s))
     omega = Gamma * bohr  # E_m - E_n
     return _classify(lam - 1j * omega, omega == 0.0, weight, tol_zero)
 
 
 def _spin_pairs(N: int) -> tuple:
-    """The level pairs (m, n) of ``uniform_spin_spectrum`` in block order, which depend
-    on N alone: the pair indices of each block size, c_J(m)^2 + c_J'(n)^2,
-    c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m) and d_J d_J' (Python ints)."""
+    """The level pairs (m, n) of ``uniform_spin_spectrum`` in block order, which depend on
+    N alone: the pair indices of each block size 1..N + 1 (sector J = N/2 has them all),
+    c_J(m)^2 + c_J'(n)^2, c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m), d_J d_J' (int)."""
     two_J, S = np.arange(N, -1, -2), N // 2 + 1
     mult = [math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in range(S)]
     # every level (sector s, 2m = 2J, 2J - 2, ..., -2J), then every level pair by block and m
@@ -342,7 +342,7 @@ def _spin_pairs(N: int) -> tuple:
     _, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
     tJ = two_J[s]  # 4 c_J(m)^2 and 4 c_J(m-1)^2 of every level, exact integers:
     rise, fall = tJ * (tJ + 2) - tm * (tm + 2), tJ * (tJ + 2) - tm * (tm - 2)
-    blocks = tuple(starts[counts == size, None] + np.arange(size) for size in np.unique(counts))
+    blocks = tuple(starts[counts == size, None] + np.arange(size) for size in range(1, N + 2))
     weight = np.array([da * db for da in mult for db in mult], dtype=object)[s[i] * S + s[j]]
     return (blocks, (rise[i] + rise[j]) / 4, (fall[i] + fall[j]) / 4,
             np.sqrt(fall[i] * fall[j]) / 4, tm[j] - tm[i], weight)
@@ -354,7 +354,7 @@ def _check_member_premise(spectra: Sequence[EnergySpectrum], energy_tol: float) 
     them) of one member lies within ``energy_tol`` of one of another member.
     Otherwise ResonantMembers names the closest such pair and its distance.
     """
-    freqs = [np.unique(rep[rep > 0.0]) for rep in
+    freqs = [np.sort(list(set(rep[rep > 0.0].tolist()))) for rep in
              (_gap_structure(spec.energies, energy_tol)[2] for spec in spectra)]
     f = np.concatenate(freqs)
     order = np.argsort(f, kind="stable")

@@ -557,20 +557,38 @@ def test_table1_max_qome_n_follows_the_number_rule(tmp_path, capsys):
     assert all(row["qome_tauP"] == "" for row in read_csv(out))
 
 
+def counted(calls, key, fn):
+    """``fn``, adding one to ``calls[key]`` on each call."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def count_member_work(monkeypatch):
     """Count member builds (``free_spin_system`` as the CLI calls it) and member
     analyses (``thermal_rates`` as ``ensemble`` calls it)."""
     calls = {"built": 0, "analysed": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(cli, "free_spin_system", counted("built", cli.free_spin_system))
-    monkeypatch.setattr(ensemble, "thermal_rates", counted("analysed", ensemble.thermal_rates))
+    monkeypatch.setattr(cli, "free_spin_system", counted(calls, "built", cli.free_spin_system))
+    monkeypatch.setattr(ensemble, "thermal_rates",
+                        counted(calls, "analysed", ensemble.thermal_rates))
     return calls
+
+
+def test_dense_lba_numeric_record_builds_s_alone(monkeypatch):
+    # below DENSE_EIG_LIMIT a record builds the dense S once and reads its second
+    # eigenvalue: no composed rate matrix A, product energies or Gibbs state
+    config = RunConfig.from_dict({"family": "free_spins_modulated", "N_list": [6], "beta": 1.0,
+                                  "methods": ["lba_numeric"]})
+    members = cli._run_members(config, 6)
+    members(6)  # the shared build and analysis, which the record does not repeat
+    calls = dict.fromkeys(("_kronecker_sum", "compose_rate_matrix", "gibbs_state"), 0)
+    for name in calls:
+        monkeypatch.setattr(ensemble, name, counted(calls, name, getattr(ensemble, name)))
+    record = cli._run_method(config, 6, "lba_numeric", members)
+    assert calls == {"_kronecker_sum": 1, "compose_rate_matrix": 0, "gibbs_state": 0}
+    assert record["tau_P"] == ensemble_times_numeric(EnsembleSpec(
+        tuple(free_spin_system(G) for G in modulated_gammas(6)), beta=1.0)).tau_P
 
 
 def test_table1_builds_and_analyses_each_member_once(monkeypatch):
@@ -612,11 +630,12 @@ def test_members_are_built_only_when_a_method_reads_them(monkeypatch):
 
 IMPORT_PROBE = """
 import json, sys
-loaded = ["scipy" in sys.modules]
+module = sys.argv[1]
+loaded = [module in sys.modules]
 from thermotimes.cli import RunConfig, analyze_records
-for config in json.loads(sys.argv[1]):
+for config in json.loads(sys.argv[2]):
     analyze_records(RunConfig.from_dict(config))
-    loaded.append("scipy" in sys.modules)
+    loaded.append(module in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -632,18 +651,30 @@ def run_fresh(probe, *args):
     return json.loads(done.stdout)
 
 
-def scipy_loaded_after(configs):
-    """Whether scipy is in sys.modules after importing thermotimes and after each analyze run."""
-    return run_fresh(IMPORT_PROBE, json.dumps(configs))
+def loaded_after(module, configs):
+    """Whether ``module`` is in sys.modules after importing thermotimes and after each
+    analyze run."""
+    return run_fresh(IMPORT_PROBE, module, json.dumps(configs))
+
+
+UNIFORM_ALL_METHODS = {"family": "free_spins_uniform", "Gamma": 1.0, "beta": 1.0,
+                       "N_list": [1, 2, 3, 4, 5],
+                       "methods": ["lba_analytic", "lba_numeric", "qome"]}
 
 
 def test_scipy_loads_only_for_large_products():
-    uniform = {"family": "free_spins_uniform", "Gamma": 1.0, "beta": 1.0,
-               "N_list": [1, 2, 3, 4, 5], "methods": ["lba_analytic", "lba_numeric", "qome"]}
     modulated = {"family": "free_spins_modulated", "beta": 1.0, "methods": ["lba_numeric"]}
-    assert scipy_loaded_after([uniform, dict(modulated, N=6)]) == [False, False, False]
+    assert loaded_after("scipy", [UNIFORM_ALL_METHODS, dict(modulated, N=6)]) == [False] * 3
     # 2^7 = 128 > DENSE_EIG_LIMIT: the Lanczos branch imports scipy, so the probe is live
-    assert scipy_loaded_after([dict(modulated, N=7)]) == [False, True]
+    assert loaded_after("scipy", [dict(modulated, N=7)]) == [False, True]
+
+
+def test_qome_routes_never_load_numpy_ma():
+    # a flagless np.unique imports numpy.ma (about 8 ms in a fresh process); neither the
+    # uniform sector route nor the modulated member route may reach one
+    member_route = {"family": "free_spins_modulated", "beta": 1.0, "N_list": [1, 2, 3, 4, 5],
+                    "methods": ["qome"]}
+    assert loaded_after("numpy.ma", [UNIFORM_ALL_METHODS, member_route]) == [False] * 3
 
 
 TABLE1_PROBE = """

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermotimes import ensemble, model
@@ -196,6 +196,36 @@ def test_numeric_path_matches_analytic():
     analytic = free_spins_times(Gs, beta=1.0)
     assert numeric.tau_P == pytest.approx(analytic.tau_P, rel=1e-9)
     assert numeric.tau_Q == pytest.approx(analytic.tau_Q, rel=1e-12)
+
+
+@st.composite
+def dense_species(draw):
+    """One or two (M, count) species of ``synthetic_system`` members whose product
+    has dimension at most DENSE_EIG_LIMIT."""
+    species, room = [], ensemble.DENSE_EIG_LIMIT
+    for _ in range(draw(st.integers(1, 2))):
+        if room < 2:
+            break
+        M = draw(st.integers(2, min(room, 6)))
+        count = draw(st.integers(1, max(n for n in range(1, 7) if M**n <= room)))
+        species.append((M, count))
+        room //= M**count
+    return species
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), species=dense_species(),
+       log_beta=st.floats(min_value=-3.0, max_value=4.0))
+@example(seed=7, species=[(3, 1)], log_beta=0.0)  # one member, one copy
+def test_dense_branch_is_the_mu2_of_compose_rate_matrix(seed, species, log_beta):
+    # the dense branch builds S alone; its tau_P must be that of the composed A, bit for bit
+    rng, beta = np.random.default_rng(seed), 10.0 ** log_beta
+    members = tuple(EnsembleMember(*synthetic_system(rng, M), count=n) for M, n in species)
+    assert math.prod(M ** n for M, n in species) <= ensemble.DENSE_EIG_LIMIT
+    pms = [pauli_matrix(thermal_rates(m.spectrum, m.dipole, beta), m.spectrum)
+           for m in members for _ in range(m.count)]
+    tau_P = ensemble_times_numeric(EnsembleSpec(members, beta=beta)).tau_P
+    assert tau_P.hex() == (1.0 / compose_rate_matrix(pms).mu2).hex()
 
 
 def test_numeric_path_respects_cap(monkeypatch):
