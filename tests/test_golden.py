@@ -17,7 +17,12 @@ the dense branch (products up to DENSE_EIG_LIMIT: modulated and uniform spins
 at N = 2..6 and one to three copies of the random three-level member, each at
 five temperatures) and ``uniform_spin_spectrum`` (tau_P, tau_Q and both
 multiplicities for N = 1..8 on a beta x Gamma grid that reaches
-beta Gamma = 1e5). Those bits also depend on the BLAS dot kernel and the
+beta Gamma = 1e5). ``closed_forms.json`` pins ``free_spins_times`` on
+``modulated_gammas``: the ``.hex()`` of tau_P, tau_Q, B_min_total and
+min_second_gap and a SHA-256 of per_member_mu2 (and of the field strengths)
+for N from 1 to 10^5, across the slice size of 8192, for two field laws,
+four temperatures and two couplings, and for two inputs whose times are NaN.
+Those bits also depend on the BLAS dot kernel and the
 LAPACK build: both files were made with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
 regenerated with any other numpy or scipy. To regenerate the goldens after a
@@ -27,6 +32,7 @@ change that is meant to move a number, run
 """
 
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -36,7 +42,12 @@ import numpy as np
 import pytest
 
 from thermotimes.cli import TABLE1_COLUMNS, main, modulated_gammas
-from thermotimes.ensemble import EnsembleMember, EnsembleSpec, ensemble_times_numeric
+from thermotimes.ensemble import (
+    EnsembleMember,
+    EnsembleSpec,
+    ensemble_times_numeric,
+    free_spins_times,
+)
 from thermotimes.model import free_spin_system
 from thermotimes.qome import uniform_spin_spectrum
 
@@ -109,6 +120,7 @@ CASES = {
 
 LANCZOS_GOLDEN = GOLDEN / "lba_numeric_lanczos.json"
 DENSE_UNIFORM_GOLDEN = GOLDEN / "dense_and_uniform.json"
+CLOSED_FORMS_GOLDEN = GOLDEN / "closed_forms.json"
 
 #: The temperatures of both full-precision pins.
 BETAS = (1e-3, 1.0, 12.0, 100.0, 1e4)
@@ -146,6 +158,41 @@ def dense_and_uniform_times() -> dict:
     return out
 
 
+def _sha256(values: np.ndarray) -> str:
+    assert values.dtype == np.float64
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def _closed_form_bits(t) -> dict:
+    return {"tau_P": t.tau_P.hex(), "tau_Q": t.tau_Q.hex(), "B_min_total": t.B_min_total.hex(),
+            "min_second_gap": t.min_second_gap.hex(), "per_member_mu2": _sha256(t.per_member_mu2)}
+
+
+def closed_forms_times() -> dict:
+    """Bits of ``closed_forms.json``: ``free_spins_times`` on ``modulated_gammas`` on each
+    side of the 8192-spin slice, and two NaN cases (a cube that overflows against an
+    exponential that underflows, and a field and temperature whose product underflows)
+    with the offending spin in the second slice."""
+    laws = {"default": {}, "base=2 amplitude=1.3 frequency=0.7":
+            {"base": 2.0, "amplitude": 1.3, "frequency": 0.7}}
+    out = {}
+    for N in (1, 5, 13, 100, 8191, 8192, 8193, 10**4, 10**5):
+        for name, law in laws.items():
+            G = modulated_gammas(N, **law)
+            out[f"Gamma N={N} law={name}"] = _sha256(G)
+            for beta in (1e-3, 1.0, 100.0, 1e4):
+                for gamma in (1.0, 0.7):
+                    out[f"N={N} law={name} beta={beta!r} gamma={gamma!r}"] = \
+                        _closed_form_bits(free_spins_times(G, beta, gamma))
+    for name, G_last, beta in (("overflow", 1e103, 1.0), ("underflow", 1e-200, 1e-200)):
+        G = modulated_gammas(8193)
+        G[-1] = G_last
+        with np.errstate(all="ignore"):
+            times = free_spins_times(G, beta)
+        out[f"NaN {name} N=8193 Gamma[-1]={G_last!r} beta={beta!r}"] = _closed_form_bits(times)
+    return out
+
+
 def lanczos_times() -> dict:
     """repr tau_P and tau_Q of the Lanczos-sized ensembles of ``lba_numeric_lanczos.json``."""
     specs = {}
@@ -174,6 +221,10 @@ def test_dense_and_uniform_times_match_golden():
     assert dense_and_uniform_times() == json.loads(DENSE_UNIFORM_GOLDEN.read_text())
 
 
+def test_closed_forms_match_golden():
+    assert closed_forms_times() == json.loads(CLOSED_FORMS_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -183,6 +234,7 @@ if __name__ == "__main__":
             (GOLDEN / name).write_bytes(build(Path(tmp)))
             print(GOLDEN / name, file=sys.stderr)
     for path, times in ((LANCZOS_GOLDEN, lanczos_times),
-                        (DENSE_UNIFORM_GOLDEN, dense_and_uniform_times)):
+                        (DENSE_UNIFORM_GOLDEN, dense_and_uniform_times),
+                        (CLOSED_FORMS_GOLDEN, closed_forms_times)):
         path.write_text(json.dumps(times(), indent=1) + "\n")
         print(path, file=sys.stderr)
