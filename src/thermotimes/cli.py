@@ -73,8 +73,12 @@ def modulated_gammas(
     frequency: float = MODULATION_FREQUENCY,
 ) -> np.ndarray:
     """Spatially periodic field strengths Gamma_i = base + amplitude*sin((i-1)*frequency)."""
-    i = np.arange(1, N + 1, dtype=float)
-    return base + amplitude * np.sin((i - 1) * frequency)
+    G = np.arange(N, dtype=float)  # i - 1, exact
+    G *= frequency
+    np.sin(G, out=G)
+    G *= amplitude
+    G += base
+    return G
 
 
 @dataclass
@@ -127,6 +131,13 @@ class RunConfig:
                 raise ConfigError("give N or N_list, not both")
         else:
             N_list = (_number("N", raw.get("N", 1), integer=True),)
+        law = {key: _number(f"law.{key}", value, "") for key, value in law.items()}
+        if family == "free_spins_modulated":
+            G = modulated_gammas(max(N_list), **law)
+            bad = np.flatnonzero(~(np.isfinite(G) & (G > 0)))
+            if bad.size:
+                raise ConfigError(f"law gives Gamma_{bad[0] + 1} = {float(G[bad[0]])!r}: every "
+                                  f"Gamma_i up to i = max(N_list) must be finite and > 0")
         methods = raw.get("methods", ["lba_analytic"])
         if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
             raise ConfigError(f"methods must be a nonempty subset of {METHODS}, got {methods!r}")
@@ -160,7 +171,7 @@ class RunConfig:
             gamma=gamma,
             methods=tuple(methods),
             Gamma=Gamma,
-            law={key: _number(f"law.{key}", value, "") for key, value in law.items()},
+            law=law,
             hamiltonian=hamiltonian,
             energy_tol=energy_tol,
             tol_zero=_number("tolerances.tol_zero", tols.get("tol_zero", TOL_ZERO)),

@@ -13,8 +13,8 @@ of the way. Only that Lanczos branch imports scipy (``scipy.sparse`` for S,
 LAPACK's dstebz and dstein from ``scipy.linalg.lapack`` for the tridiagonal
 Ritz pairs), at the point of use, so the closed forms and small products run
 on numpy alone. Every Kronecker sum, dense or sparse, comes from the one
-builder in ``model`` (``_kronecker_sum_entries``), which emits its entries
-grouped by row; this module only wraps them as a CSR matrix.
+builder in ``model`` (``_kronecker_sum_entries``), which emits its slots
+row by row; this module drops the zero ones and wraps the rest as a CSR matrix.
 """
 
 import math
@@ -174,14 +174,23 @@ def _ensemble_times(parts) -> EnsembleTimes:
 
 
 def _sparse_kronecker_sum(mats: Sequence[np.ndarray]):
-    """``model._kronecker_sum`` as a scipy.sparse CSR matrix, for the Lanczos branch."""
+    """``model._kronecker_sum`` as a scipy.sparse CSR matrix, for the Lanczos branch: slots
+    whose factor entry is zero (as ``np.nonzero`` sees it) are dropped, diagonals never."""
     import scipy.sparse as sp
 
-    indptr, indices, data = _kronecker_sum_entries(mats)
-    dim = indptr.size - 1
-    S = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    indices, data = _kronecker_sum_entries(mats)
+    keep = data != 0
+    keep[:, 0] = True
+    indptr = np.zeros(len(data) + 1, dtype=indices.dtype)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    S = sp.csr_matrix((data[keep], indices[keep], indptr), shape=(len(data),) * 2)
     S.sort_indices()
     return S
+
+
+def _row_sum_bound(S) -> float:
+    """Max of ``abs(S).sum(axis=1)`` by its own reduceat, for a CSR S with no empty row."""
+    return float(np.add.reduceat(np.abs(S.data), S.indptr[:-1]).max())
 
 
 def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
@@ -315,7 +324,7 @@ def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
     else:
         S = _sparse_kronecker_sum([pm.S for _, pm in copies])
         q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), beta))
-        c = float(abs(S).sum(axis=1).max())
+        c = _row_sum_bound(S)
         residual = float(np.abs(S @ q).max())
         if residual > NULL_VECTOR_RTOL * c:
             raise DetailedBalanceViolation(
@@ -331,16 +340,16 @@ def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
 
         mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
 
-    B_sorted = np.sort(_product_sum([rates.B for rates, _ in copies]))
+    B0, B1 = np.partition(_product_sum([rates.B for rates, _ in copies]), 1)[:2]
     tau_P = 1.0 / mu2
-    tau_Q = float(2.0 / (B_sorted[0] + B_sorted[1]))
+    tau_Q = float(2.0 / (B0 + B1))
     return EnsembleTimes(
         tau_P=tau_P,
         tau_Q=tau_Q,
         tau=max(tau_P, tau_Q),
         per_member_mu2=np.array([tt.mu2 for _, _, _, tt in parts]),
-        B_min_total=float(B_sorted[0]),
-        min_second_gap=float(B_sorted[1] - B_sorted[0]),
+        B_min_total=float(B0),
+        min_second_gap=float(B1 - B0),
     )
 
 
@@ -352,29 +361,42 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     gamma (2 Gamma_i)^3 cosh(beta Gamma_i)/sinh(beta Gamma_i)
     + sum_{k != i} gamma (2 Gamma_k)^3 e^{-beta Gamma_k}/sinh(beta Gamma_k).
     A uniform field reduces to tau_Q = sinh / (gamma (2 Gamma)^3 (sinh + N e^{-beta Gamma})).
+
+    Working memory: Gamma, B_min (for its one pairwise sum) and per_member_mu2
+    at full length, the cube, tanh, exponentials and brackets in slices of 8192
+    spins: about 3.5 arrays of N at N = 10^5, with a whole-array pass's bits.
     """
-    G = np.asarray(Gammas, dtype=float)
+    G = np.atleast_1d(np.asarray(Gammas, dtype=float))  # slices need an axis
     if G.size == 0:
         raise EmptyEnsemble("need at least one spin")
     _check_positive("every Gamma_i", G)
     _check_beta(beta)
     _check_positive("gamma", gamma)
-    cube = gamma * (2.0 * G) ** 3
-    x = beta * G
-    tanh = np.tanh(x)
-    tau_P = float(np.max(tanh / (2.0 * cube)))
-    # e^{-x}/sinh(x) and cosh/sinh without forming either overflowing hyperbolic
-    B_min = 2.0 * cube * np.exp(-2.0 * x) / (-np.expm1(-2.0 * x))
+    # pass 1 parks the cube in per_member_mu2; pass 2 needs sum(B_min). Each slice's max
+    # starts from the last one's, so a NaN carries over as in a whole-array max.
+    mu2, B_min = np.empty_like(G), np.empty_like(G)
+    slices = [slice(i, i + 8192) for i in range(0, G.size, 8192)]
+    for s in slices:
+        mu2[s] = gamma * (2.0 * G[s]) ** 3
+        # e^{-x}/sinh(x) and cosh/sinh without forming either overflowing hyperbolic
+        y = -2.0 * (beta * G[s])
+        B_min[s] = 2.0 * mu2[s] * np.exp(y) / -np.expm1(y)
     total = B_min.sum()
-    bracket = cube / tanh + (total - B_min)
-    tau_Q = float(np.max(1.0 / bracket))
+    min_second_gap = float(2.0 * mu2.min())  # doubling is exact: the min of 2 x cube
+    tau_P = tau_Q = -math.inf
+    for s in slices:
+        cube, tanh = mu2[s], np.tanh(beta * G[s])
+        twice = 2.0 * cube
+        tau_P = float((tanh / twice).max(initial=tau_P))
+        tau_Q = float((1.0 / (cube / tanh + (total - B_min[s]))).max(initial=tau_Q))
+        mu2[s] = twice / tanh
     return EnsembleTimes(
         tau_P=tau_P,
         tau_Q=tau_Q,
         tau=max(tau_P, tau_Q),
-        per_member_mu2=2.0 * cube / tanh,
+        per_member_mu2=mu2,
         B_min_total=float(total),
-        min_second_gap=float(np.min(2.0 * cube)),
+        min_second_gap=min_second_gap,
     )
 
 

@@ -35,7 +35,7 @@ def _check_positive(name: str, value) -> None:
     must be positive: a NaN or an infinity is refused like a zero.
     """
     v = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(v) & (v > 0)):
+    if not (np.isfinite(v) & (v > 0)).all():
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
 
 
@@ -74,17 +74,16 @@ def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
-    """(indptr, indices, data) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn,
-    grouped by row as in a CSR matrix.
+    """(indices, data) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn: two
+    (dim, width) arrays whose row r holds the columns and values of row r's slots.
 
     An off-diagonal entry of the sum comes from exactly one factor, so every
     row has one slot for its diagonal (the product sum of the factor
     diagonals) and m - 1 slots per factor of size m, filled in one broadcast
     over the (left, m, right) view of the rows with no index repeated. Within
-    a row the slots run diagonal first, then factor by factor; slots whose
-    factor entry is zero (as ``np.nonzero`` sees it) are dropped, the
-    diagonal never is. The indices are 32-bit wherever they fit, as scipy
-    stores them.
+    a row the slots run diagonal first, then factor by factor; every slot is
+    kept, including those whose factor entry is zero (the sparse consumer
+    drops them). The indices are 32-bit wherever they fit, as scipy stores them.
     """
     if not mats:
         raise DimensionMismatch("a Kronecker sum needs at least one factor")
@@ -109,11 +108,7 @@ def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
         indices.reshape(left, m, right, width)[view] = (
             rows.reshape(left, m, right, 1) + ((b - a) * right)[:, None, :])
         left, slot = left * m, slot + m - 1
-    keep = data != 0
-    keep[:, 0] = True
-    indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return indptr, indices[keep], data[keep]
+    return indices, data
 
 
 def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -121,12 +116,13 @@ def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
 
     Every product-space operator of a noninteracting ensemble is built here.
     The entries are added into zeros, not assigned, so every zero entry is
-    +0.0, as in a sum of site-embedded Kronecker products I(x)...(x)X(x)...(x)I.
+    +0.0, as in a sum of site-embedded Kronecker products I(x)...(x)X(x)...(x)I
+    (a zero slot of either sign, added into +0.0, leaves +0.0).
     """
-    indptr, indices, data = _kronecker_sum_entries(mats)
-    dim = indptr.size - 1
+    indices, data = _kronecker_sum_entries(mats)
+    dim = data.shape[0]
     out = np.zeros((dim, dim), dtype=data.dtype)
-    out[np.repeat(np.arange(dim), np.diff(indptr)), indices] += data
+    out[np.arange(dim)[:, None], indices] += data
     return out
 
 

@@ -100,6 +100,21 @@ def test_malformed_law_is_a_config_error(tmp_path, law, match):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
 
 
+@pytest.mark.parametrize("method", ["lba_analytic", "lba_numeric", "qome"])
+def test_law_reaching_a_nonpositive_field_is_a_config_error(tmp_path, capsys, method):
+    # this exited 1 with "Gamma must be finite and > 0, got -0.8639...", naming no key
+    raw = {"family": "free_spins_modulated", "N_list": [1, 3], "methods": [method],
+           "law": {"base": 0.1, "amplitude": 1.0}}
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert re.search(r"config error: law gives Gamma_3 = -0\.86\d*: every Gamma_i up to "
+                     r"i = max\(N_list\) must be finite and > 0", capsys.readouterr().err)
+    # the law is checked up to the largest N only: Gamma_1 = 0.1 and Gamma_2 = 0.896 are valid
+    assert RunConfig.from_dict({**raw, "N_list": [2]}).law == raw["law"]
+    with pytest.raises(ConfigError, match="law gives Gamma_1 = 0.0"):
+        RunConfig.from_dict({**raw, "law": {"base": 0.0}})
+
+
 def test_sweep_refuses_a_beta_its_grid_would_replace(tmp_path):
     # this ran with exit 0 and wrote the rows of the same grid without beta
     raw = {"family": "free_spins_uniform", "Gamma": 1.0, "N": 1, "beta": 5.0,

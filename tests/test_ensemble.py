@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ def test_free_spins_times_finite_at_low_temperature():
             assert analytic.tau_P == pytest.approx(numeric.tau_P, rel=1e-9)
             assert analytic.tau_Q == pytest.approx(numeric.tau_Q, rel=1e-12)
             assert analytic.tau == pytest.approx(numeric.tau, rel=1e-9)
+
+
+def test_free_spins_times_of_1e5_spins_holds_under_four_arrays_of_n():
+    # Gamma, B_min and per_member_mu2 at full length, the rest in slices; a
+    # whole-array pass (and building the law out of place) held 8 arrays of N
+    N = 10**5
+    tracemalloc.start()
+    try:
+        free_spins_times(modulated_gammas(N), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * N * np.dtype(float).itemsize
 
 
 def test_numeric_path_matches_analytic():
@@ -447,6 +461,20 @@ def test_sparse_kronecker_sum_is_canonical_csr():
     assert S.has_canonical_format and S.nnz == 6 + 6 + 4
     _assert_csr_rows_store_diagonal_and_no_zero(S)
     assert np.array_equal(S.toarray(), chained_kronecker_sum(mats).toarray())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@example(seed=0, sizes=[2, 3])
+def test_row_sum_bound_is_the_abs_row_sum_of_scipy(seed, sizes):
+    # factors with zero off-diagonal slots (dropped) and, for some, a zero diagonal (kept)
+    rng = np.random.default_rng(seed)
+    mats = [_random_symmetric_factor(rng, M) for M in sizes]
+    for X in mats:
+        if rng.random() < 0.5:
+            X[np.diag_indices_from(X)] = 0.0
+    S = ensemble._sparse_kronecker_sum(mats)
+    assert ensemble._row_sum_bound(S).hex() == float(abs(S).sum(axis=1).max()).hex()
 
 
 def test_smallest_ritz_pair_equals_eigh_tridiagonal():

@@ -22,8 +22,8 @@ beta Gamma = 1e5). ``closed_forms.json`` pins ``free_spins_times`` on
 min_second_gap and a SHA-256 of per_member_mu2 (and of the field strengths)
 for N from 1 to 10^5, across the slice size of 8192, for two field laws,
 four temperatures and two couplings, and for two inputs whose times are NaN.
-Those bits also depend on the BLAS dot kernel and the
-LAPACK build: both files were made with Python 3.11.7, numpy 2.4.6 and
+Those bits also depend on the BLAS dot kernel, the LAPACK build and numpy's
+SIMD math functions: the three files were made with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
 regenerated with any other numpy or scipy. To regenerate the goldens after a
 change that is meant to move a number, run
