@@ -22,8 +22,14 @@ beta Gamma = 1e5). ``closed_forms.json`` pins ``free_spins_times`` on
 min_second_gap and a SHA-256 of per_member_mu2 (and of the field strengths)
 for N from 1 to 10^5, across the slice size of 8192, for two field laws,
 four temperatures and two couplings, and for two inputs whose times are NaN.
+``composite_qome.json`` pins the composite QOME route, ``qome_spectrum`` on
+``build_liouvillian``: tau_P and tau_Q as ``repr``, both multiplicities and a
+SHA-256 of the sorted eigenvalues, for modulated spins N = 1..6 at three
+energy tolerances, uniform spins N = 1..5 and one to three copies of three
+random 4 x 4 members at two, each at four temperatures, with a SHA-256 of each
+``_gap_structure`` array of every spectrum and tolerance.
 Those bits also depend on the BLAS dot kernel, the LAPACK build and numpy's
-SIMD math functions: the three files were made with Python 3.11.7, numpy 2.4.6 and
+SIMD math functions: the four files were made with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
 regenerated with any other numpy or scipy. To regenerate the goldens after a
 change that is meant to move a number, run
@@ -48,10 +54,23 @@ from thermotimes.ensemble import (
     ensemble_times_numeric,
     free_spins_times,
 )
-from thermotimes.model import free_spin_system
-from thermotimes.qome import uniform_spin_spectrum
+from thermotimes.model import (
+    QubitSystem,
+    _gap_structure,
+    _kronecker_sum,
+    diagonalize,
+    dipole_data,
+    free_spin_chain,
+    free_spin_system,
+)
+from thermotimes.qome import (
+    _default_energy_tol,
+    build_liouvillian,
+    qome_spectrum,
+    uniform_spin_spectrum,
+)
 
-from oracles import synthetic_system
+from oracles import random_hermitian, synthetic_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -121,6 +140,7 @@ CASES = {
 LANCZOS_GOLDEN = GOLDEN / "lba_numeric_lanczos.json"
 DENSE_UNIFORM_GOLDEN = GOLDEN / "dense_and_uniform.json"
 CLOSED_FORMS_GOLDEN = GOLDEN / "closed_forms.json"
+COMPOSITE_QOME_GOLDEN = GOLDEN / "composite_qome.json"
 
 #: The temperatures of both full-precision pins.
 BETAS = (1e-3, 1.0, 12.0, 100.0, 1e4)
@@ -193,6 +213,40 @@ def closed_forms_times() -> dict:
     return out
 
 
+def composite_qome_times() -> dict:
+    """Bits of ``composite_qome.json``: the composite registers' ``_gap_structure`` arrays
+    (ids as floats) per energy tolerance, and their QOME times, multiplicities and sorted
+    eigenvalues per tolerance and temperature."""
+    systems = [(f"modulated N={N}", QubitSystem(K=N, H=free_spin_chain(modulated_gammas(N))),
+                (None, 1e-6, 0.3)) for N in range(1, 7)]
+    systems += [(f"uniform N={N}", QubitSystem(K=N, H=free_spin_chain(np.ones(N))), (None,))
+                for N in range(1, 6)]
+    for seed in range(3):
+        H = random_hermitian(np.random.default_rng(seed), 4)
+        systems += [(f"random 4x4 seed={seed} x {count}",
+                     QubitSystem(K=2 * count, H=_kronecker_sum([H] * count)), (None, 1e-3))
+                    for count in (1, 2, 3)]
+    out = {}
+    for name, system, tols in systems:
+        spec = diagonalize(system)
+        dip = dipole_data(system, spec)
+        E = spec.energies
+        for tol in tols:
+            case = f"{name} energy_tol={tol!r}"
+            structure = _gap_structure(E, _default_energy_tol(E[-1] - E[0]) if tol is None else tol)
+            for label, values in zip(("lev_ids", "gap_ids", "gap_rep"), structure):
+                out[f"{case} {label}"] = _sha256(values.astype(float))
+            for beta in (1e-3, 1.0, 100.0, 1e4):
+                s = qome_spectrum(build_liouvillian(spec, dip, beta, energy_tol=tol))
+                out[f"{case} beta={beta!r}"] = {
+                    "tau_P": repr(s.tau_P), "tau_Q": repr(s.tau_Q),
+                    "zero_multiplicity": s.zero_multiplicity,
+                    "tau_P_multiplicity": s.tau_P_multiplicity,
+                    "eigenvalues": _sha256(np.sort(s.eigenvalues).view(np.float64)),
+                }
+    return out
+
+
 def lanczos_times() -> dict:
     """repr tau_P and tau_Q of the Lanczos-sized ensembles of ``lba_numeric_lanczos.json``."""
     specs = {}
@@ -225,6 +279,10 @@ def test_closed_forms_match_golden():
     assert closed_forms_times() == json.loads(CLOSED_FORMS_GOLDEN.read_text())
 
 
+def test_composite_qome_matches_golden():
+    assert composite_qome_times() == json.loads(COMPOSITE_QOME_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -235,6 +293,7 @@ if __name__ == "__main__":
             print(GOLDEN / name, file=sys.stderr)
     for path, times in ((LANCZOS_GOLDEN, lanczos_times),
                         (DENSE_UNIFORM_GOLDEN, dense_and_uniform_times),
-                        (CLOSED_FORMS_GOLDEN, closed_forms_times)):
+                        (CLOSED_FORMS_GOLDEN, closed_forms_times),
+                        (COMPOSITE_QOME_GOLDEN, composite_qome_times)):
         path.write_text(json.dumps(times(), indent=1) + "\n")
         print(path, file=sys.stderr)

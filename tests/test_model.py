@@ -288,6 +288,12 @@ def class_inputs(draw):
 @given(class_inputs())
 @example((np.array([]), 0.0))
 @example((np.array([1.0, -2.0, 1.0, 1.0 + 1e-12, -2.0]), 0.0))
+# classes beyond numpy's 8-wide unrolled and 128-element blocked pairwise sums: ten
+# equal levels twice (200 zero gaps, 100 in each nonzero class), then 140 split levels
+# whose unequal one-step gaps chain into one class of 139
+@example((np.array([0.3, 1.7] * 10), 0.0))
+@example((np.random.default_rng(0).permutation(np.arange(140.0) + 1e-6 * np.sin(np.arange(140.0))),
+          1e-5))
 def test_vectorized_classes_match_the_loop_oracle(inputs):
     values, tol = inputs
     assert np.array_equal(equality_classes(values, tol), loop_equality_classes(values, tol))
