@@ -365,6 +365,7 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     Working memory: Gamma, B_min (for its one pairwise sum) and per_member_mu2
     at full length, the cube, tanh, exponentials and brackets in slices of 8192
     spins: about 3.5 arrays of N at N = 10^5, with a whole-array pass's bits.
+    A rate scale gamma (2 Gamma_i)^3 beyond the float range raises NonPositiveField.
     """
     G = np.atleast_1d(np.asarray(Gammas, dtype=float))  # slices need an axis
     if G.size == 0:
@@ -377,7 +378,9 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     mu2, B_min = np.empty_like(G), np.empty_like(G)
     slices = [slice(i, i + 8192) for i in range(0, G.size, 8192)]
     for s in slices:
-        mu2[s] = gamma * (2.0 * G[s]) ** 3
+        with np.errstate(over="ignore"):  # an infinite cube is refused just below
+            mu2[s] = gamma * (2.0 * G[s]) ** 3
+        _check_positive("the rate scale gamma (2 Gamma_i)^3", mu2[s])
         # e^{-x}/sinh(x) and cosh/sinh without forming either overflowing hyperbolic
         y = -2.0 * (beta * G[s])
         B_min[s] = 2.0 * mu2[s] * np.exp(y) / -np.expm1(y)

@@ -22,12 +22,7 @@ from .errors import (
     NegativeTime,
     NonPositiveBeta,
 )
-from .model import DipoleData, EnergySpectrum, _check_beta
-
-#: An eigenvalue of the rate matrix counts as zero below this fraction of the
-#: largest eigenvalue; a second eigenvalue under the threshold signals a
-#: degenerate steady state.
-ZERO_EIGENVALUE_RTOL = 1e-10
+from .model import TOL_ZERO, DipoleData, EnergySpectrum, _check_beta, _check_positive
 
 #: Below beta*|dE| = SMALL_X the thermal weight switches to its small-gap
 #: series to avoid 0/0; the two-term series is exact to double precision
@@ -53,6 +48,13 @@ def _blackbody_weight(gaps: np.ndarray, beta: float, detailed_balance: bool = Fa
         series = a**3 * (1.0 / x - x / 24.0) * np.exp(shift)
     out = np.where(x < SMALL_X, series, direct)
     return np.where(x == 0.0, 0.0, out)
+
+
+def _check_rate_scale(gamma: float, weights: np.ndarray) -> None:
+    """The rate rule of every route with a nonzero gap: the rate scale gamma max W~
+    is finite and > 0, else NonPositiveField. |dE|^3 leaves the float range above a
+    gap of about 5.6e102 and below about 1.7e-108, and gamma can carry a weight past it."""
+    _check_positive("the rate scale gamma max W~", float(gamma) * float(weights.max()))
 
 
 def gibbs_state(spec: Union[EnergySpectrum, Sequence[float]], beta: float) -> np.ndarray:
@@ -95,7 +97,8 @@ def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateDat
     C[m, n] = D[m, n] |E_m - E_n|^3 / (2 sinh(beta |E_m - E_n| / 2)) and
     L2[m, n] = D[m, n] * W~[m, n]; the two parametrizations agree identically.
     Raises DegenerateSpectrum unless adjacent levels lie farther apart than
-    the spectrum's ``degeneracy_tol``: the one place nondegeneracy is decided.
+    the spectrum's ``degeneracy_tol``: the one place nondegeneracy is decided;
+    NonPositiveField when the rates leave the float range.
     """
     _check_beta(beta)
     if dip.M != spec.M:
@@ -109,8 +112,11 @@ def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateDat
         )
     E = spec.energies
     gaps = E[:, None] - E[None, :]
+    W = _blackbody_weight(gaps, beta, detailed_balance=True)
+    if spec.M > 1:
+        _check_rate_scale(dip.gamma, W)
     C = dip.D * _blackbody_weight(gaps, beta)
-    L2 = dip.D * _blackbody_weight(gaps, beta, detailed_balance=True)
+    L2 = dip.D * W
     B = L2.sum(axis=0)
     return RateData(beta=float(beta), C=C, L2=L2, B=B)
 
@@ -185,13 +191,13 @@ def thermalization_times(pm: PauliMatrix, rates: RateData) -> ThermalizationTime
     """Extract the characteristic times from a rate-matrix decomposition.
 
     Raises ErgodicityViolation when the zero eigenvalue of A is degenerate
-    (the stationary state is not unique).
+    (the stationary state is not unique): mu_2 at most TOL_ZERO mu_max.
     """
     if pm.M != rates.M:
         raise DimensionMismatch("PauliMatrix and RateData dimensions differ")
     mu = pm.eigenvalues
     scale = float(mu[-1])
-    if pm.M < 2 or mu[1] <= ZERO_EIGENVALUE_RTOL * scale:
+    if pm.M < 2 or mu[1] <= TOL_ZERO * scale:
         raise ErgodicityViolation(
             "second eigenvalue of the rate matrix is numerically zero; "
             "no unique stationary state"

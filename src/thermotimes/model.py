@@ -27,6 +27,9 @@ PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 #: tol = DEGENERACY_RTOL * (E_max - E_min).
 DEGENERACY_RTOL = 1e-9
 
+#: The zero cut of both routes: an eigenvalue below TOL_ZERO times the largest modulus.
+TOL_ZERO = 1e-10
+
 
 def _check_positive(name: str, value) -> None:
     """Raise NonPositiveField unless ``value`` (a number or an array) is finite and > 0.
@@ -340,12 +343,19 @@ def equality_classes(values: np.ndarray, tol: float) -> np.ndarray:
     return ids
 
 
+def _stacks(ids: np.ndarray) -> list:
+    """Classes of the flat ids by size: an (nb, s) array of positions per size s, rows by id."""
+    size = np.bincount(ids)[ids]
+    order = np.lexsort((ids, size))  # by class size, then class id; stable within a class
+    return [order[size[order] == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
+
+
 def _class_means(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mean of ``x`` over each class of ``ids`` (0, 1, ...), indexed by id: a stable
-    sort by id leaves x[ids == c] in order as one segment, so each mean is bit-identical."""
-    x = x[np.argsort(ids, kind="stable")]
-    ends = np.cumsum(np.bincount(ids)).tolist()
-    return np.array([x[start:end].mean() for start, end in zip([0] + ends, ends)])
+    """Mean of ``x`` over each class c of ``ids`` (0, 1, ...), bit for bit x[ids == c].mean()."""
+    means = np.empty(ids.max(initial=-1) + 1)
+    for idx in _stacks(ids):
+        means[ids[idx[:, 0]]] = x[idx].mean(axis=1)
+    return means
 
 
 def _gap_structure(energies: np.ndarray, tol: float):
@@ -368,11 +378,11 @@ def _gap_structure(energies: np.ndarray, tol: float):
 
 def _pair_classes(ids: np.ndarray) -> tuple:
     """Pairs (m, n), m != n, per class of an M x M id array, in id order; empty classes dropped."""
-    classes = (
-        tuple((int(m), int(n)) for m, n in np.argwhere(ids == c) if m != n)
-        for c in range(ids.max() + 1)
-    )
-    return tuple(pairs for pairs in classes if pairs)
+    flat, M = ids.ravel(), len(ids)
+    classes = {int(flat[c[0]]): c for idx in _stacks(flat) for c in idx.tolist()}
+    # flat position p is the pair divmod(p, M), on the diagonal when p % (M + 1) == 0
+    pairs = (tuple(divmod(p, M) for p in classes[k] if p % (M + 1)) for k in sorted(classes))
+    return tuple(c for c in pairs if c)
 
 
 @dataclass(frozen=True)

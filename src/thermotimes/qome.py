@@ -52,9 +52,10 @@ from .errors import (
     NoDissipativeEigenvalue,
     ResonantMembers,
 )
-from .lba import _blackbody_weight
+from .lba import _blackbody_weight, _check_rate_scale
 from .model import (
     DEGENERACY_RTOL,
+    TOL_ZERO,
     DipoleData,
     EnergySpectrum,
     _check_beta,
@@ -63,6 +64,7 @@ from .model import (
     _check_tolerance,
     _gap_structure,
     _pair_classes,
+    _stacks,
 )
 
 #: Cap on the vectorized dimension M^2 of the Liouvillian.
@@ -70,10 +72,6 @@ LIOUVILLIAN_CAP = 4096
 
 #: ``compare`` calls two times equal within this relative deviation.
 AGREE_RTOL = 1e-6
-
-#: A Liouvillian eigenvalue counts as zero below TOL_ZERO * scale, with scale
-#: the largest eigenvalue modulus.
-TOL_ZERO = 1e-10
 
 
 def _check_qome_size(dim: int, copies: int = 1) -> None:
@@ -131,14 +129,15 @@ def build_liouvillian(
 ) -> Liouvillian:
     """Assemble the quantum optical master equation generator, one stack per block size.
 
-    A stable sort by (class size, class id) lines the Bohr classes up by size,
-    and each size is built at once over (nb, s, s), with no loop over blocks.
+    The Bohr classes come stacked by size from ``model._stacks``, and each size
+    is built at once over (nb, s, s), with no loop over blocks.
     The spectrum may be degenerate. Within a Bohr-frequency class the
     dissipator consists of two escape sums gated by equality of level
     energies and a feeding term gated by equality of transition frequencies,
     all with the blackbody weight W~ and the squared coupling gamma carried by
     the dipole data. Coefficients are evaluated on per-class representative
-    energies, so gating and weights never disagree.
+    energies, so gating and weights never disagree. Raises NonPositiveField
+    when the rates leave the float range.
     """
     _check_beta(beta)
     M = spec.M
@@ -153,32 +152,32 @@ def build_liouvillian(
 
     lev_ids, gap_ids, gap_rep = _gap_structure(E, energy_tol)
     Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
-    gamma = dip.gamma
+    if gap_rep.any():
+        _check_rate_scale(dip.gamma, Wt)
 
     # escape coefficients Phi[k, m] = gamma sum_h sum_q d_h[q, k] conj(d_h[q, m]) W~[q, m]
     Phi = np.zeros((M, M), dtype=complex)
     for d in dip.amplitudes:
         Phi += d.T @ (np.conj(d) * Wt)
-    Phi *= gamma
+    Phi *= dip.gamma
     Phi_gated = Phi * (lev_ids[:, None] == lev_ids[None, :])
 
-    ids = gap_ids.ravel()
-    size = np.bincount(ids)[ids]
-    order = np.lexsort((ids, size))  # by class size, then class id; each class ascending
+    feed = [((d * Wt).ravel(), np.conj(d).ravel()) for d in dip.amplitudes]  # flat: [m, k] at mk
+    gap_T, Phi_T = gap_ids.T.ravel(), Phi_gated.T.ravel()  # flat and transposed: [k, m] at mk
     blocks = []
-    for s in sorted(set(size.tolist())):
-        idx = order[size[order] == s].reshape(-1, s)
+    for idx in _stacks(gap_ids.ravel()):
         # row (m, n) of a block receives from column (k, j)
         (m, n), (k, j) = np.divmod(idx[:, :, None], M), np.divmod(idx[:, None, :], M)
+        mk, nj = m * M + k, n * M + j
         # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
         # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
         # complex products like the dense outer product einsum("mk,nj->mnkj")
-        stack = np.zeros(idx.shape + (s,), dtype=complex)
-        for d in dip.amplitudes:
-            stack += gamma * np.einsum("...,...->...", (d * Wt)[m, k], np.conj(d)[n, j])
-        stack *= gap_ids.T[m, k] == gap_ids.T[n, j]
-        stack -= 0.5 * Phi_gated.T[m, k] * (n == j)
-        stack -= 0.5 * Phi_gated.conj().T[n, j] * (m == k)
+        stack = np.zeros(mk.shape, dtype=complex)
+        for dW, dc in feed:
+            stack += dip.gamma * np.einsum("...,...->...", dW[mk], dc[nj])
+        stack *= gap_T[mk] == gap_T[nj]
+        stack -= 0.5 * Phi_T[mk] * (n == j)
+        stack -= 0.5 * Phi_T[nj].conj() * (m == k)
         blocks.append((gap_rep.ravel()[idx[:, 0]], idx, stack))
 
     return Liouvillian(
@@ -216,10 +215,10 @@ class LiouvillianSpectrum:
     copies) and ``zero_multiplicity`` counts that block's zero eigenvalues;
     tau_Q comes from the eigenvalue of smallest |Re| in the omega != 0
     blocks. tau_Q is None when there is no such block and infinite when the
-    slowest oscillatory mode is undamped. ``eigenvalues`` lists the block
-    spectra in block order (``Liouvillian.blocks`` stack by stack), each once;
-    the two multiplicities count every eigenvalue d_J d_J' times on the
-    total-spin route, once on any other (exact ints).
+    slowest oscillatory mode is undamped. ``eigenvalues`` lists each eigenvalue once,
+    by block (``Liouvillian.blocks`` stack by stack) on the composite route and by level
+    pair (``_spin_pairs``) on the total-spin route; the multiplicities count every
+    eigenvalue d_J d_J' times on the total-spin route, once on any other (exact ints).
     """
 
     eigenvalues: np.ndarray
@@ -240,7 +239,6 @@ def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpec
     ``tol_zero`` is finite and > 0; a missing oscillatory block is reported
     as tau_Q = None.
     """
-    _check_positive("tol_zero", tol_zero)
     ev = np.concatenate([(np.linalg.eigvals(stack) - 1j * omegas[:, None]).ravel()
                          for omegas, _, stack in L.blocks])
     static = np.concatenate([np.repeat(omegas == 0.0, idx.shape[1]) for omegas, idx, _ in L.blocks])
@@ -249,8 +247,9 @@ def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpec
 
 def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
               tol_zero: float) -> LiouvillianSpectrum:
-    """The times and counts of the eigenvalues ``ev`` of a blocked generator, with
-    ``static`` the omega = 0 mask and ``weight`` the multiplicity of each."""
+    """The times and counts of the eigenvalues ``ev`` of a blocked generator, with ``static``
+    the omega = 0 mask, ``weight`` the multiplicity of each and ``tol_zero`` (> 0) the zero cut."""
+    _check_positive("tol_zero", tol_zero)
     scale = float(np.abs(ev).max(initial=0.0))
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")
@@ -299,21 +298,22 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     by :func:`qome_spectrum`. Levels lie 2 Gamma apart: an ``energy_tol`` >=
     2 Gamma merges them all and the generator vanishes (NoDissipativeEigenvalue);
     any smaller one gives the default numbers. Size rule as ``build_liouvillian``,
-    on the sum of the sector sizes: at most 64 levels, N <= 14.
+    on the sum of the sector sizes: at most 64 levels, N <= 14. Rates beyond the
+    float range raise NonPositiveField, before the tolerance is compared.
     """
     N = _check_size("N", N)
     _check_positive("Gamma", Gamma)
     _check_positive("gamma", gamma)
     _check_beta(beta)
-    _check_positive("tol_zero", tol_zero)
     _check_qome_size(sum(range(N + 1, 0, -2)))
+    w_dn, w_up = w = _blackbody_weight(np.array([-2.0, 2.0]) * Gamma, beta, detailed_balance=True)
+    _check_rate_scale(gamma, w)
     if energy_tol is None:
         energy_tol = _default_energy_tol(2 * N * Gamma)
     _check_tolerance("energy tolerance", energy_tol)
     if energy_tol >= 2 * Gamma:
         raise NoDissipativeEigenvalue(f"energy_tol {energy_tol:.3g} >= the level spacing 2 Gamma")
     blocks, rise, fall, ladder, bohr, weight = _spin_pairs(N)
-    w_dn, w_up = _blackbody_weight(np.array([-2.0, 2.0]) * Gamma, beta, detailed_balance=True)
     diag = -gamma * (rise * w_dn + fall * w_up)
     off = 2 * gamma * np.sqrt(w_dn) * np.sqrt(w_up) * ladder  # of (m, n) to (m - 1, n - 1)
     lam = np.empty(len(bohr))
@@ -327,22 +327,18 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
 
 
 def _spin_pairs(N: int) -> tuple:
-    """The level pairs (m, n) of ``uniform_spin_spectrum`` in block order, which depend on
-    N alone: the pair indices of each block size 1..N + 1 (sector J = N/2 has them all),
+    """The level pairs (m, n) of ``uniform_spin_spectrum``, the order of its eigenvalues: the
+    Jacobi blocks by size 1..N + 1 (sector J = N/2 has them all) as positions ordered by m,
     c_J(m)^2 + c_J'(n)^2, c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m), d_J d_J' (int)."""
     two_J, S = np.arange(N, -1, -2), N // 2 + 1
     mult = [math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in range(S)]
-    # every level (sector s, 2m = 2J, 2J - 2, ..., -2J), then every level pair by block and m
+    # every level (sector s, 2m = -2J, ..., 2J), every pair; so a block's positions ascend in m
     s = np.repeat(np.arange(S), two_J + 1)
-    tm = np.concatenate([np.arange(t, -t - 1, -2) for t in two_J])
+    tm = np.concatenate([np.arange(-t, t + 1, 2) for t in two_J])
     i, j = (x.ravel() for x in np.indices((len(s), len(s))))
-    key = (s[i] * S + s[j]) * (4 * N + 1) + (tm[i] - tm[j] + 2 * N)
-    order = np.lexsort((tm[i], key))
-    i, j = i[order], j[order]
-    _, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
+    blocks = _stacks((s[i] * S + s[j]) * (4 * N + 1) + (tm[i] - tm[j] + 2 * N))
     tJ = two_J[s]  # 4 c_J(m)^2 and 4 c_J(m-1)^2 of every level, exact integers:
     rise, fall = tJ * (tJ + 2) - tm * (tm + 2), tJ * (tJ + 2) - tm * (tm - 2)
-    blocks = tuple(starts[counts == size, None] + np.arange(size) for size in range(1, N + 2))
     weight = np.array([da * db for da in mult for db in mult], dtype=object)[s[i] * S + s[j]]
     return (blocks, (rise[i] + rise[j]) / 4, (fall[i] + fall[j]) / 4,
             np.sqrt(fall[i] * fall[j]) / 4, tm[j] - tm[i], weight)

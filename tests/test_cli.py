@@ -129,6 +129,23 @@ def test_sweep_refuses_a_beta_its_grid_would_replace(tmp_path):
     assert len(sweep_records(RunConfig.from_dict(gamma_grid))) == 2
 
 
+@pytest.mark.parametrize("method", ["lba_analytic", "lba_numeric", "qome"])
+@pytest.mark.parametrize("raw", [
+    {"family": "free_spins_uniform", "Gamma": 1e103, "N_list": [1]},
+    {"family": "free_spins_uniform", "Gamma": 1e300, "N_list": [2]},
+    {"family": "free_spins_uniform", "Gamma": 1e3, "gamma": 1e300, "N_list": [1]},
+    {"family": "free_spins_uniform", "Gamma": 1e-120, "N_list": [1]},
+    {"family": "custom_hamiltonian", "N_list": [1],
+     "hamiltonian": {"dim": 2, "re": [[1e300, 0], [0, -1e300]]}},
+])
+def test_rates_beyond_the_float_range_exit_1(tmp_path, capsys, raw, method):
+    # these exited 0 with NaN or infinite times, or 1 with a raw numpy traceback
+    cfg = write_config(tmp_path, "c.json", {**raw, "methods": [method]})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+    assert re.match(r"error: the rate scale gamma .* must be finite and > 0, got ",
+                    capsys.readouterr().err)
+
+
 def test_lanczos_non_convergence_exits_1(tmp_path, monkeypatch, capsys):
     lanczos = ensemble._lanczos_smallest
     monkeypatch.setattr(ensemble, "_lanczos_smallest",

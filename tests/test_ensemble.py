@@ -176,6 +176,20 @@ def test_free_spins_times_input_validation():
             free_spins_times(Gs, 1.0, gamma=gamma)
 
 
+@pytest.mark.parametrize("G_last, beta, gamma", [
+    (1e103, 1.0, 1.0),  # (2 Gamma)^3 overflows
+    (1e-200, 1e-200, 1.0),  # (2 Gamma)^3 underflows
+    (1e-120, 1.0, 1.0),
+    (1e3, 1.0, 1e300),  # gamma carries a finite cube past the float range
+])
+def test_free_spins_times_refuses_rates_beyond_the_float_range(G_last, beta, gamma):
+    # these gave NaN or infinite times (tau_P 0, tau_Q nan at Gamma = 1e103) with
+    # RuntimeWarnings; the offending spin sits alone, and in the second slice
+    for G in (np.array([G_last]), np.r_[modulated_gammas(8192), G_last]):
+        with pytest.raises(NonPositiveField, match=r"rate scale gamma \(2 Gamma_i\)\^3"):
+            free_spins_times(G, beta, gamma=gamma)
+
+
 def test_free_spins_times_finite_at_low_temperature():
     # beta * Gamma = 800 overflows cosh and sinh; the closed forms must not
     for Gs in ([1.0] * 10, 1.0 + np.sin(np.arange(10) * np.pi / np.sqrt(2.0)) / 2.0):

@@ -21,7 +21,7 @@ beta Gamma = 1e5). ``closed_forms.json`` pins ``free_spins_times`` on
 ``modulated_gammas``: the ``.hex()`` of tau_P, tau_Q, B_min_total and
 min_second_gap and a SHA-256 of per_member_mu2 (and of the field strengths)
 for N from 1 to 10^5, across the slice size of 8192, for two field laws,
-four temperatures and two couplings, and for two inputs whose times are NaN.
+four temperatures and two couplings.
 ``composite_qome.json`` pins the composite QOME route, ``qome_spectrum`` on
 ``build_liouvillian``: tau_P and tau_Q as ``repr``, both multiplicities and a
 SHA-256 of the sorted eigenvalues, for modulated spins N = 1..6 at three
@@ -190,9 +190,7 @@ def _closed_form_bits(t) -> dict:
 
 def closed_forms_times() -> dict:
     """Bits of ``closed_forms.json``: ``free_spins_times`` on ``modulated_gammas`` on each
-    side of the 8192-spin slice, and two NaN cases (a cube that overflows against an
-    exponential that underflows, and a field and temperature whose product underflows)
-    with the offending spin in the second slice."""
+    side of the 8192-spin slice."""
     laws = {"default": {}, "base=2 amplitude=1.3 frequency=0.7":
             {"base": 2.0, "amplitude": 1.3, "frequency": 0.7}}
     out = {}
@@ -204,12 +202,6 @@ def closed_forms_times() -> dict:
                 for gamma in (1.0, 0.7):
                     out[f"N={N} law={name} beta={beta!r} gamma={gamma!r}"] = \
                         _closed_form_bits(free_spins_times(G, beta, gamma))
-    for name, G_last, beta in (("overflow", 1e103, 1.0), ("underflow", 1e-200, 1e-200)):
-        G = modulated_gammas(8193)
-        G[-1] = G_last
-        with np.errstate(all="ignore"):
-            times = free_spins_times(G, beta)
-        out[f"NaN {name} N=8193 Gamma[-1]={G_last!r} beta={beta!r}"] = _closed_form_bits(times)
     return out
 
 

@@ -11,6 +11,7 @@ from thermotimes.errors import (
     InvalidDensityMatrix,
     NegativeTime,
     NonPositiveBeta,
+    NonPositiveField,
     ThermotimesError,
 )
 from thermotimes.lba import (
@@ -23,7 +24,14 @@ from thermotimes.lba import (
     thermal_rates,
     thermalization_times,
 )
-from thermotimes.model import DipoleData, EnergySpectrum, free_spin_system
+from thermotimes.model import (
+    DipoleData,
+    EnergySpectrum,
+    QubitSystem,
+    diagonalize,
+    dipole_data,
+    free_spin_system,
+)
 
 from oracles import (
     fit_coherence_decay,
@@ -230,6 +238,19 @@ def test_ergodicity_violation_detected():
     rates = thermal_rates(spec, dip, 1.0)
     with pytest.raises(ErgodicityViolation):
         thermalization_times(pauli_matrix(rates, spec), rates)
+
+
+def test_thermal_rates_refuse_rates_beyond_the_float_range():
+    # a cube |dE|^3 past the float range gave NaN rates and a raw LinAlgError, a
+    # vanishing one an ErgodicityViolation; both name the rate scale now
+    wide = QubitSystem(K=1, H=np.diag([1e300, -1e300]))
+    spec = diagonalize(wide)
+    for system in (free_spin_system(1e103), free_spin_system(1e300), free_spin_system(1e-120),
+                   free_spin_system(1e3, gamma=1e300), (spec, dipole_data(wide, spec))):
+        with pytest.raises(NonPositiveField, match="rate scale gamma max W~"):
+            thermal_rates(*system, 1.0)
+    # just inside the range the rates are finite
+    assert np.isfinite(thermal_rates(*free_spin_system(1e102), 1.0).B).all()
 
 
 def test_decoherence_rates_free_spin():

@@ -11,6 +11,7 @@ from thermotimes.ensemble import free_spins_times
 from thermotimes.errors import (
     CapExceeded,
     NoDissipativeEigenvalue,
+    NonPositiveField,
 )
 from thermotimes.lba import (
     gibbs_state,
@@ -83,6 +84,19 @@ def test_zero_dipole_gives_coherent_spectrum():
     np.testing.assert_allclose(ev, [-2.0j, 0.0, 0.0, 2.0j], atol=1e-12)
     with pytest.raises(NoDissipativeEigenvalue):
         qome_spectrum(L)
+
+
+def test_qome_refuses_rates_beyond_the_float_range():
+    # a NaN weight ended in a raw LinAlgError, an underflowing one in
+    # NoDissipativeEigenvalue; both routes name the rate scale now
+    for Gamma, gamma in ((1e103, 1.0), (1e-120, 1.0), (1e3, 1e300)):
+        with pytest.raises(NonPositiveField, match="rate scale gamma max W~"):
+            build_liouvillian(*free_spin_system(Gamma, gamma), 1.0, energy_tol=0.0)
+        with pytest.raises(NonPositiveField, match="rate scale gamma max W~"):
+            qome.uniform_spin_spectrum(2, Gamma, 1.0, gamma)
+    # a tolerance that merges every level leaves no rate: the generator vanishes
+    with pytest.raises(NoDissipativeEigenvalue, match="vanishes"):
+        qome_spectrum(build_liouvillian(*free_spin_system(1e-120), 1.0))
 
 
 def test_qome_spectrum_purely_real_generator():
