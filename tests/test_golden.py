@@ -24,10 +24,10 @@ for N from 1 to 10^5, across the slice size of 8192, for two field laws,
 four temperatures and two couplings.
 ``composite_qome.json`` pins the composite QOME route, ``qome_spectrum`` on
 ``build_liouvillian``: tau_P and tau_Q as ``repr``, both multiplicities and a
-SHA-256 of the sorted eigenvalues, for modulated spins N = 1..6 at three
-energy tolerances, uniform spins N = 1..5 and one to three copies of three
-random 4 x 4 members at two, each at four temperatures, with a SHA-256 of each
-``_gap_structure`` array of every spectrum and tolerance.
+SHA-256 of the eigenvalues' bit patterns in ascending order, for modulated
+spins N = 1..6 at three energy tolerances, uniform spins N = 1..5 and one to
+three copies of three random 4 x 4 members at two, each at four temperatures,
+with a SHA-256 of each ``_gap_structure`` array of every spectrum and tolerance.
 Those bits also depend on the BLAS dot kernel, the LAPACK build and numpy's
 SIMD math functions: the four files were made with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
@@ -183,6 +183,14 @@ def _sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
+def _multiset_sha256(values: np.ndarray) -> str:
+    """SHA-256 of the multiset of a complex array's bit patterns: its (re, im) int64 pairs
+    in ascending order, which no input order can change (a sort of the values can, since
+    +0.0 and -0.0 compare equal)."""
+    bits = np.ascontiguousarray(values, dtype=complex).view(np.int64).reshape(-1, 2)
+    return hashlib.sha256(bits[np.lexsort((bits[:, 1], bits[:, 0]))].tobytes()).hexdigest()
+
+
 def _closed_form_bits(t) -> dict:
     return {"tau_P": t.tau_P.hex(), "tau_Q": t.tau_Q.hex(), "B_min_total": t.B_min_total.hex(),
             "min_second_gap": t.min_second_gap.hex(), "per_member_mu2": _sha256(t.per_member_mu2)}
@@ -234,7 +242,7 @@ def composite_qome_times() -> dict:
                     "tau_P": repr(s.tau_P), "tau_Q": repr(s.tau_Q),
                     "zero_multiplicity": s.zero_multiplicity,
                     "tau_P_multiplicity": s.tau_P_multiplicity,
-                    "eigenvalues": _sha256(np.sort(s.eigenvalues).view(np.float64)),
+                    "eigenvalues": _multiset_sha256(s.eigenvalues),
                 }
     return out
 
