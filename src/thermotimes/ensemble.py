@@ -43,6 +43,7 @@ from .model import (
     EnergySpectrum,
     _check_beta,
     _check_positive,
+    _check_rates,
     _check_size,
     _kronecker_sum,
     _kronecker_sum_entries,
@@ -157,10 +158,12 @@ def ensemble_times(spec: EnsembleSpec) -> EnsembleTimes:
     return _ensemble_times(_member_analysis(spec))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is refused
 def _ensemble_times(parts) -> EnsembleTimes:
     mu2s = np.array([tt.mu2 for _, _, _, tt in parts])
     B_min_total = sum(m.count * tt.B1 for m, _, _, tt in parts)
     min_second_gap = min(tt.B2 - tt.B1 for _, _, _, tt in parts)
+    _check_rates("the member escape rates", 2.0 * B_min_total + min_second_gap)
     tau_P = float(1.0 / mu2s.min())
     tau_Q = float(2.0 / (2.0 * B_min_total + min_second_gap))
     return EnsembleTimes(
@@ -313,12 +316,15 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     return _ensemble_times_numeric(_member_analysis(spec), spec.beta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is refused
 def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
     dim = math.prod(member.spectrum.M ** member.count for member, _, _, _ in parts)
     if dim > NUMERIC_CAP:
         raise CapExceeded(f"product dimension {dim} exceeds cap {NUMERIC_CAP}")
 
     copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
+    B = _product_sum([rates.B for rates, _ in copies])  # the product escape rates, S's diagonal
+    _check_rates("the member escape rates", 2.0 * B.max())
     if dim <= DENSE_EIG_LIMIT:
         mu2 = float(np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))[1])
     else:
@@ -340,7 +346,7 @@ def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
 
         mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
 
-    B0, B1 = np.partition(_product_sum([rates.B for rates, _ in copies]), 1)[:2]
+    B0, B1 = np.partition(B, 1)[:2]
     tau_P = 1.0 / mu2
     tau_Q = float(2.0 / (B0 + B1))
     return EnsembleTimes(
@@ -353,6 +359,7 @@ def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
     )
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # such rates are refused
 def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -> EnsembleTimes:
     """Analytic times for N free spins in local transverse fields Gamma_i.
 
@@ -365,7 +372,8 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     Working memory: Gamma, B_min (for its one pairwise sum) and per_member_mu2
     at full length, the cube, tanh, exponentials and brackets in slices of 8192
     spins: about 3.5 arrays of N at N = 10^5, with a whole-array pass's bits.
-    A rate scale gamma (2 Gamma_i)^3 beyond the float range raises NonPositiveField.
+    Rates beyond the float range raise NonPositiveField: a rate scale gamma (2 Gamma_i)^3
+    that is not a finite normal float, or a rate formed from it that is not finite.
     """
     G = np.atleast_1d(np.asarray(Gammas, dtype=float))  # slices need an axis
     if G.size == 0:
@@ -373,14 +381,12 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     _check_positive("every Gamma_i", G)
     _check_beta(beta)
     _check_positive("gamma", gamma)
-    # pass 1 parks the cube in per_member_mu2; pass 2 needs sum(B_min). Each slice's max
-    # starts from the last one's, so a NaN carries over as in a whole-array max.
+    # pass 1 parks the cube in per_member_mu2; pass 2 needs sum(B_min), checks each
+    # slice's rates before it uses them, and starts each slice's max from the last one's
     mu2, B_min = np.empty_like(G), np.empty_like(G)
     slices = [slice(i, i + 8192) for i in range(0, G.size, 8192)]
     for s in slices:
-        with np.errstate(over="ignore"):  # an infinite cube is refused just below
-            mu2[s] = gamma * (2.0 * G[s]) ** 3
-        _check_positive("the rate scale gamma (2 Gamma_i)^3", mu2[s])
+        mu2[s] = gamma * (2.0 * G[s]) ** 3
         # e^{-x}/sinh(x) and cosh/sinh without forming either overflowing hyperbolic
         y = -2.0 * (beta * G[s])
         B_min[s] = 2.0 * mu2[s] * np.exp(y) / -np.expm1(y)
@@ -390,9 +396,11 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     for s in slices:
         cube, tanh = mu2[s], np.tanh(beta * G[s])
         twice = 2.0 * cube
+        member_mu2 = twice / tanh
+        _check_rates("the rate scale gamma (2 Gamma_i)^3", member_mu2, total, scale=cube.min())
         tau_P = float((tanh / twice).max(initial=tau_P))
         tau_Q = float((1.0 / (cube / tanh + (total - B_min[s]))).max(initial=tau_Q))
-        mu2[s] = twice / tanh
+        mu2[s] = member_mu2
     return EnsembleTimes(
         tau_P=tau_P,
         tau_Q=tau_Q,

@@ -22,7 +22,7 @@ from .errors import (
     NegativeTime,
     NonPositiveBeta,
 )
-from .model import TOL_ZERO, DipoleData, EnergySpectrum, _check_beta, _check_positive
+from .model import TOL_ZERO, DipoleData, EnergySpectrum, _check_beta, _check_rates
 
 #: Below beta*|dE| = SMALL_X the thermal weight switches to its small-gap
 #: series to avoid 0/0; the two-term series is exact to double precision
@@ -48,13 +48,6 @@ def _blackbody_weight(gaps: np.ndarray, beta: float, detailed_balance: bool = Fa
         series = a**3 * (1.0 / x - x / 24.0) * np.exp(shift)
     out = np.where(x < SMALL_X, series, direct)
     return np.where(x == 0.0, 0.0, out)
-
-
-def _check_rate_scale(gamma: float, weights: np.ndarray) -> None:
-    """The rate rule of every route with a nonzero gap: the rate scale gamma max W~
-    is finite and > 0, else NonPositiveField. |dE|^3 leaves the float range above a
-    gap of about 5.6e102 and below about 1.7e-108, and gamma can carry a weight past it."""
-    _check_positive("the rate scale gamma max W~", float(gamma) * float(weights.max()))
 
 
 def gibbs_state(spec: Union[EnergySpectrum, Sequence[float]], beta: float) -> np.ndarray:
@@ -91,6 +84,7 @@ class RateData:
         return self.B.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rates past the float range are refused
 def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateData:
     """Blackbody transition rates C, L2 and escape rates B at inverse temperature beta.
 
@@ -113,11 +107,11 @@ def thermal_rates(spec: EnergySpectrum, dip: DipoleData, beta: float) -> RateDat
     E = spec.energies
     gaps = E[:, None] - E[None, :]
     W = _blackbody_weight(gaps, beta, detailed_balance=True)
-    if spec.M > 1:
-        _check_rate_scale(dip.gamma, W)
     C = dip.D * _blackbody_weight(gaps, beta)
     L2 = dip.D * W
-    B = L2.sum(axis=0)
+    B = L2.sum(axis=0)  # finite only if every rate L2 >= 0 is
+    if spec.M > 1:
+        _check_rates("the rate scale gamma max W~", C, B, scale=dip.gamma * W.max())
     return RateData(beta=float(beta), C=C, L2=L2, B=B)
 
 

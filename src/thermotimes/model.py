@@ -30,6 +30,9 @@ DEGENERACY_RTOL = 1e-9
 #: The zero cut of both routes: an eigenvalue below TOL_ZERO times the largest modulus.
 TOL_ZERO = 1e-10
 
+#: The smallest normal float: a rate scale below it has an infinite inverse time.
+TINY = float(np.finfo(float).tiny)
+
 
 def _check_positive(name: str, value) -> None:
     """Raise NonPositiveField unless ``value`` (a number or an array) is finite and > 0.
@@ -40,6 +43,21 @@ def _check_positive(name: str, value) -> None:
     v = np.asarray(value, dtype=float)
     if not (np.isfinite(v) & (v > 0)).all():
         raise NonPositiveField(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_rates(name: str, *rates, scale=None) -> None:
+    """The rate rule of every route: NonPositiveField unless every rate formed is finite and
+    the rate ``scale``, where given, is finite and at least the smallest normal float, so
+    that its inverse time is finite too. |dE|^3 leaves the float range above a gap of about
+    5.6e102 and below about 1.7e-108, gamma can carry a weight past it, and a scale just
+    inside it can still overflow the sums formed from it; so each route forms its rates
+    with overflow ignored and checks them before it uses them."""
+    if scale is not None and not TINY <= scale < math.inf:
+        raise NonPositiveField(f"{name} must be finite and >= {TINY:.4g}, got {scale}")
+    for r in rates:
+        if not np.isfinite(r).all():
+            bad = np.asarray(r)[~np.isfinite(r)].flat[0]
+            raise NonPositiveField(f"the rates formed from {name} must be finite, got {bad}")
 
 
 def _check_tolerance(name: str, value) -> None:
@@ -240,9 +258,11 @@ class DipoleData:
             if np.abs(d - d.conj().T).max() > 1e-10 * max(1.0, np.abs(d).max()):
                 raise NonHermitian(f"{name} is not Hermitian to 1e-10")
             object.__setattr__(self, name, d)
-        D = self.gamma * sum(np.abs(d) ** 2 for d in amps)
-        D = (D + D.T) / 2.0
+        with np.errstate(over="ignore"):  # refused just below
+            D = self.gamma * sum(np.abs(d) ** 2 for d in amps)
+            D = (D + D.T) / 2.0
         np.fill_diagonal(D, 0.0)
+        _check_rates("gamma", D)
         object.__setattr__(self, "D", D)
 
     @property

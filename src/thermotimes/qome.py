@@ -52,7 +52,7 @@ from .errors import (
     NoDissipativeEigenvalue,
     ResonantMembers,
 )
-from .lba import _blackbody_weight, _check_rate_scale
+from .lba import _blackbody_weight
 from .model import (
     DEGENERACY_RTOL,
     TOL_ZERO,
@@ -60,6 +60,7 @@ from .model import (
     EnergySpectrum,
     _check_beta,
     _check_positive,
+    _check_rates,
     _check_size,
     _check_tolerance,
     _gap_structure,
@@ -121,6 +122,7 @@ class Liouvillian:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rates past the float range are refused
 def build_liouvillian(
     spec: EnergySpectrum,
     dip: DipoleData,
@@ -152,33 +154,32 @@ def build_liouvillian(
 
     lev_ids, gap_ids, gap_rep = _gap_structure(E, energy_tol)
     Wt = _blackbody_weight(gap_rep, beta, detailed_balance=True)
-    if gap_rep.any():
-        _check_rate_scale(dip.gamma, Wt)
+    gamma = dip.gamma
 
     # escape coefficients Phi[k, m] = gamma sum_h sum_q d_h[q, k] conj(d_h[q, m]) W~[q, m]
     Phi = np.zeros((M, M), dtype=complex)
     for d in dip.amplitudes:
         Phi += d.T @ (np.conj(d) * Wt)
-    Phi *= dip.gamma
+    Phi *= gamma
     Phi_gated = Phi * (lev_ids[:, None] == lev_ids[None, :])
 
-    feed = [((d * Wt).ravel(), np.conj(d).ravel()) for d in dip.amplitudes]  # flat: [m, k] at mk
-    gap_T, Phi_T = gap_ids.T.ravel(), Phi_gated.T.ravel()  # flat and transposed: [k, m] at mk
     blocks = []
     for idx in _stacks(gap_ids.ravel()):
         # row (m, n) of a block receives from column (k, j)
         (m, n), (k, j) = np.divmod(idx[:, :, None], M), np.divmod(idx[:, None, :], M)
-        mk, nj = m * M + k, n * M + j
         # feeding term gamma sum_h d_h[m, k] conj(d_h[n, j]) W~[m, k], gated on
         # equal transition frequencies E_k - E_m = E_j - E_n; einsum rounds the
         # complex products like the dense outer product einsum("mk,nj->mnkj")
-        stack = np.zeros(mk.shape, dtype=complex)
-        for dW, dc in feed:
-            stack += dip.gamma * np.einsum("...,...->...", dW[mk], dc[nj])
-        stack *= gap_T[mk] == gap_T[nj]
-        stack -= 0.5 * Phi_T[mk] * (n == j)
-        stack -= 0.5 * Phi_T[nj].conj() * (m == k)
+        stack = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
+        for d in dip.amplitudes:
+            stack += gamma * np.einsum("...,...->...", (d * Wt)[m, k], np.conj(d)[n, j])
+        stack *= gap_ids.T[m, k] == gap_ids.T[n, j]
+        stack -= 0.5 * Phi_gated.T[m, k] * (n == j)
+        stack -= 0.5 * Phi_gated.conj().T[n, j] * (m == k)
         blocks.append((gap_rep.ravel()[idx[:, 0]], idx, stack))
+    if gap_rep.any():  # a tolerance that merges every level leaves no rate to scale
+        _check_rates("the rate scale gamma max W~", *(b for *_, b in blocks),
+                     scale=gamma * Wt.max())
 
     return Liouvillian(
         dim=M * M,
@@ -245,12 +246,14 @@ def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpec
     return _classify(ev, static, np.ones(len(ev), dtype=int), tol_zero)
 
 
+@np.errstate(over="ignore")  # an eigenvalue past the float range is refused
 def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
               tol_zero: float) -> LiouvillianSpectrum:
     """The times and counts of the eigenvalues ``ev`` of a blocked generator, with ``static``
     the omega = 0 mask, ``weight`` the multiplicity of each and ``tol_zero`` (> 0) the zero cut."""
     _check_positive("tol_zero", tol_zero)
     scale = float(np.abs(ev).max(initial=0.0))
+    _check_rates("the rate scale gamma max W~", scale)  # the eigenvalues of finite rates
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")
     zero = static & (np.abs(ev) < tol_zero * scale)
@@ -283,6 +286,7 @@ def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rates past the float range are refused
 def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
                           energy_tol: Optional[float] = None,
                           tol_zero: float = TOL_ZERO) -> LiouvillianSpectrum:
@@ -307,15 +311,15 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     _check_beta(beta)
     _check_qome_size(sum(range(N + 1, 0, -2)))
     w_dn, w_up = w = _blackbody_weight(np.array([-2.0, 2.0]) * Gamma, beta, detailed_balance=True)
-    _check_rate_scale(gamma, w)
+    blocks, rise, fall, ladder, bohr, weight = _spin_pairs(N)
+    diag = -gamma * (rise * w_dn + fall * w_up)
+    off = 2 * gamma * np.sqrt(w_dn) * np.sqrt(w_up) * ladder  # of (m, n) to (m - 1, n - 1)
+    _check_rates("the rate scale gamma max W~", diag, off, scale=gamma * w.max())
     if energy_tol is None:
         energy_tol = _default_energy_tol(2 * N * Gamma)
     _check_tolerance("energy tolerance", energy_tol)
     if energy_tol >= 2 * Gamma:
         raise NoDissipativeEigenvalue(f"energy_tol {energy_tol:.3g} >= the level spacing 2 Gamma")
-    blocks, rise, fall, ladder, bohr, weight = _spin_pairs(N)
-    diag = -gamma * (rise * w_dn + fall * w_up)
-    off = 2 * gamma * np.sqrt(w_dn) * np.sqrt(w_up) * ladder  # of (m, n) to (m - 1, n - 1)
     lam = np.empty(len(bohr))
     for rows in blocks:  # one eigvalsh per block size; it reads the lower triangle
         nb, s = rows.shape  # of each flat s x s row, fill the diagonal and the subdiagonal

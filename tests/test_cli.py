@@ -137,13 +137,16 @@ def test_sweep_refuses_a_beta_its_grid_would_replace(tmp_path):
     {"family": "free_spins_uniform", "Gamma": 1e-120, "N_list": [1]},
     {"family": "custom_hamiltonian", "N_list": [1],
      "hamiltonian": {"dim": 2, "re": [[1e300, 0], [0, -1e300]]}},
+    # a finite rate scale whose formed rates overflow; a subnormal one
+    {"family": "free_spins_uniform", "Gamma": 1e3, "gamma": 1.5e298, "N_list": [1]},
+    {"family": "free_spins_uniform", "Gamma": 1.0, "gamma": 1e-315, "N_list": [1]},
 ])
 def test_rates_beyond_the_float_range_exit_1(tmp_path, capsys, raw, method):
-    # these exited 0 with NaN or infinite times, or 1 with a raw numpy traceback
+    # these exited 0 with NaN, zero or infinite times, or 1 with a raw numpy traceback
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": [method]})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
-    assert re.match(r"error: the rate scale gamma .* must be finite and > 0, got ",
-                    capsys.readouterr().err)
+    assert re.match(r"error: (the rates formed from )?the rate scale gamma .* must be finite"
+                    r"( and >= 2\.225e-308)?, got ", capsys.readouterr().err)
 
 
 def test_lanczos_non_convergence_exits_1(tmp_path, monkeypatch, capsys):

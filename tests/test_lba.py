@@ -246,9 +246,13 @@ def test_thermal_rates_refuse_rates_beyond_the_float_range():
     wide = QubitSystem(K=1, H=np.diag([1e300, -1e300]))
     spec = diagonalize(wide)
     for system in (free_spin_system(1e103), free_spin_system(1e300), free_spin_system(1e-120),
-                   free_spin_system(1e3, gamma=1e300), (spec, dipole_data(wide, spec))):
+                   free_spin_system(1e3, gamma=1e300), (spec, dipole_data(wide, spec)),
+                   free_spin_system(1e3, gamma=1.5e298), free_spin_system(1.0, gamma=1e-315)):
         with pytest.raises(NonPositiveField, match="rate scale gamma max W~"):
             thermal_rates(*system, 1.0)
+    # a coupling whose squared dipoles overflow is refused where D is formed
+    with pytest.raises(NonPositiveField, match="the rates formed from gamma"):
+        free_spin_system(1.0, gamma=1e308)
     # just inside the range the rates are finite
     assert np.isfinite(thermal_rates(*free_spin_system(1e102), 1.0).B).all()
 

@@ -89,11 +89,18 @@ def test_zero_dipole_gives_coherent_spectrum():
 def test_qome_refuses_rates_beyond_the_float_range():
     # a NaN weight ended in a raw LinAlgError, an underflowing one in
     # NoDissipativeEigenvalue; both routes name the rate scale now
-    for Gamma, gamma in ((1e103, 1.0), (1e-120, 1.0), (1e3, 1e300)):
+    for Gamma, gamma in ((1e103, 1.0), (1e-120, 1.0), (1e3, 1e300), (1e3, 1.5e298), (1.0, 1e-315)):
         with pytest.raises(NonPositiveField, match="rate scale gamma max W~"):
             build_liouvillian(*free_spin_system(Gamma, gamma), 1.0, energy_tol=0.0)
         with pytest.raises(NonPositiveField, match="rate scale gamma max W~"):
             qome.uniform_spin_spectrum(2, Gamma, 1.0, gamma)
+    # finite blocks whose eigenvalues overflow: tau_P was 0 and tau_Q inf
+    H = np.array([[1.0, 0.3], [0.3, -1.0]])
+    system = QubitSystem(K=1, H=H, gamma=2.03e304)
+    spec = diagonalize(system)
+    L = build_liouvillian(spec, dipole_data(system, spec), 1e-3)
+    with pytest.raises(NonPositiveField, match="the rates formed from the rate scale gamma max W~"):
+        qome_spectrum(L)
     # a tolerance that merges every level leaves no rate: the generator vanishes
     with pytest.raises(NoDissipativeEigenvalue, match="vanishes"):
         qome_spectrum(build_liouvillian(*free_spin_system(1e-120), 1.0))
