@@ -372,8 +372,8 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
     Working memory: Gamma, B_min (for its one pairwise sum) and per_member_mu2
     at full length, the cube, tanh, exponentials and brackets in slices of 8192
     spins: about 3.5 arrays of N at N = 10^5, with a whole-array pass's bits.
-    Rates beyond the float range raise NonPositiveField: a rate scale gamma (2 Gamma_i)^3
-    that is not a finite normal float, or a rate formed from it that is not finite.
+    Rates beyond the float range raise NonPositiveField: a member rate 2 gamma (2 Gamma_i)^3
+    coth(beta Gamma_i) that is not a finite normal float, or a sum B_min that is not finite.
     """
     G = np.atleast_1d(np.asarray(Gammas, dtype=float))  # slices need an axis
     if G.size == 0:
@@ -397,7 +397,9 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
         cube, tanh = mu2[s], np.tanh(beta * G[s])
         twice = 2.0 * cube
         member_mu2 = twice / tanh
-        _check_rates("the rate scale gamma (2 Gamma_i)^3", member_mu2, total, scale=cube.min())
+        # tau_P = 1 / min(member mu2), finite when that rate is a normal float
+        _check_rates("the rate scale 2 gamma (2 Gamma_i)^3 coth(beta Gamma_i)",
+                     member_mu2, total, scale=member_mu2.min())
         tau_P = float((tanh / twice).max(initial=tau_P))
         tau_Q = float((1.0 / (cube / tanh + (total - B_min[s]))).max(initial=tau_Q))
         mu2[s] = member_mu2

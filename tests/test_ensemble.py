@@ -183,21 +183,23 @@ def test_free_spins_times_input_validation():
     (1e3, 1.0, 1e300),  # gamma carries a finite cube past the float range
     (1e3, 1.0, 1.5e298),  # a finite scale whose 2 gamma (2 Gamma)^3 overflows
     (1e-100, 1e-300, 1.0),  # beta Gamma underflows: B_min = 1/0
-    (1.0, 1.0, 1e-315),  # a subnormal scale: tau_P = 1/(2 cube) overflows
+    (1.0, 1.0, 1e-315),  # a subnormal rate: tau_P = tanh / (2 cube) overflows
 ])
 def test_free_spins_times_refuses_rates_beyond_the_float_range(G_last, beta, gamma):
     # these gave NaN, zero or infinite times with RuntimeWarnings (the first two, NaN
     # times in the second slice, were pinned in closed_forms.json); the offending spin
     # sits alone, and in the second slice
     for G in (np.array([G_last]), np.r_[modulated_gammas(8192), G_last]):
-        with pytest.raises(NonPositiveField, match=r"rate scale gamma \(2 Gamma_i\)\^3"):
+        with pytest.raises(NonPositiveField, match=r"rate scale 2 gamma \(2 Gamma_i\)\^3 coth"):
             free_spins_times(G, beta, gamma=gamma)
+    # a subnormal cube whose member rate 2 cube / tanh is a normal float keeps finite times
+    assert math.isfinite(free_spins_times([1e-104], 1.0).tau)
 
 
 def test_ensemble_sums_beyond_the_float_range_are_refused():
     # each member's rates are finite, their sum over three copies is not: the closed
     # forms gave tau_Q 0, the explicit route a RuntimeWarning and tau_Q 0
-    with pytest.raises(NonPositiveField, match=r"rate scale gamma \(2 Gamma_i\)\^3"):
+    with pytest.raises(NonPositiveField, match=r"rate scale 2 gamma \(2 Gamma_i\)\^3 coth"):
         free_spins_times([1.0] * 3, 1e-3, gamma=1.001e304)
     for route in (ensemble_times, ensemble_times_numeric):
         with pytest.raises(NonPositiveField, match="the rates formed from the member escape rates"):
