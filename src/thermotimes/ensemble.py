@@ -14,7 +14,10 @@ LAPACK's dstebz and dstein from ``scipy.linalg.lapack`` for the tridiagonal
 Ritz pairs), at the point of use, so the closed forms and small products run
 on numpy alone. Every Kronecker sum, dense or sparse, comes from the one
 builder in ``model`` (``_kronecker_sum_entries``), which emits its slots
-row by row; this module drops the zero ones and wraps the rest as a CSR matrix.
+row by row: the slot columns come read-only from a cache keyed by the factor
+sizes, built at the first product of each shape in a process, and only the
+values are filled per call. This module drops the zero slots into a copy of
+the kept columns and wraps them as a CSR matrix, so no caller writes into that cache.
 """
 
 import math
@@ -32,7 +35,6 @@ from .errors import (
 )
 from .lba import (
     PauliMatrix,
-    _blackbody_weight,
     gibbs_state,
     pauli_matrix,
     thermal_rates,
@@ -51,14 +53,9 @@ from .model import (
 )
 
 #: Caps on the explicit product-space dimension: the dense composed rate
-#: matrix, the sparse verification path and the two-system decoupling check.
+#: matrix and the sparse verification path.
 COMPOSE_CAP = 4096
 NUMERIC_CAP = 8192
-DECOUPLING_CAP = 64
-
-#: The decoupling check passes when every measured D, C and B entry matches its
-#: one-body prediction to this fraction of the prediction's scale (at least 1).
-DECOUPLING_RTOL = 1e-12
 
 #: Above this dimension the explicit path switches from a dense numpy
 #: eigensolve to a Lanczos recurrence for the smallest eigenvalue of the
@@ -410,116 +407,4 @@ def free_spins_times(Gammas: Sequence[float], beta: float, gamma: float = 1.0) -
         per_member_mu2=mu2,
         B_min_total=float(total),
         min_second_gap=min_second_gap,
-    )
-
-
-# ---------------------------------------------------------------------------
-# product-basis decoupling verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecouplingCheck:
-    """Outcome of measuring two-system dipole/rate structure in a basis.
-
-    ``ok`` means the measured quantities match the one-body decoupling:
-    D[(m,n),(p,q)] = D1[m,p] d_{n,q} + D2[n,q] d_{m,p}, the analogous rule for
-    C, and escape-rate additivity B[(m,n)] = B1[m] + B2[n].
-    """
-
-    ok: bool
-    max_deviation: float
-    basis: str
-    energies: np.ndarray
-    D: np.ndarray
-    C: np.ndarray
-    B: np.ndarray
-    predicted_D: np.ndarray
-    predicted_C: np.ndarray
-
-
-def bell_rotation(M: int) -> np.ndarray:
-    """Basis change from product states to Bell-type combinations.
-
-    Diagonal pairs (m, m) are kept; for m < n the pair index (m, n) maps to
-    (|m,n> + |n,m>)/sqrt(2) and (n, m) to (|m,n> - |n,m>)/sqrt(2).
-    """
-    T = np.zeros((M * M, M * M), dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    for m in range(M):
-        for n in range(M):
-            col = m * M + n
-            if m == n:
-                T[col, col] = 1.0
-            elif m < n:
-                T[m * M + n, col] = s
-                T[n * M + m, col] = s
-            else:
-                T[n * M + m, col] = s
-                T[m * M + n, col] = -s
-    return T
-
-
-def verify_product_basis_decoupling(
-    a: Tuple[EnergySpectrum, DipoleData],
-    b: Tuple[EnergySpectrum, DipoleData],
-    beta: float,
-    basis: str = "product",
-) -> DecouplingCheck:
-    """Measure the two-system dipole elements and test the one-body decoupling.
-
-    Builds D[(m,n),(p,q)] = sum_h gamma_1 |<mn| O1_h |pq>|^2 + gamma_2
-    |<mn| O2_h |pq>|^2 in the requested basis ("product" or, for equal
-    members, "bell"), derives C and the escape rates, and compares them
-    against the one-body predictions from the member data.
-    """
-    (spec1, dip1), (spec2, dip2) = a, b
-    M1, M2 = spec1.M, spec2.M
-    if M1 * M2 > DECOUPLING_CAP:
-        raise CapExceeded(f"product dimension {M1 * M2} exceeds cap {DECOUPLING_CAP}")
-    if basis == "product":
-        T = np.eye(M1 * M2, dtype=complex)
-    elif basis == "bell":
-        if M1 != M2 or not np.allclose(spec1.energies, spec2.energies):
-            raise DimensionMismatch("the bell basis requires two equal members")
-        T = bell_rotation(M1)
-    else:
-        raise DimensionMismatch(f"unknown basis {basis!r}")
-
-    E2 = _product_sum([spec1.energies, spec2.energies])
-    dim = M1 * M2
-    D2 = np.zeros((dim, dim))
-    for d1, d2 in zip(dip1.amplitudes, dip2.amplitudes):
-        O1 = T.conj().T @ np.kron(d1, np.eye(M2, dtype=complex)) @ T
-        O2 = T.conj().T @ np.kron(np.eye(M1, dtype=complex), d2) @ T
-        D2 += dip1.gamma * np.abs(O1) ** 2 + dip2.gamma * np.abs(O2) ** 2
-    np.fill_diagonal(D2, 0.0)
-
-    gaps = E2[:, None] - E2[None, :]
-    C2 = D2 * _blackbody_weight(gaps, beta)
-    B2 = (D2 * _blackbody_weight(gaps, beta, detailed_balance=True)).sum(axis=0)
-
-    # one-body prediction X[(m,n),(p,q)] = X1[m,p] d_{n,q} + X2[n,q] d_{m,p}
-    r1 = thermal_rates(spec1, dip1, beta)
-    r2 = thermal_rates(spec2, dip2, beta)
-    pred_D = _kronecker_sum([dip1.D, dip2.D])
-    pred_C = _kronecker_sum([r1.C, r2.C])
-    pred_B = _product_sum([r1.B, r2.B])
-
-    dev_D = np.abs(D2 - pred_D).max()
-    dev_C = np.abs(C2 - pred_C).max()
-    dev_B = np.abs(B2 - pred_B).max()
-    ok = all(
-        dev <= DECOUPLING_RTOL * max(1.0, np.abs(pred).max())
-        for dev, pred in ((dev_D, pred_D), (dev_C, pred_C), (dev_B, pred_B))
-    )
-    return DecouplingCheck(
-        ok=bool(ok),
-        max_deviation=float(max(dev_D, dev_C, dev_B)),
-        basis=basis,
-        energies=E2,
-        D=D2,
-        C=C2,
-        B=B2,
-        predicted_D=pred_D,
-        predicted_C=pred_C,
     )

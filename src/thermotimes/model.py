@@ -4,6 +4,7 @@ Units: hbar = k_B = 1 throughout. The dipole coupling constant gamma absorbs
 all physical prefactors and multiplies the squared dipole matrix D.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -94,6 +95,45 @@ def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+#: Factor-size tuples whose Kronecker-sum layout is kept (least recently used first out).
+LAYOUT_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _kronecker_layout(sizes: tuple) -> tuple:
+    """The shape-only half of ``_kronecker_sum_entries`` for factors of these sizes:
+    the read-only (dim, width) column indices and one (left, m, right, slot, a, b)
+    fill recipe per factor, built once per size tuple and process.
+
+    Row (i_left, a, i_right) of factor m couples to b = j + (j >= a), the j-th
+    of the other m - 1 levels, at column row + (b - a) * right, in slots
+    slot .. slot + m - 2 of the (left, m, right) view of the rows. The indices
+    are 32-bit wherever they fit, as scipy stores them. An entry holds dim * width
+    index words: 0.46 MB for 13 spins, but M^2 words for one factor of size M,
+    268 MB at the ensemble module's product cap M = 8192; at most
+    LAYOUT_CACHE_SIZE entries are kept, so that bound times 268 MB is the worst case.
+    """
+    dim = math.prod(sizes)
+    width = 1 + sum(sizes) - len(sizes)
+    index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty((dim, width), dtype=index)
+    rows = np.arange(dim, dtype=index)
+    indices[:, 0] = rows
+    recipes, left, slot = [], 1, 1
+    for m in sizes:
+        right = dim // (left * m)
+        a = np.arange(m)[:, None]
+        b = np.arange(m - 1)[None, :] + (np.arange(m - 1)[None, :] >= a)
+        indices.reshape(left, m, right, width)[..., slot:slot + m - 1] = (
+            rows.reshape(left, m, right, 1) + ((b - a) * right)[:, None, :])
+        for x in (a, b):
+            x.setflags(write=False)
+        recipes.append((left, m, right, slot, a, b))
+        left, slot = left * m, slot + m - 1
+    indices.setflags(write=False)
+    return indices, tuple(recipes)
+
+
 def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
     """(indices, data) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn: two
     (dim, width) arrays whose row r holds the columns and values of row r's slots.
@@ -104,31 +144,16 @@ def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
     over the (left, m, right) view of the rows with no index repeated. Within
     a row the slots run diagonal first, then factor by factor; every slot is
     kept, including those whose factor entry is zero (the sparse consumer
-    drops them). The indices are 32-bit wherever they fit, as scipy stores them.
+    drops them). The indices depend on the factor sizes alone and come read-only
+    from the ``_kronecker_layout`` cache; only the data is filled per call.
     """
     if not mats:
         raise DimensionMismatch("a Kronecker sum needs at least one factor")
-    sizes = [X.shape[0] for X in mats]
-    dim = math.prod(sizes)
-    width = 1 + sum(sizes) - len(sizes)
-    index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
-    data = np.empty((dim, width), dtype=np.result_type(*mats))
-    indices = np.empty((dim, width), dtype=index)
-    rows = np.arange(dim, dtype=index)
+    indices, recipes = _kronecker_layout(tuple(X.shape[0] for X in mats))
+    data = np.empty(indices.shape, dtype=np.result_type(*mats))
     data[:, 0] = _product_sum([np.diag(X) for X in mats])
-    indices[:, 0] = rows
-    left, slot = 1, 1
-    for X, m in zip(mats, sizes):
-        right = dim // (left * m)
-        # row (i_left, a, i_right) couples to b = j + (j >= a), the j-th of the
-        # other m - 1 levels, at column row + (b - a) * right
-        a = np.arange(m)[:, None]
-        b = np.arange(m - 1)[None, :] + (np.arange(m - 1)[None, :] >= a)
-        view = (Ellipsis, slice(slot, slot + m - 1))
-        data.reshape(left, m, right, width)[view] = X[a, b][:, None, :]
-        indices.reshape(left, m, right, width)[view] = (
-            rows.reshape(left, m, right, 1) + ((b - a) * right)[:, None, :])
-        left, slot = left * m, slot + m - 1
+    for X, (left, m, right, slot, a, b) in zip(mats, recipes):
+        data.reshape(left, m, right, -1)[..., slot:slot + m - 1] = X[a, b][:, None, :]
     return indices, data
 
 

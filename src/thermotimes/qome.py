@@ -39,6 +39,7 @@ only: a tolerance wide enough to merge levels or dipole-free gaps of the
 composite lies outside it, so a wider tolerance needs the composite.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -330,10 +331,12 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     return _classify(lam - 1j * omega, omega == 0.0, weight, tol_zero)
 
 
+@functools.lru_cache(maxsize=14)  # one entry per N the QOME size rule admits
 def _spin_pairs(N: int) -> tuple:
     """The level pairs (m, n) of ``uniform_spin_spectrum``, the order of its eigenvalues: the
     Jacobi blocks by size 1..N + 1 (sector J = N/2 has them all) as positions ordered by m,
-    c_J(m)^2 + c_J'(n)^2, c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m), d_J d_J' (int)."""
+    c_J(m)^2 + c_J'(n)^2, c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m), d_J d_J' (int).
+    They depend on N alone, so they are built once per N and process and returned read-only."""
     two_J, S = np.arange(N, -1, -2), N // 2 + 1
     mult = [math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in range(S)]
     # every level (sector s, 2m = -2J, ..., 2J), every pair; so a block's positions ascend in m
@@ -344,8 +347,11 @@ def _spin_pairs(N: int) -> tuple:
     tJ = two_J[s]  # 4 c_J(m)^2 and 4 c_J(m-1)^2 of every level, exact integers:
     rise, fall = tJ * (tJ + 2) - tm * (tm + 2), tJ * (tJ + 2) - tm * (tm - 2)
     weight = np.array([da * db for da in mult for db in mult], dtype=object)[s[i] * S + s[j]]
-    return (blocks, (rise[i] + rise[j]) / 4, (fall[i] + fall[j]) / 4,
-            np.sqrt(fall[i] * fall[j]) / 4, tm[j] - tm[i], weight)
+    out = (tuple(blocks), (rise[i] + rise[j]) / 4, (fall[i] + fall[j]) / 4,
+           np.sqrt(fall[i] * fall[j]) / 4, tm[j] - tm[i], weight)
+    for x in (*out[0], *out[1:]):
+        x.setflags(write=False)
+    return out
 
 
 def _check_member_premise(spectra: Sequence[EnergySpectrum], energy_tol: float) -> None:

@@ -16,7 +16,6 @@ from thermotimes.ensemble import (
     ensemble_times,
     ensemble_times_numeric,
     free_spins_times,
-    verify_product_basis_decoupling,
 )
 from thermotimes.lba import (
     decoherence_rates,
@@ -36,7 +35,12 @@ from thermotimes.model import (
 )
 from thermotimes.qome import build_liouvillian, qome_spectrum
 
-from oracles import random_density_matrix, random_hermitian, synthetic_system
+from oracles import (
+    random_density_matrix,
+    random_hermitian,
+    synthetic_system,
+    verify_product_basis_decoupling,
+)
 
 
 @contextmanager

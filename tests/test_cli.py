@@ -456,6 +456,24 @@ def test_analyze_runs_are_byte_identical(tmp_path):
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
+@pytest.mark.parametrize("records, raw", [
+    (analyze_records, {"family": "free_spins_uniform", "Gamma": 1.0, "beta": 1.0,
+                       "N_list": [1, 2, 3, 4, 5],
+                       "methods": ["lba_analytic", "lba_numeric", "qome"]}),
+    (sweep_records, {"family": "free_spins_uniform", "Gamma": 1.0, "N": 5,
+                     "beta_grid": [0.1, 1.0, 10.0], "methods": ["qome"]}),
+])
+def test_warm_runs_equal_cold_ones(records, raw):
+    # the total-spin pairs and the Kronecker slot layout are built at the first
+    # run of a shape in a process; the runs that find them built print the same
+    config = RunConfig.from_dict(raw)
+    qome._spin_pairs.cache_clear()
+    model._kronecker_layout.cache_clear()
+    cold = repr(records(config))
+    assert qome._spin_pairs.cache_info().currsize  # the second run reads the cache
+    assert repr(records(config)) == cold
+
+
 def test_analyze_json_validates_against_schema(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "family": "free_spins_uniform", "Gamma": 1.0, "N_list": [1, 2],

@@ -13,12 +13,10 @@ from thermotimes.cli import modulated_gammas
 from thermotimes.ensemble import (
     EnsembleMember,
     EnsembleSpec,
-    bell_rotation,
     compose_rate_matrix,
     ensemble_times,
     ensemble_times_numeric,
     free_spins_times,
-    verify_product_basis_decoupling,
 )
 from thermotimes.errors import (
     CapExceeded,
@@ -32,10 +30,12 @@ from thermotimes.lba import gibbs_state, pauli_matrix, thermal_rates, thermaliza
 from thermotimes.model import free_spin_system
 
 from oracles import (
+    bell_rotation,
     chained_kronecker_sum,
     embedded_kronecker_sum,
     random_hermitian,
     synthetic_system,
+    verify_product_basis_decoupling,
 )
 
 
@@ -491,6 +491,48 @@ def test_sparse_kronecker_sum_is_canonical_csr():
     assert S.has_canonical_format and S.nnz == 6 + 6 + 4
     _assert_csr_rows_store_diagonal_and_no_zero(S)
     assert np.array_equal(S.toarray(), chained_kronecker_sum(mats).toarray())
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e4])
+@pytest.mark.parametrize("N", [7, 13])
+def test_sparse_kronecker_sum_at_lanczos_sizes(N, beta):
+    # at beta = 1 no slot is dropped; at 1e4 every off-diagonal entry of S underflows
+    # and is dropped, and the zero diagonal of the ground row, which the chained sum
+    # does not store, is the one stored zero
+    mats = [spin_pauli(G, beta)[0].S for G in modulated_gammas(N)]
+    S, reference = ensemble._sparse_kronecker_sum(mats), chained_kronecker_sum(mats)
+    assert S.has_canonical_format
+    assert S.nnz == 2**N * (N + 1 if beta == 1.0 else 1)
+    _assert_csr_rows_store_diagonal_and_no_zero(S)
+    stored = S.copy()
+    stored.eliminate_zeros()
+    assert stored.nnz == S.nnz - (beta == 1e4)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(stored, name), getattr(reference, name)), name
+
+
+def test_kronecker_layout_is_built_once_and_read_only():
+    # the slot columns of a size tuple are cached and shared; the sparse S copies the
+    # kept ones, so what a caller does to its S never reaches the next call
+    rng = np.random.default_rng(44)
+    mats = [_random_symmetric_factor(rng, M) for M in (2, 3, 2)]
+    model._kronecker_layout.cache_clear()
+    indices, data = model._kronecker_sum_entries(mats)
+    with pytest.raises(ValueError):
+        indices[...] = 0
+    again, data_again = model._kronecker_sum_entries(mats)
+    assert again is indices and np.array_equal(data_again, data)
+    fresh, _ = model._kronecker_layout.__wrapped__((2, 3, 2))
+    assert again.dtype == fresh.dtype and np.array_equal(again, fresh)
+    S = ensemble._sparse_kronecker_sum(mats)
+    first = [getattr(S, name).copy() for name in ("indptr", "indices", "data")]
+    S.has_sorted_indices = False
+    S.sort_indices()
+    S.indices[:] = 0
+    S.data[:] = 0
+    S = ensemble._sparse_kronecker_sum(mats)
+    for name, want in zip(("indptr", "indices", "data"), first):
+        assert np.array_equal(getattr(S, name), want), name
 
 
 @settings(max_examples=60, deadline=None)

@@ -280,3 +280,20 @@ def test_uniform_analyze_never_gathers(tmp_path, monkeypatch):
     assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
     rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
     assert [int(row.split(",")[5]) for row in rows] == [catalan(N) for N in range(1, 7)]
+
+
+def test_spin_pairs_are_built_once_and_read_only():
+    # every uniform_spin_spectrum call of one N shares one read-only layout, so no
+    # caller can change what the next one reads
+    _spin_pairs.cache_clear()
+    first = _spin_pairs(4)
+    blocks, *arrays = first
+    assert isinstance(blocks, tuple)
+    for x in (*blocks, *arrays):
+        with pytest.raises(ValueError):
+            x[...] = 0
+    assert _spin_pairs(4) is first
+    fresh = _spin_pairs.__wrapped__(4)
+    assert len(fresh[0]) == len(blocks)
+    for got, want in zip((*blocks, *arrays), (*fresh[0], *fresh[1:])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
