@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import (
+    NUMERIC_CAP,
     EnsembleSpec,
     _ensemble_times,
     _ensemble_times_numeric,
@@ -28,6 +29,7 @@ from .ensemble import (
 from .errors import CapExceeded, ConfigError, ResonantMembers, ThermotimesError
 from .model import (
     QubitSystem,
+    _check_product_size,
     _kronecker_sum,
     diagonalize,
     dipole_data,
@@ -213,10 +215,18 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
     return modulated_gammas(N, **config.law)
 
 
+def _member_dim(config: RunConfig) -> int:
+    """The dimension of one member: 2 for a spin, ``dim`` of a custom Hamiltonian."""
+    return config.hamiltonian["dim"] if config.family == "custom_hamiltonian" else 2
+
+
 def _run_members(config: RunConfig, N_max: int):
     """``members(N)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis`` parts,
     built and analysed on the first call. Gamma_i is set by i alone, so modulated spins
-    give the first N of N_max; a uniform or custom member gets count N."""
+    give the first N of N_max; a uniform or custom member gets count N. A run with
+    ``lba_numeric`` is size-checked at N_max here, before any member is built."""
+    if "lba_numeric" in config.methods:
+        _check_product_size([(_member_dim(config), N_max)], NUMERIC_CAP)
     parts = []
 
     def members(N: int) -> list:
@@ -241,11 +251,10 @@ def _run_members(config: RunConfig, N_max: int):
 def _composite_system(config: RunConfig, N: int) -> QubitSystem:
     """The ensemble as one composite qubit register (QOME route of the custom
     family and of resonant modulated spins), size-checked first."""
+    _check_qome_size(_member_dim(config), N)
     if config.family == "custom_hamiltonian":
         member = system_from_json(config.hamiltonian, gamma=config.gamma)
-        _check_qome_size(member.dim, N)
         return QubitSystem(K=member.K * N, H=_kronecker_sum([member.H] * N), gamma=config.gamma)
-    _check_qome_size(2, N)
     return QubitSystem(K=N, H=free_spin_chain(_field_strengths(config, N)), gamma=config.gamma)
 
 

@@ -12,12 +12,8 @@ eigenvalue of a sparse S with the exact null vector sqrt(Gibbs) shifted out
 of the way. Only that Lanczos branch imports scipy (``scipy.sparse`` for S,
 LAPACK's dstebz and dstein from ``scipy.linalg.lapack`` for the tridiagonal
 Ritz pairs), at the point of use, so the closed forms and small products run
-on numpy alone. Every Kronecker sum, dense or sparse, comes from the one
-builder in ``model`` (``_kronecker_sum_entries``), which emits its slots
-row by row: the slot columns come read-only from a cache keyed by the factor
-sizes, built at the first product of each shape in a process, and only the
-values are filled per call. This module drops the zero slots into a copy of
-the kept columns and wraps them as a CSR matrix, so no caller writes into that cache.
+on numpy alone. Every Kronecker sum comes from the one builder in ``model``,
+whose read-only layout cache the sparse S copies its kept slots out of.
 """
 
 import math
@@ -27,14 +23,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     DetailedBalanceViolation,
     DimensionMismatch,
     EmptyEnsemble,
     NoConvergence,
 )
 from .lba import (
-    PauliMatrix,
     gibbs_state,
     pauli_matrix,
     thermal_rates,
@@ -45,6 +39,7 @@ from .model import (
     EnergySpectrum,
     _check_beta,
     _check_positive,
+    _check_product_size,
     _check_rates,
     _check_size,
     _kronecker_sum,
@@ -52,25 +47,20 @@ from .model import (
     _product_sum,
 )
 
-#: Caps on the explicit product-space dimension: the dense composed rate
-#: matrix and the sparse verification path.
-COMPOSE_CAP = 4096
+#: Cap on the product dimension prod_i M_i^n_i of the explicit route (``lba_numeric``).
 NUMERIC_CAP = 8192
 
-#: Above this dimension the explicit path switches from a dense numpy
-#: eigensolve to a Lanczos recurrence for the smallest eigenvalue of the
-#: Gibbs-deflated sparse S; only products above it load scipy. A dense
-#: eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool, whose worker
-#: then spins for about 0.1 s while the caller goes on on one thread; the
-#: Lanczos recurrence does not. On two cores (numpy 2.4, scipy 1.17; quartiles
-#: over eight temperatures) a call takes 2.2-4.0 ms against 1.9-4.3 ms dense
-#: at 128 and 2.8-4.7 ms against 5.9-9.1 ms at 256, while a reference-table
-#: job without the QOME (N = 1..13) takes 0.08-0.12 CPU-s, as much as its wall
-#: time, at 64, against 0.17 CPU-s for 0.085-0.093 s of wall time at 256.
-#: The price falls on a fresh process whose first large product is 128 or
-#: 256 (``analyze`` of N = 7 or 8 spins with ``lba_numeric``): it loads
-#: ``scipy.sparse`` and ``scipy.linalg``, 0.2-0.4 -> 0.5-0.7 s and
-#: 33 -> 61 MB.
+#: Above this dimension the explicit path switches from a dense numpy eigensolve to a
+#: Lanczos recurrence for the smallest eigenvalue of the Gibbs-deflated sparse S; only
+#: products above it load scipy. A dense eigvalsh at 128 or 256 wakes numpy's OpenBLAS
+#: thread pool, whose worker then spins for about 0.1 s while the caller goes on on one
+#: thread; Lanczos does not. On two cores (numpy 2.4, scipy 1.17; quartiles over eight
+#: temperatures) a call takes 2.2-4.0 ms against 1.9-4.3 ms dense at 128 and 2.8-4.7 ms
+#: against 5.9-9.1 ms at 256, and a reference-table job without the QOME (N = 1..13)
+#: 0.08-0.12 CPU-s, as much as its wall time, at 64, against 0.17 CPU-s for 0.085-0.093 s
+#: of wall time at 256. A fresh process whose first large product is 128 or 256 (``analyze``
+#: of N = 7 or 8 spins with ``lba_numeric``) loads ``scipy.sparse`` and ``scipy.linalg``:
+#: 0.2-0.4 -> 0.5-0.7 s and 33 -> 61 MB.
 DENSE_EIG_LIMIT = 64
 
 #: The Gibbs null vector q of S must satisfy |S q|_inf <= this fraction of the
@@ -193,36 +183,6 @@ def _row_sum_bound(S) -> float:
     return float(np.add.reduceat(np.abs(S.data), S.indptr[:-1]).max())
 
 
-def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
-    """Explicit Kronecker sum A(x)I(x)... + ... + I(x)...(x)A of member rate matrices.
-
-    The symmetrized matrix S is the Kronecker sum of the member S matrices,
-    so the eigenvalues of the result are all sums of one eigenvalue per
-    member. A single member is returned unchanged.
-    """
-    if not pms:
-        raise EmptyEnsemble("compose_rate_matrix needs at least one member")
-    if len({pm.beta for pm in pms}) != 1:
-        raise DimensionMismatch("all members must share the same beta")
-    if len(pms) == 1:
-        return pms[0]
-    total = 1
-    for pm in pms:
-        total *= pm.M
-    if total > COMPOSE_CAP:
-        raise CapExceeded(f"product dimension {total} exceeds cap {COMPOSE_CAP}")
-    energies = _product_sum([pm.energies for pm in pms])
-    S = _kronecker_sum([pm.S for pm in pms])
-    return PauliMatrix(
-        A=_kronecker_sum([pm.A for pm in pms]),
-        S=S,
-        energies=energies,
-        beta=pms[0].beta,
-        eigenvalues=np.linalg.eigvalsh(S),
-        stationary=gibbs_state(energies, pms[0].beta),
-    )
-
-
 def _deterministic_start(dim: int) -> np.ndarray:
     # fixed Lanczos start vector: results must be reproducible bit for bit
     v0 = 1.0 + 0.01 * np.cos(np.arange(dim))
@@ -297,8 +257,7 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     """Verification path: explicit product-space rate matrix and escape rates.
 
     mu2 comes from the symmetrized Kronecker-sum matrix S. Up to
-    DENSE_EIG_LIMIT it is the second eigenvalue of S, built dense and alone
-    (without the A, product energies and Gibbs state of :func:`compose_rate_matrix`).
+    DENSE_EIG_LIMIT it is the second eigenvalue of S, built dense and alone.
     Above it, S is built sparse, and detailed balance gives it the exact null
     vector q = sqrt(Gibbs); adding c q q^T, with c the largest absolute row
     sum of S (a Gershgorin bound), lifts that zero above the spectrum, and
@@ -307,18 +266,15 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
     for bit) and stopped by its Ritz estimate (see ``_lanczos_smallest``).
     tau_Q comes from enumerating the two smallest product-space escape rates.
 
-    Raises DetailedBalanceViolation if |S q|_inf exceeds NULL_VECTOR_RTOL * c,
-    and NoConvergence if the recurrence has not converged after dim steps.
+    Raises CapExceeded above NUMERIC_CAP, DetailedBalanceViolation if |S q|_inf exceeds
+    NULL_VECTOR_RTOL * c, and NoConvergence if the recurrence has not converged in dim steps.
     """
     return _ensemble_times_numeric(_member_analysis(spec), spec.beta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is refused
 def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
-    dim = math.prod(member.spectrum.M ** member.count for member, _, _, _ in parts)
-    if dim > NUMERIC_CAP:
-        raise CapExceeded(f"product dimension {dim} exceeds cap {NUMERIC_CAP}")
-
+    dim = _check_product_size([(m.spectrum.M, m.count) for m, *_ in parts], NUMERIC_CAP)
     copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
     B = _product_sum([rates.B for rates, _ in copies])  # the product escape rates, S's diagonal
     _check_rates("the member escape rates", 2.0 * B.max())

@@ -4,6 +4,7 @@ Units: hbar = k_B = 1 throughout. The dipole coupling constant gamma absorbs
 all physical prefactors and multiplies the squared dipole matrix D.
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -12,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DegenerateSpectrum,
     DimensionMismatch,
     NonHermitian,
@@ -80,6 +82,23 @@ def _check_size(name: str, value, error=DimensionMismatch) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise error(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _check_product_size(factors, cap: int, name: str = "product dimension") -> int:
+    """The one size rule: the product of dim^count over (dim, count) factors, returned if at
+    most ``cap``. It is checked against the room left under the cap, so no integer above it
+    is formed; CapExceeded names the factors by dimension (``2^20000``), never the product."""
+    powers = collections.Counter()
+    for dim, count in factors:
+        powers[dim] += count
+    powers, room = sorted(powers.items()), cap
+    for dim, count in powers:
+        for _ in range(count if dim > 1 else 0):
+            if dim > room:
+                named = " x ".join(f"{d}^{n}" for d, n in powers)
+                raise CapExceeded(f"{name} {named} exceeds cap {cap}")
+            room //= dim
+    return math.prod(d**n for d, n in powers)
 
 
 def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:

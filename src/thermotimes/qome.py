@@ -47,7 +47,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     DimensionMismatch,
     EmptyEnsemble,
     NoDissipativeEigenvalue,
@@ -61,6 +60,7 @@ from .model import (
     EnergySpectrum,
     _check_beta,
     _check_positive,
+    _check_product_size,
     _check_rates,
     _check_size,
     _check_tolerance,
@@ -78,10 +78,8 @@ AGREE_RTOL = 1e-6
 
 def _check_qome_size(dim: int, copies: int = 1) -> None:
     """The QOME size rule: the generator of ``copies`` members of dimension ``dim``
-    acts on (dim^copies)^2 entries, at most LIOUVILLIAN_CAP. Compared in log
-    space, so that a huge ensemble is refused before anything is built."""
-    if 2 * copies * math.log2(dim) > math.log2(LIOUVILLIAN_CAP):
-        raise CapExceeded(f"QOME dimension {dim}^{2 * copies} exceeds cap {LIOUVILLIAN_CAP}")
+    acts on (dim^copies)^2 entries, at most LIOUVILLIAN_CAP (``model._check_product_size``)."""
+    _check_product_size([(dim, 2 * copies)], LIOUVILLIAN_CAP, "QOME dimension")
 
 
 def _default_energy_tol(spread: float) -> float:
@@ -310,7 +308,7 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     _check_positive("Gamma", Gamma)
     _check_positive("gamma", gamma)
     _check_beta(beta)
-    _check_qome_size(sum(range(N + 1, 0, -2)))
+    _check_qome_size((N // 2 + 1) * (N + 1 - N // 2))  # sum_J (2J + 1) levels, in O(1)
     w_dn, w_up = w = _blackbody_weight(np.array([-2.0, 2.0]) * Gamma, beta, detailed_balance=True)
     blocks, rise, fall, ladder, bohr, weight = _spin_pairs(N)
     diag = -gamma * (rise * w_dn + fall * w_up)
@@ -335,7 +333,7 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
 def _spin_pairs(N: int) -> tuple:
     """The level pairs (m, n) of ``uniform_spin_spectrum``, the order of its eigenvalues: the
     Jacobi blocks by size 1..N + 1 (sector J = N/2 has them all) as positions ordered by m,
-    c_J(m)^2 + c_J'(n)^2, c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m), d_J d_J' (int).
+    c_J(m)^2 + c_J'(n)^2, c_J(m-1)^2 + c_J'(n-1)^2, c_J(m-1) c_J'(n-1), 2(n - m), d_J d_J' (int64).
     They depend on N alone, so they are built once per N and process and returned read-only."""
     two_J, S = np.arange(N, -1, -2), N // 2 + 1
     mult = [math.comb(N, k) - (math.comb(N, k - 1) if k else 0) for k in range(S)]
@@ -346,7 +344,8 @@ def _spin_pairs(N: int) -> tuple:
     blocks = _stacks((s[i] * S + s[j]) * (4 * N + 1) + (tm[i] - tm[j] + 2 * N))
     tJ = two_J[s]  # 4 c_J(m)^2 and 4 c_J(m-1)^2 of every level, exact integers:
     rise, fall = tJ * (tJ + 2) - tm * (tm + 2), tJ * (tJ + 2) - tm * (tm - 2)
-    weight = np.array([da * db for da in mult for db in mult], dtype=object)[s[i] * S + s[j]]
+    # exact in int64: the weights add up to 4^N, and the size rule keeps N <= 14
+    weight = np.array([da * db for da in mult for db in mult], dtype=np.int64)[s[i] * S + s[j]]
     out = (tuple(blocks), (rise[i] + rise[j]) / 4, (fall[i] + fall[j]) / 4,
            np.sqrt(fall[i] * fall[j]) / 4, tm[j] - tm[i], weight)
     for x in (*out[0], *out[1:]):

@@ -3,7 +3,12 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 via characteristic polynomials, decay rates via matrix exponentials, product
 structure via explicit loops over bra-ket sums, degeneracy classes via one
-loop step per element and one mask per class. The referee of the uniform-spin
+loop step per element and one mask per class. The dense composed rate matrix
+(``compose_rate_matrix``: A, S, the product energies and the Gibbs state of
+the product space) is the referee of the explicit ``lba_numeric`` route, which
+builds S alone. Two closed forms referee the uniform-field QOME decoherence
+time: 1 / w_up at N = 2 and the cold law (N - 1) / w_up, w_up being the
+absorption rate of one spin. The referee of the uniform-spin
 Jacobi route is the gathered generator of the total-spin sector system, cut by
 sector pair and solved by the nonsymmetric eigensolver, a path that route
 never takes. The product-basis decoupling check measures two-system dipole
@@ -13,14 +18,14 @@ the one-body predictions of the Kronecker-sum builder.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from thermotimes.errors import CapExceeded, DimensionMismatch
-from thermotimes.lba import _blackbody_weight, thermal_rates
+from thermotimes.errors import CapExceeded, DimensionMismatch, EmptyEnsemble
+from thermotimes.lba import PauliMatrix, _blackbody_weight, gibbs_state, thermal_rates
 from thermotimes.model import (
     DEGENERACY_RTOL,
     DipoleData,
@@ -313,6 +318,68 @@ def sector_eigenvalues(N, Gamma, beta, gamma=1.0, energy_tol=None):
         static += [omega == 0.0] * len(block)
         weight += [w] * len(block)
     return np.concatenate(ev), np.array(static), np.array(weight, dtype=object)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the uniform QOME decoherence time
+# ---------------------------------------------------------------------------
+
+def absorption_rate(Gamma, beta, gamma=1.0):
+    """w_up = 2 gamma (2 Gamma)^3 / (e^{2 beta Gamma} - 1), the absorption rate of one spin."""
+    return 2.0 * gamma * (2.0 * Gamma) ** 3 / math.expm1(2.0 * beta * Gamma)
+
+
+def pair_qome_tau_Q(Gamma, beta, gamma=1.0):
+    """The QOME decoherence time of two spins in a uniform field, 1 / w_up at any temperature.
+
+    A reading, not a derivation: the slowest coherence joins the dark singlet
+    with the triplet ground state, which absorbs collectively at 2 w_up, and
+    decays at half that rate."""
+    return 1.0 / absorption_rate(Gamma, beta, gamma)
+
+
+def cold_qome_tau_Q(N, Gamma, beta, gamma=1.0):
+    """The cold law of N >= 2 spins in a uniform field: tau_Q -> (N - 1) / w_up as
+    beta Gamma grows. It grows with N, where the detailed-balance tau_Q falls as 1/N."""
+    return (N - 1) / absorption_rate(Gamma, beta, gamma)
+
+
+# ---------------------------------------------------------------------------
+# the composed product-space rate matrix
+# ---------------------------------------------------------------------------
+
+#: Cap on the product dimension of the dense composed rate matrix.
+COMPOSE_CAP = 4096
+
+
+def compose_rate_matrix(pms: Sequence[PauliMatrix]) -> PauliMatrix:
+    """Explicit Kronecker sum A(x)I(x)... + ... + I(x)...(x)A of member rate matrices.
+
+    The symmetrized matrix S is the Kronecker sum of the member S matrices,
+    so the eigenvalues of the result are all sums of one eigenvalue per
+    member. A single member is returned unchanged.
+    """
+    if not pms:
+        raise EmptyEnsemble("compose_rate_matrix needs at least one member")
+    if len({pm.beta for pm in pms}) != 1:
+        raise DimensionMismatch("all members must share the same beta")
+    if len(pms) == 1:
+        return pms[0]
+    total = 1
+    for pm in pms:
+        total *= pm.M
+    if total > COMPOSE_CAP:
+        raise CapExceeded(f"product dimension {total} exceeds cap {COMPOSE_CAP}")
+    energies = _product_sum([pm.energies for pm in pms])
+    S = _kronecker_sum([pm.S for pm in pms])
+    return PauliMatrix(
+        A=_kronecker_sum([pm.A for pm in pms]),
+        S=S,
+        energies=energies,
+        beta=pms[0].beta,
+        eigenvalues=np.linalg.eigvalsh(S),
+        stationary=gibbs_state(energies, pms[0].beta),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from thermotimes.ensemble import (
     EnsembleMember,
     EnsembleSpec,
-    compose_rate_matrix,
     ensemble_times,
     ensemble_times_numeric,
     free_spins_times,
@@ -36,6 +35,7 @@ from thermotimes.model import (
 from thermotimes.qome import build_liouvillian, qome_spectrum
 
 from oracles import (
+    compose_rate_matrix,
     random_density_matrix,
     random_hermitian,
     synthetic_system,

@@ -197,6 +197,28 @@ def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, ra
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
 
 
+@pytest.mark.parametrize("command, raw, factors", [
+    # the first N would run, but every member up to N = 20000 is built at its first call
+    ("analyze", {"family": "free_spins_modulated", "N_list": [5, 20000]}, "2^20000"),
+    ("analyze", {"family": "free_spins_uniform", "Gamma": 1.0, "N": 20000}, "2^20000"),
+    ("analyze", {"family": "custom_hamiltonian", "N": 7,
+                 "hamiltonian": {"dim": 4, "re": np.diag([0.0, 1.0, 2.5, 4.2]).tolist()}}, "4^7"),
+    ("sweep", {"family": "free_spins_uniform", "Gamma": 1.0, "N": 20000,
+               "beta_grid": [0.5, 2.0]}, "2^20000"),
+])
+def test_numeric_size_is_checked_before_any_member_is_built(tmp_path, monkeypatch, capsys,
+                                                            command, raw, factors):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member was built before the size check")
+
+    for name in ("free_spin_system", "_member_analysis"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["lba_numeric"]})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
+    assert f"size cap exceeded: product dimension {factors} exceeds cap 8192" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("hamiltonian", [
     {"dim": 2, "re": "x"},
     {"dim": 3, "re": np.eye(3).tolist()},
@@ -635,11 +657,11 @@ def test_dense_lba_numeric_record_builds_s_alone(monkeypatch):
                                   "methods": ["lba_numeric"]})
     members = cli._run_members(config, 6)
     members(6)  # the shared build and analysis, which the record does not repeat
-    calls = dict.fromkeys(("_kronecker_sum", "compose_rate_matrix", "gibbs_state"), 0)
+    calls = dict.fromkeys(("_kronecker_sum", "gibbs_state"), 0)
     for name in calls:
         monkeypatch.setattr(ensemble, name, counted(calls, name, getattr(ensemble, name)))
     record = cli._run_method(config, 6, "lba_numeric", members)
-    assert calls == {"_kronecker_sum": 1, "compose_rate_matrix": 0, "gibbs_state": 0}
+    assert calls == {"_kronecker_sum": 1, "gibbs_state": 0}
     assert record["tau_P"] == ensemble_times_numeric(EnsembleSpec(
         tuple(free_spin_system(G) for G in modulated_gammas(6)), beta=1.0)).tau_P
 

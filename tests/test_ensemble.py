@@ -13,7 +13,6 @@ from thermotimes.cli import modulated_gammas
 from thermotimes.ensemble import (
     EnsembleMember,
     EnsembleSpec,
-    compose_rate_matrix,
     ensemble_times,
     ensemble_times_numeric,
     free_spins_times,
@@ -29,9 +28,11 @@ from thermotimes.errors import (
 from thermotimes.lba import gibbs_state, pauli_matrix, thermal_rates, thermalization_times
 from thermotimes.model import free_spin_system
 
+import oracles
 from oracles import (
     bell_rotation,
     chained_kronecker_sum,
+    compose_rate_matrix,
     embedded_kronecker_sum,
     random_hermitian,
     synthetic_system,
@@ -74,7 +75,7 @@ def test_compose_eigenvalues_are_pairwise_sums():
 
 
 def test_compose_respects_cap(monkeypatch):
-    monkeypatch.setattr(ensemble, "COMPOSE_CAP", 4)
+    monkeypatch.setattr(oracles, "COMPOSE_CAP", 4)
     pm, _ = spin_pauli(1.0, 1.0)
     with pytest.raises(CapExceeded):
         compose_rate_matrix([pm] * 3)
@@ -277,6 +278,27 @@ def test_numeric_path_respects_cap(monkeypatch):
     spec = EnsembleSpec((spin_member(1.0, count=4),), beta=1.0)
     with pytest.raises(CapExceeded):
         ensemble_times_numeric(spec)
+
+
+def test_numeric_cap_names_the_factors_not_their_product():
+    # 2^15000 has more than 4300 decimal digits, past what Python prints
+    spec = EnsembleSpec((spin_member(1.0, count=15000),), beta=1.0)
+    with pytest.raises(CapExceeded, match=r"product dimension 2\^15000 exceeds cap 8192") as exc:
+        ensemble_times_numeric(spec)
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize("M, count, accepted", [(2, 13, True), (2, 14, False),
+                                                (3, 8, True), (3, 9, False)])
+def test_numeric_cap_edges(M, count, accepted):
+    # 2^13 = 8192 is the cap itself, 3^8 = 6561 the largest power of 3 under it
+    member = EnsembleMember(*synthetic_system(np.random.default_rng(M), M), count=count)
+    spec = EnsembleSpec((member,), beta=1.0)
+    if accepted:
+        assert math.isfinite(ensemble_times_numeric(spec).tau_P)
+    else:
+        with pytest.raises(CapExceeded, match=rf"{M}\^{count} exceeds"):
+            ensemble_times_numeric(spec)
 
 
 def test_tau_p_independent_of_ensemble_size():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from thermotimes.ensemble import EnsembleMember
 from thermotimes.errors import (
+    CapExceeded,
     DegenerateSpectrum,
     DimensionMismatch,
     EmptyEnsemble,
@@ -19,6 +20,7 @@ from thermotimes.model import (
     PAULI_Y,
     PAULI_Z,
     QubitSystem,
+    _check_product_size,
     _gap_structure,
     _kronecker_sum,
     degeneracy_report,
@@ -45,6 +47,17 @@ from oracles import (
     loop_gap_structure,
     spin_sector_system,
 )
+
+
+def test_product_size_rule_groups_the_factors_by_dimension():
+    assert _check_product_size([(2, 3), (3, 2), (1, 10**9)], 72) == 72
+    with pytest.raises(CapExceeded, match=r"^size 2\^4 x 3\^2 exceeds cap 100$"):
+        _check_product_size([(3, 1), (2, 3), (3, 1), (2, 1)], 100, "size")
+    # refused after a few factors: neither 2^(10^18) nor (10^400)^2 is ever formed
+    with pytest.raises(CapExceeded, match=r"2\^1000000000000000000 exceeds"):
+        _check_product_size([(2, 10**18)], 8192)
+    with pytest.raises(CapExceeded, match=r"QOME dimension 1(0{400})\^2 exceeds cap 4096"):
+        _check_product_size([(10**400, 2)], 4096, "QOME dimension")
 
 
 def test_qubit_system_rejects_non_hermitian():

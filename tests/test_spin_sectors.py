@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -35,7 +35,16 @@ from thermotimes.qome import (
     uniform_spin_spectrum,
 )
 
-from oracles import sector_blocks, sector_eigenvalues, spin_sector_system
+from oracles import (
+    absorption_rate,
+    cold_qome_tau_Q,
+    pair_qome_tau_Q,
+    sector_blocks,
+    sector_eigenvalues,
+    spin_sector_system,
+)
+
+EPS = np.finfo(float).eps
 
 GRID = [(beta, Gamma) for beta in (1e-3, 1.0, 1e4) for Gamma in (1e-3, 1.0, 1e3)]
 
@@ -176,6 +185,12 @@ def test_fifteen_spins_exceed_the_size_cap():
         jacobi_route(15, 1.0, 1.0)
 
 
+def test_size_rule_counts_the_levels_in_closed_form():
+    # (N/2 + 1)^2 levels for even N, counted without a pass over the sectors
+    with pytest.raises(CapExceeded, match=r"QOME dimension 250000001000000001\^2 exceeds cap"):
+        jacobi_route(10**9, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("N", range(2, 5))
 @pytest.mark.parametrize("factor", [2.5, 10.0])
 def test_wide_energy_tol_gives_the_same_outcome(N, factor):
@@ -214,6 +229,53 @@ def test_sector_route_property(log_beta, log_Gamma, N):
     beta, Gamma = 10.0 ** log_beta, 10.0 ** log_Gamma
     ref = qome_spectrum(build_liouvillian(*composite_system(N, Gamma), beta))
     assert_routes_agree(ref, jacobi_route(N, beta, Gamma))
+
+
+# the range of the closed-form checks: Gamma in [1e-3, 1e3], beta Gamma in [1e-6, 11], gamma
+# in [0.1, 10]; where w_up falls under 1e-8 of the rate scale, the zero cut can misfile the
+# slowest coherence (tau_Q prints inf), so nothing is asserted there
+PAIR_INPUTS = dict(
+    log_Gamma=st.floats(min_value=-3.0, max_value=3.0),
+    log_beta_Gamma=st.floats(min_value=-6.0, max_value=math.log10(11.0)),
+    log_gamma=st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**PAIR_INPUTS)
+def test_two_spins_decohere_at_the_absorption_rate(log_Gamma, log_beta_Gamma, log_gamma):
+    Gamma, gamma = 10.0 ** log_Gamma, 10.0 ** log_gamma
+    beta = 10.0 ** log_beta_Gamma / Gamma
+    got = uniform_spin_spectrum(2, Gamma, beta, gamma)
+    w_up = absorption_rate(Gamma, beta, gamma)
+    assume(w_up >= 1e-8 * got.scale)
+    assert abs(got.tau_Q / pair_qome_tau_Q(Gamma, beta, gamma) - 1.0) <= 4 * EPS
+
+
+@settings(max_examples=50, deadline=None)
+@given(**PAIR_INPUTS)
+def test_two_spin_composite_decoheres_at_the_absorption_rate(log_Gamma, log_beta_Gamma,
+                                                             log_gamma):
+    # the composite's nonsymmetric eigensolve resolves a coherence rate to round-off
+    # of the rate scale (at most 2.9 eps of it over 1500 random inputs), not of itself
+    Gamma, gamma = 10.0 ** log_Gamma, 10.0 ** log_gamma
+    beta = 10.0 ** log_beta_Gamma / Gamma
+    system = QubitSystem(K=2, H=free_spin_chain([Gamma] * 2), gamma=gamma)
+    spec = diagonalize(system)
+    got = qome_spectrum(build_liouvillian(spec, dipole_data(system, spec), beta))
+    w_up = absorption_rate(Gamma, beta, gamma)
+    assume(w_up >= 1e-8 * got.scale)
+    assert abs(1.0 / got.tau_Q - w_up) <= 8 * EPS * got.scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(min_value=3, max_value=8), Gamma=st.sampled_from([1.0, 100.0]),
+       log_gamma=st.floats(min_value=-1.0, max_value=1.0))
+def test_cold_spins_decohere_at_the_cold_law(N, Gamma, log_gamma):
+    # at beta Gamma = 6 the ratio reads 0.999986 (N = 3) to 0.999992 (N = 8)
+    gamma, beta = 10.0 ** log_gamma, 6.0 / Gamma
+    got = uniform_spin_spectrum(N, Gamma, beta, gamma)
+    assert 0.99998 <= got.tau_Q / cold_qome_tau_Q(N, Gamma, beta, gamma) <= 1.0
 
 
 @pytest.mark.parametrize("N", range(1, 41))
@@ -297,3 +359,11 @@ def test_spin_pairs_are_built_once_and_read_only():
     assert len(fresh[0]) == len(blocks)
     for got, want in zip((*blocks, *arrays), (*fresh[0], *fresh[1:])):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_spin_pair_weights_are_exact_int64():
+    # the composite route counts every eigenvalue with an int64 one, the sector route
+    # with d_J d_J'; they add up to 4^N, exact in int64 up to the size cap N = 14
+    weight = _spin_pairs(14)[-1]
+    assert weight.dtype == np.int64
+    assert int(weight.sum()) == 4**14
