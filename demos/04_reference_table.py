@@ -7,8 +7,9 @@ Three routes fill the columns:
   * analytic closed forms (any N, microseconds),
   * explicit product-space construction: symmetrized Kronecker-sum rate
     matrix (dense eigensolve up to product dimension 64, i.e. N = 6, an
-    unrestarted three-term Lanczos recurrence on the Gibbs-deflated sparse
-    matrix from N = 7) plus escape-rate enumeration (N <= 13),
+    unrestarted three-term Lanczos recurrence on the Gibbs-deflated matrix,
+    applied as a sum of small dense blocks, from N = 7) plus escape-rate
+    enumeration (N <= 13),
   * the quantum optical master equation, through each spin's own 4 x 4
     Liouvillian (no two fields share a transition frequency, so the
     ensemble generator is the Kronecker sum of the member generators),

@@ -8,14 +8,14 @@ explicit product-space construction (verification path, capped in size).
 The verification path reads mu2 from the Kronecker sum S: a dense numpy
 eigensolve for small products, and above DENSE_EIG_LIMIT a plain three-term
 Lanczos recurrence (no restarts, no reorthogonalization) for the smallest
-eigenvalue of a sparse S with the exact null vector sqrt(Gibbs) shifted out
-of the way. Only that Lanczos branch imports scipy (``scipy.sparse`` for S,
-LAPACK's dstebz and dstein from ``scipy.linalg.lapack`` for the tridiagonal
-Ritz pairs), at the point of use, so the closed forms and small products run
-on numpy alone. Every Kronecker sum comes from the one builder in ``model``,
-whose read-only layout cache the sparse S copies its kept slots out of.
+eigenvalue of S with the exact null vector sqrt(Gibbs) shifted out of the way;
+there S is never formed but applied block by block through BLAS. Only that
+branch imports scipy (``scipy.linalg``: LAPACK's dstebz and dstein for the
+tridiagonal Ritz pairs, BLAS's daxpy, ddot and dscal for the vector updates),
+at the point of use, so the closed forms and small products run on numpy alone.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -43,7 +43,6 @@ from .model import (
     _check_rates,
     _check_size,
     _kronecker_sum,
-    _kronecker_sum_entries,
     _product_sum,
 )
 
@@ -51,17 +50,18 @@ from .model import (
 NUMERIC_CAP = 8192
 
 #: Above this dimension the explicit path switches from a dense numpy eigensolve to a
-#: Lanczos recurrence for the smallest eigenvalue of the Gibbs-deflated sparse S; only
-#: products above it load scipy. A dense eigvalsh at 128 or 256 wakes numpy's OpenBLAS
-#: thread pool, whose worker then spins for about 0.1 s while the caller goes on on one
-#: thread; Lanczos does not. On two cores (numpy 2.4, scipy 1.17; quartiles over eight
-#: temperatures) a call takes 2.2-4.0 ms against 1.9-4.3 ms dense at 128 and 2.8-4.7 ms
-#: against 5.9-9.1 ms at 256, and a reference-table job without the QOME (N = 1..13)
-#: 0.08-0.12 CPU-s, as much as its wall time, at 64, against 0.17 CPU-s for 0.085-0.093 s
-#: of wall time at 256. A fresh process whose first large product is 128 or 256 (``analyze``
-#: of N = 7 or 8 spins with ``lba_numeric``) loads ``scipy.sparse`` and ``scipy.linalg``:
-#: 0.2-0.4 -> 0.5-0.7 s and 33 -> 61 MB.
+#: Lanczos recurrence for the smallest eigenvalue of the Gibbs-deflated S; only products
+#: above it load scipy. A dense eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool,
+#: whose worker then spins for about 0.1 s (a table job without the QOME took 0.17 CPU-s
+#: for 0.09 s of wall time at 256, as much CPU as wall at 64); Lanczos does not (BLOCK_LIMIT).
 DENSE_EIG_LIMIT = 64
+
+#: Largest dimension of one dense block of the Lanczos S (``_kronecker_operator``): every
+#: GEMM of a product then has m n k <= 32 NUMERIC_CAP = 2^18, under which OpenBLAS stays on
+#: the calling thread (blocks of 64 and 128 at N = 13 woke its worker, which spun: process
+#: CPU 1.98 times wall time). A member of M > 32 levels is a block alone, so in a product
+#: of dimension above 2^18 / M it can still wake the pool.
+BLOCK_LIMIT = 32
 
 #: The Gibbs null vector q of S must satisfy |S q|_inf <= this fraction of the
 #: Gershgorin bound; detailed balance makes the residual a rounding error.
@@ -163,24 +163,40 @@ def _ensemble_times(parts) -> EnsembleTimes:
     )
 
 
-def _sparse_kronecker_sum(mats: Sequence[np.ndarray]):
-    """``model._kronecker_sum`` as a scipy.sparse CSR matrix, for the Lanczos branch: slots
-    whose factor entry is zero (as ``np.nonzero`` sees it) are dropped, diagonals never."""
-    import scipy.sparse as sp
+def _kronecker_operator(mats: Sequence[np.ndarray]):
+    """(x -> S x, c) for the Kronecker sum S of ``mats``, never formed: c is the largest
+    absolute row sum of S, |product sum of the block diagonals| + product sum of the
+    blocks' off-diagonal absolute row sums.
 
-    indices, data = _kronecker_sum_entries(mats)
-    keep = data != 0
-    keep[:, 0] = True
-    indptr = np.zeros(len(data) + 1, dtype=indices.dtype)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    S = sp.csr_matrix((data[keep], indices[keep], indptr), shape=(len(data),) * 2)
-    S.sort_indices()
-    return S
+    The factors are split, in order, into consecutive groups of dimension at most
+    BLOCK_LIMIT (a larger factor alone), as even as the limit allows: a group opened
+    with ``rest`` levels left, which need k groups, stops before its dimension g has
+    g^k > rest (13 spins: 16, 16, 32, not 32, 32, 8). A group's block A is its
+    ``model._kronecker_sum`` (one factor is its own block), and S x is the sum over
+    the blocks of (I (x) A (x) I) x, one matmul each on a view of x: A @ X.reshape(left,
+    d, right), batched over left, or X.reshape(left, d) @ A.T for the last block."""
+    groups, rest = [], math.prod(len(X) for X in mats)
+    for X in mats:
+        grown = len(X) * math.prod(len(Y) for Y in groups[-1]) if groups else math.inf
+        if grown > BLOCK_LIMIT or grown**k > start:
+            k, start = next(k for k in itertools.count(1) if BLOCK_LIMIT**k >= rest), rest
+            groups.append([])
+        groups[-1].append(X)
+        rest //= len(X)
+    blocks = [g[0] if len(g) == 1 else _kronecker_sum(g) for g in groups]
+    dim, left, terms = math.prod(len(A) for A in blocks), 1, []
+    for A in blocks:
+        right = dim // (left * len(A))
+        terms.append((A, (left, len(A)) if right == 1 else (left, len(A), right)))
+        left *= len(A)
+    off = [np.abs(A - np.diag(np.diag(A))).sum(axis=1) for A in blocks]
+    c = float((np.abs(_product_sum([np.diag(A) for A in blocks])) + _product_sum(off)).max())
 
+    def apply(x):
+        return sum((x.reshape(s) @ A.T if len(s) == 2 else A @ x.reshape(s)).ravel()
+                   for A, s in terms)
 
-def _row_sum_bound(S) -> float:
-    """Max of ``abs(S).sum(axis=1)`` by its own reduceat, for a CSR S with no empty row."""
-    return float(np.add.reduceat(np.abs(S.data), S.indptr[:-1]).max())
+    return apply, c
 
 
 def _deterministic_start(dim: int) -> np.ndarray:
@@ -230,22 +246,23 @@ def _lanczos_smallest(apply, v, scale: float, max_steps: int) -> float:
     few tolerances, and 11 of 750 products of random members never stopped.
     Raises NoConvergence after ``max_steps``, or if LAPACK fails.
     """
+    from scipy.linalg.blas import daxpy, ddot, dscal
+
     tol = math.sqrt(v.size) * np.finfo(float).eps * scale
     alpha, beta = np.empty(max_steps), np.empty(max_steps)
     v_prev, b = np.zeros_like(v), 0.0
     for step in range(1, max_steps + 1):
-        w = apply(v)
-        w -= b * v_prev
-        a = float(v @ w)
-        w -= a * v
-        b = math.sqrt(w @ w)
+        w = daxpy(v_prev, apply(v), a=-b)  # BLAS works in place on a contiguous double w
+        a = ddot(v, w)
+        w = daxpy(v, w, a=-a)
+        b = math.sqrt(ddot(w, w))
         alpha[step - 1], beta[step - 1] = a, b
         if step % 5 == 0 or b <= tol or step == max_steps:
             theta, s_last = _smallest_ritz_pair(alpha[:step], beta[:step - 1])
             estimate = abs(b * s_last)
             if estimate <= tol:
                 return theta
-        w /= b
+        w = dscal(1.0 / b, w)
         v_prev, v = v, w
     raise NoConvergence(
         f"Lanczos on dimension {v.size} took {max_steps} steps without converging: "
@@ -258,17 +275,18 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
 
     mu2 comes from the symmetrized Kronecker-sum matrix S. Up to
     DENSE_EIG_LIMIT it is the second eigenvalue of S, built dense and alone.
-    Above it, S is built sparse, and detailed balance gives it the exact null
-    vector q = sqrt(Gibbs); adding c q q^T, with c the largest absolute row
-    sum of S (a Gershgorin bound), lifts that zero above the spectrum, and
-    mu2 is the smallest eigenvalue of S + c q q^T, from an unrestarted
-    three-term Lanczos recurrence started at a fixed vector (reproducible bit
-    for bit) and stopped by its Ritz estimate (see ``_lanczos_smallest``).
+    Above it, S is applied block by block (``_kronecker_operator``), and detailed
+    balance gives it the exact null vector q = sqrt(Gibbs); adding c q q^T, with c the
+    largest absolute row sum of S (a Gershgorin bound), lifts that zero above the
+    spectrum, and mu2 is the smallest eigenvalue of S + c q q^T, from an unrestarted
+    three-term Lanczos recurrence started at a fixed vector (reproducible bit for bit)
+    and stopped by its Ritz estimate (see ``_lanczos_smallest``).
     tau_Q comes from enumerating the two smallest product-space escape rates.
 
     Raises CapExceeded above NUMERIC_CAP, DetailedBalanceViolation if |S q|_inf exceeds
     NULL_VECTOR_RTOL * c, and NoConvergence if the recurrence has not converged in dim steps.
     """
+    _check_product_size([(m.spectrum.M, m.count) for m in spec.members], NUMERIC_CAP)
     return _ensemble_times_numeric(_member_analysis(spec), spec.beta)
 
 
@@ -281,21 +299,18 @@ def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
     if dim <= DENSE_EIG_LIMIT:
         mu2 = float(np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))[1])
     else:
-        S = _sparse_kronecker_sum([pm.S for _, pm in copies])
+        S, c = _kronecker_operator([pm.S for _, pm in copies])
         q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), beta))
-        c = _row_sum_bound(S)
-        residual = float(np.abs(S @ q).max())
+        residual = float(np.abs(S(q)).max())
         if residual > NULL_VECTOR_RTOL * c:
             raise DetailedBalanceViolation(
                 f"sqrt(Gibbs) is not a null vector of S: |S q|_inf = {residual:.3e}, "
                 f"row-sum bound {c:.3e}"
             )
-        cq = c * q
+        from scipy.linalg.blas import daxpy, ddot
 
         def deflated(x):
-            y = S @ x
-            y += cq * (q @ x)
-            return y
+            return daxpy(q, S(x), a=c * ddot(q, x))
 
         mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
 

@@ -22,7 +22,7 @@ from .errors import (
     NegativeTime,
     NonPositiveBeta,
 )
-from .model import TOL_ZERO, DipoleData, EnergySpectrum, _check_beta, _check_rates
+from .model import TOL_ZERO, DipoleData, EnergySpectrum, _check_beta, _check_finite, _check_rates
 
 #: Below beta*|dE| = SMALL_X the thermal weight switches to its small-gap
 #: series to avoid 0/0; the two-term series is exact to double precision
@@ -57,6 +57,7 @@ def gibbs_state(spec: Union[EnergySpectrum, Sequence[float]], beta: float) -> np
     distribution.
     """
     energies = spec.energies if isinstance(spec, EnergySpectrum) else np.asarray(spec, float)
+    _check_finite("energies", energies)
     if not np.isfinite(beta):
         raise NonPositiveBeta(f"beta must be finite, got {beta}")
     expo = -beta * energies

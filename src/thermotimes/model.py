@@ -70,6 +70,13 @@ def _check_tolerance(name: str, value) -> None:
         raise NonPositiveField(f"{name} must be finite and >= 0, got {value}")
 
 
+def _check_finite(name: str, values) -> None:
+    """Raise DimensionMismatch unless every entry of ``values`` is a finite number: the
+    one rule for Hamiltonian entries and for energies given as plain numbers."""
+    if not np.isfinite(values).all():
+        raise DimensionMismatch(f"{name} must be finite numbers")
+
+
 def _check_beta(beta) -> None:
     """Raise NonPositiveBeta unless the inverse temperature is finite and > 0."""
     if not (np.isfinite(beta) and beta > 0):
@@ -120,23 +127,19 @@ LAYOUT_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _kronecker_layout(sizes: tuple) -> tuple:
-    """The shape-only half of ``_kronecker_sum_entries`` for factors of these sizes:
-    the read-only (dim, width) column indices and one (left, m, right, slot, a, b)
-    fill recipe per factor, built once per size tuple and process.
+    """The shape-only half of ``_kronecker_sum`` for factors of these sizes: the read-only
+    (dim, width) column indices and one (left, m, right, slot, a, b) fill recipe per
+    factor, built once per size tuple and process.
 
     Row (i_left, a, i_right) of factor m couples to b = j + (j >= a), the j-th
     of the other m - 1 levels, at column row + (b - a) * right, in slots
-    slot .. slot + m - 2 of the (left, m, right) view of the rows. The indices
-    are 32-bit wherever they fit, as scipy stores them. An entry holds dim * width
-    index words: 0.46 MB for 13 spins, but M^2 words for one factor of size M,
-    268 MB at the ensemble module's product cap M = 8192; at most
-    LAYOUT_CACHE_SIZE entries are kept, so that bound times 268 MB is the worst case.
+    slot .. slot + m - 2 of the (left, m, right) view of the rows. An entry holds
+    dim * width index words, fewer than the dim^2 entries of the sum it fills.
     """
     dim = math.prod(sizes)
     width = 1 + sum(sizes) - len(sizes)
-    index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty((dim, width), dtype=index)
-    rows = np.arange(dim, dtype=index)
+    indices = np.empty((dim, width), dtype=np.intp)
+    rows = np.arange(dim)
     indices[:, 0] = rows
     recipes, left, slot = [], 1, 1
     for m in sizes:
@@ -153,18 +156,17 @@ def _kronecker_layout(sizes: tuple) -> tuple:
     return indices, tuple(recipes)
 
 
-def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
-    """(indices, data) of the Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn: two
-    (dim, width) arrays whose row r holds the columns and values of row r's slots.
+def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn of square matrices, in the
+    factors' dtype: every product-space operator of a noninteracting ensemble is built here.
 
-    An off-diagonal entry of the sum comes from exactly one factor, so every
-    row has one slot for its diagonal (the product sum of the factor
-    diagonals) and m - 1 slots per factor of size m, filled in one broadcast
-    over the (left, m, right) view of the rows with no index repeated. Within
-    a row the slots run diagonal first, then factor by factor; every slot is
-    kept, including those whose factor entry is zero (the sparse consumer
-    drops them). The indices depend on the factor sizes alone and come read-only
-    from the ``_kronecker_layout`` cache; only the data is filled per call.
+    An off-diagonal entry of the sum comes from exactly one factor, so every row has one
+    slot for its diagonal (the product sum of the factor diagonals) and m - 1 slots per
+    factor of size m, filled in one broadcast over the (left, m, right) view of the rows
+    with no index repeated. The slot columns come read-only from the ``_kronecker_layout``
+    cache; only the values are filled per call. They are added into zeros, not assigned,
+    so every zero entry is +0.0, as in a sum of site-embedded Kronecker products
+    I(x)...(x)X(x)...(x)I (a zero slot of either sign, added into +0.0, leaves +0.0).
     """
     if not mats:
         raise DimensionMismatch("a Kronecker sum needs at least one factor")
@@ -173,21 +175,8 @@ def _kronecker_sum_entries(mats: Sequence[np.ndarray]):
     data[:, 0] = _product_sum([np.diag(X) for X in mats])
     for X, (left, m, right, slot, a, b) in zip(mats, recipes):
         data.reshape(left, m, right, -1)[..., slot:slot + m - 1] = X[a, b][:, None, :]
-    return indices, data
-
-
-def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense Kronecker sum of square matrices, in the factors' dtype.
-
-    Every product-space operator of a noninteracting ensemble is built here.
-    The entries are added into zeros, not assigned, so every zero entry is
-    +0.0, as in a sum of site-embedded Kronecker products I(x)...(x)X(x)...(x)I
-    (a zero slot of either sign, added into +0.0, leaves +0.0).
-    """
-    indices, data = _kronecker_sum_entries(mats)
-    dim = data.shape[0]
-    out = np.zeros((dim, dim), dtype=data.dtype)
-    out[np.arange(dim)[:, None], indices] += data
+    out = np.zeros((len(data),) * 2, dtype=data.dtype)
+    out[np.arange(len(data))[:, None], indices] += data
     return out
 
 
@@ -219,13 +208,9 @@ class QubitSystem:
         object.__setattr__(self, "K", _check_size("K", self.K))
         _check_positive("gamma", self.gamma)
         H = np.asarray(self.H, dtype=complex)
-        dim = 2**self.K
-        if H.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"H has shape {H.shape}, expected ({dim}, {dim}) for K={self.K}"
-            )
-        if not np.isfinite(H).all():
-            raise DimensionMismatch("H entries must be finite numbers")
+        if H.shape != (self.dim, self.dim):  # named as 2^K: a large 2**K has too many digits
+            raise DimensionMismatch(f"H has shape {H.shape}, expected 2^{self.K} x 2^{self.K}")
+        _check_finite("H entries", H)
         scale = np.abs(H).max()
         if scale > 0 and np.abs(H - H.conj().T).max() > 1e-12 * scale:
             raise NonHermitian("H is not Hermitian to 1e-12 relative tolerance")
@@ -470,6 +455,7 @@ class DegeneracyReport:
 def degeneracy_report(energies: Sequence[float], tol: float) -> DegeneracyReport:
     """Detect level and gap degeneracies with tolerance ``tol``."""
     E = np.asarray(energies, dtype=float)
+    _check_finite("energies", E)
     lev_ids, gap_ids, _ = _gap_structure(E, tol)
     if len(E) == 0:
         return DegeneracyReport(False, False, (), (), tol)

@@ -468,7 +468,7 @@ def test_analyze_modulated_all_methods(tmp_path):
 
 
 def test_analyze_runs_are_byte_identical(tmp_path):
-    # N = 11 exercises the sparse Lanczos path, which uses a fixed start vector
+    # N = 11 exercises the Lanczos path, which uses a fixed start vector
     cfg = write_config(tmp_path, "c.json", {
         "family": "free_spins_modulated", "N_list": [1, 3, 11], "beta": 1.0,
         "methods": ["lba_analytic", "lba_numeric"],
@@ -757,22 +757,45 @@ import json, sys
 from thermotimes import cli
 loaded = []
 run_method = cli._run_method
-def first_record(*args):
+def record(*args):
     loaded.append({m: m in sys.modules for m in ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")})
     return run_method(*args)
-cli._run_method = first_record
+cli._run_method = record
 cli.table1_rows(max_qome_n=0)
-print(json.dumps(loaded[0]))
+print(json.dumps([loaded[0], loaded[-1]]))
 """
 
 
 def test_table1_loads_the_sparse_solver_before_its_first_record():
-    # every table reaches the Lanczos branch, whose first row would otherwise
-    # time the import of its sparse S and its tridiagonal eigensolver; ARPACK's
-    # scipy.sparse.linalg is no longer used
-    assert run_fresh(TABLE1_PROBE) == {
-        "scipy.sparse": True, "scipy.linalg": True, "scipy.sparse.linalg": False,
+    # every table reaches the Lanczos branch, whose first row would otherwise time
+    # the import of its BLAS and its tridiagonal eigensolver (scipy.linalg); S is
+    # applied block by block, so no record, first or last, loads scipy.sparse
+    first, last = run_fresh(TABLE1_PROBE)
+    assert first == last == {
+        "scipy.sparse": False, "scipy.linalg": True, "scipy.sparse.linalg": False,
     }
+
+
+CPU_PROBE = """
+import json, time
+from thermotimes import cli
+config = cli.RunConfig.from_dict({"family": "free_spins_modulated", "N_list": [13],
+                                  "beta": 1.0, "methods": ["lba_numeric"]})
+members = cli._run_members(config, 13)
+cli._run_method(config, 13, "lba_numeric", members)  # builds the members
+wall, cpu = time.perf_counter(), time.process_time()
+for _ in range(10):
+    cli._run_method(config, 13, "lba_numeric", members)
+print(json.dumps([time.perf_counter() - wall, time.process_time() - cpu]))
+"""
+
+
+def test_lanczos_records_keep_blas_on_the_calling_thread():
+    # every GEMM of the block product stays under OpenBLAS's single-thread bound;
+    # blocks of 64 and 128 at N = 13 woke its worker, which spun: process CPU
+    # (all threads) read 1.98 times the wall time
+    wall, cpu = run_fresh(CPU_PROBE)
+    assert cpu < 1.3 * wall
 
 
 def test_main_table1_runs(tmp_path):

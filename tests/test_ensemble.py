@@ -288,6 +288,18 @@ def test_numeric_cap_names_the_factors_not_their_product():
     assert len(str(exc.value)) < 200
 
 
+def test_numeric_size_is_checked_before_any_member_is_analysed(monkeypatch):
+    # the library entry analysed every member before its size rule: 20000 distinct
+    # spins took 3.3 s before CapExceeded
+    calls = []
+    monkeypatch.setattr(ensemble, "thermal_rates", lambda *args: calls.append(args))
+    members = (tuple(spin_member(G) for G in modulated_gammas(14)), (spin_member(1.0, count=20000),))
+    for spec in (EnsembleSpec(m, beta=1.0) for m in members):
+        with pytest.raises(CapExceeded, match="exceeds cap 8192"):
+            ensemble_times_numeric(spec)
+    assert calls == []
+
+
 @pytest.mark.parametrize("M, count, accepted", [(2, 13, True), (2, 14, False),
                                                 (3, 8, True), (3, 9, False)])
 def test_numeric_cap_edges(M, count, accepted):
@@ -391,7 +403,6 @@ def test_kronecker_sum_equals_chained_reference():
         for _ in range(3):
             mats = [_random_symmetric_factor(rng, int(rng.choice([2, 3]))) for _ in range(n)]
             reference = chained_kronecker_sum(mats).toarray()
-            assert np.array_equal(ensemble._sparse_kronecker_sum(mats).toarray(), reference)
             assert np.array_equal(model._kronecker_sum(mats), reference)
     # complex Hermitian factors of unequal sizes against the np.kron chains, bit
     # for bit: negative zeros in the factors (structural zeros, the real part of
@@ -474,101 +485,83 @@ def test_numeric_route_checks_the_gibbs_null_vector(monkeypatch):
         ensemble_times_numeric(_spin_ensemble(modulated_gammas(9), 1.0))
 
 
-def _assert_csr_rows_store_diagonal_and_no_zero(S):
-    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-    diagonal = rows == S.indices
-    assert np.array_equal(rows[diagonal], np.arange(S.shape[0]))
-    assert np.all(S.data[~diagonal] != 0)
+def _assert_operator_is_the_chained_sum(mats, x):
+    """S x and c of ``ensemble._kronecker_operator`` against the chained sparse products,
+    to a rounding bound: each side sums at most k = max(BLOCK_LIMIT, M) + n products of
+    x per entry, so each is within k eps of sum_i |I (x) X_i (x) I| |x| (the diagonal of S
+    may cancel, so |S| |x| is not a bound)."""
+    apply, c = ensemble._kronecker_operator(mats)
+    reference = chained_kronecker_sum(mats)
+    magnitude = chained_kronecker_sum([np.abs(X) for X in mats])
+    k = max(ensemble.BLOCK_LIMIT, *(len(X) for X in mats)) + len(mats)
+    bound = 2 * k * np.finfo(float).eps
+    y = apply(x)
+    assert y.shape == x.shape
+    assert np.all(np.abs(y - reference @ x) <= bound * (magnitude @ np.abs(x)))
+    row_sums = abs(reference).sum(axis=1)
+    assert abs(c - row_sums.max()) <= bound * magnitude.sum(axis=1).max()
+    return apply, c
 
 
-def test_sparse_kronecker_sum_is_canonical_csr():
-    # the builder groups its entries by row; after one sort_indices the CSR
-    # arrays are those of the chained sparse products (the diagonals are kept
-    # nonzero, since the chained sum drops a zero diagonal that the builder
-    # stores), and every row stores its diagonal and no zero off-diagonal entry
-    rng = np.random.default_rng(43)
-    for n in range(1, 6):
-        for _ in range(4):
-            mats = []
-            for M in rng.choice([1, 2, 3, 4], size=n):
-                if rng.random() < 0.5:
-                    X = _random_symmetric_factor(rng, int(M))
-                    X[X == 0] = rng.choice([0.0, -0.0])
-                    X[np.diag_indices_from(X)] = rng.normal(size=M)
-                else:
-                    X = random_hermitian(rng, int(M))
-                    imaginary, zero = (np.triu(rng.random(X.shape) < 0.3, 1) for _ in range(2))
-                    X.real[imaginary | imaginary.T] = -0.0
-                    X[zero | zero.T] = -0.0
-                mats.append(X)
-            S, reference = ensemble._sparse_kronecker_sum(mats), chained_kronecker_sum(mats)
-            assert S.has_canonical_format
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(S, name), getattr(reference, name)), name
-            _assert_csr_rows_store_diagonal_and_no_zero(S)
-    # zero diagonals (sigma_x) and signed zeros off the diagonal
-    mats = [np.array([[0.0, 1.0], [1.0, 0.0]]),
-            np.array([[1.0, -0.0, 2.0], [-0.0, 0.0, 0.0], [2.0, 0.0, -1.0]])]
-    S = ensemble._sparse_kronecker_sum(mats)
-    assert S.has_canonical_format and S.nnz == 6 + 6 + 4
-    _assert_csr_rows_store_diagonal_and_no_zero(S)
-    assert np.array_equal(S.toarray(), chained_kronecker_sum(mats).toarray())
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=13))
+@example(seed=0, sizes=[2] * 13)  # 16, 16, 32 at NUMERIC_CAP
+@example(seed=1, sizes=[3] * 8)  # 9, 27, 27
+@example(seed=2, sizes=[40, 3, 2])  # a factor above BLOCK_LIMIT is a block alone
+@example(seed=3, sizes=[3, 2, 40])
+def test_kronecker_operator_matches_the_chained_sum(seed, sizes):
+    # nonsymmetric factors with zero entries, some with a zero diagonal, on products up
+    # to NUMERIC_CAP (the longest prefix of the drawn sizes that fits under it)
+    while math.prod(sizes) > ensemble.NUMERIC_CAP:
+        sizes = sizes[:-1]
+    rng = np.random.default_rng(seed)
+    mats = []
+    for M in sizes:
+        X = rng.normal(size=(M, M))
+        X[rng.random((M, M)) < 0.3] = 0.0
+        if rng.random() < 0.3:
+            X[np.diag_indices_from(X)] = 0.0
+        mats.append(X)
+    _assert_operator_is_the_chained_sum(mats, rng.normal(size=math.prod(sizes)))
 
 
 @pytest.mark.parametrize("beta", [1.0, 1e4])
 @pytest.mark.parametrize("N", [7, 13])
-def test_sparse_kronecker_sum_at_lanczos_sizes(N, beta):
-    # at beta = 1 no slot is dropped; at 1e4 every off-diagonal entry of S underflows
-    # and is dropped, and the zero diagonal of the ground row, which the chained sum
-    # does not store, is the one stored zero
-    mats = [spin_pauli(G, beta)[0].S for G in modulated_gammas(N)]
-    S, reference = ensemble._sparse_kronecker_sum(mats), chained_kronecker_sum(mats)
-    assert S.has_canonical_format
-    assert S.nnz == 2**N * (N + 1 if beta == 1.0 else 1)
-    _assert_csr_rows_store_diagonal_and_no_zero(S)
-    stored = S.copy()
-    stored.eliminate_zeros()
-    assert stored.nnz == S.nnz - (beta == 1e4)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(stored, name), getattr(reference, name)), name
+def test_kronecker_operator_at_lanczos_sizes(N, beta, monkeypatch):
+    # at beta = 1e4 every off-diagonal entry of S underflows and S is its diagonal; the
+    # blocks are as even as BLOCK_LIMIT allows, and sqrt(Gibbs) is S's null vector
+    dims, build = [], model._kronecker_sum
+    monkeypatch.setattr(ensemble, "_kronecker_sum",
+                        lambda mats: dims.append(math.prod(len(X) for X in mats)) or build(mats))
+    pms = [spin_pauli(G, beta)[0] for G in modulated_gammas(N)]
+    x = np.random.default_rng(N).normal(size=2**N)
+    apply, c = _assert_operator_is_the_chained_sum([pm.S for pm in pms], x)
+    assert dims == {7: [8, 16], 13: [16, 16, 32]}[N]
+    q = np.sqrt(gibbs_state(functools.reduce(np.add.outer, [pm.energies for pm in pms]).ravel(), beta))
+    assert np.abs(apply(q)).max() <= 1e-12 * c
+    if beta == 1e4:
+        diagonal = chained_kronecker_sum([pm.S for pm in pms]).diagonal()
+        assert np.allclose(apply(x), diagonal * x, rtol=1e-14, atol=0)
 
 
 def test_kronecker_layout_is_built_once_and_read_only():
-    # the slot columns of a size tuple are cached and shared; the sparse S copies the
-    # kept ones, so what a caller does to its S never reaches the next call
+    # the slot columns of a size tuple are cached and shared; the dense sum is filled
+    # into new zeros, so what a caller does to its S never reaches the next call
     rng = np.random.default_rng(44)
     mats = [_random_symmetric_factor(rng, M) for M in (2, 3, 2)]
     model._kronecker_layout.cache_clear()
-    indices, data = model._kronecker_sum_entries(mats)
+    S = model._kronecker_sum(mats)
+    indices, _ = model._kronecker_layout((2, 3, 2))
+    assert model._kronecker_layout.cache_info().misses == 1
     with pytest.raises(ValueError):
         indices[...] = 0
-    again, data_again = model._kronecker_sum_entries(mats)
-    assert again is indices and np.array_equal(data_again, data)
     fresh, _ = model._kronecker_layout.__wrapped__((2, 3, 2))
-    assert again.dtype == fresh.dtype and np.array_equal(again, fresh)
-    S = ensemble._sparse_kronecker_sum(mats)
-    first = [getattr(S, name).copy() for name in ("indptr", "indices", "data")]
-    S.has_sorted_indices = False
-    S.sort_indices()
-    S.indices[:] = 0
-    S.data[:] = 0
-    S = ensemble._sparse_kronecker_sum(mats)
-    for name, want in zip(("indptr", "indices", "data"), first):
-        assert np.array_equal(getattr(S, name), want), name
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4))
-@example(seed=0, sizes=[2, 3])
-def test_row_sum_bound_is_the_abs_row_sum_of_scipy(seed, sizes):
-    # factors with zero off-diagonal slots (dropped) and, for some, a zero diagonal (kept)
-    rng = np.random.default_rng(seed)
-    mats = [_random_symmetric_factor(rng, M) for M in sizes]
-    for X in mats:
-        if rng.random() < 0.5:
-            X[np.diag_indices_from(X)] = 0.0
-    S = ensemble._sparse_kronecker_sum(mats)
-    assert ensemble._row_sum_bound(S).hex() == float(abs(S).sum(axis=1).max()).hex()
+    assert indices.dtype == fresh.dtype and np.array_equal(indices, fresh)
+    first = S.copy()
+    S[...] = 0
+    assert np.array_equal(model._kronecker_sum(mats), first)
+    assert model._kronecker_layout((2, 3, 2))[0] is indices
 
 
 def test_smallest_ritz_pair_equals_eigh_tridiagonal():

@@ -28,7 +28,8 @@ SHA-256 of the eigenvalues' bit patterns in ascending order, for modulated
 spins N = 1..6 at three energy tolerances, uniform spins N = 1..5 and one to
 three copies of three random 4 x 4 members at two, each at four temperatures,
 with a SHA-256 of each ``_gap_structure`` array of every spectrum and tolerance.
-Those bits also depend on the BLAS dot kernel, the LAPACK build and numpy's
+Those bits also depend on the BLAS kernels (dot, axpy and matrix product, which
+OpenBLAS picks per CPU), the LAPACK build and numpy's
 SIMD math functions: the four files were made with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1 on x86-64 (the versions the CI workflow pins), and must be
 regenerated with any other numpy or scipy. To regenerate the goldens after a

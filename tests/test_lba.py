@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from thermotimes.errors import (
     DegenerateSpectrum,
+    DimensionMismatch,
     ErgodicityViolation,
     InvalidDensityMatrix,
     NegativeTime,
@@ -180,6 +181,13 @@ def test_column_sums_vanish():
     spec, dip = synthetic_system(rng, 5)
     pm = pauli_matrix(thermal_rates(spec, dip, 1.1), spec)
     assert np.abs(pm.A.sum(axis=0)).max() < 1e-10
+
+
+@pytest.mark.parametrize("energies", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+def test_gibbs_state_refuses_nonfinite_energies(energies):
+    # [0, nan] gave [nan, nan] and [-inf, 0] gave nan in silence
+    with pytest.raises(DimensionMismatch, match="energies must be finite"):
+        gibbs_state(energies, 1.0)
 
 
 def test_stationary_state_is_gibbs_kernel():

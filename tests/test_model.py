@@ -71,6 +71,20 @@ def test_qubit_system_rejects_wrong_dimension():
         QubitSystem(K=2, H=np.eye(3, dtype=complex))
 
 
+def test_qubit_system_names_a_large_dimension_as_a_power():
+    # 2**20000 has more than 4300 decimal digits: printing it raised a raw ValueError
+    with pytest.raises(DimensionMismatch, match=r"expected 2\^20000 x 2\^20000") as exc:
+        QubitSystem(K=20000, H=np.eye(2))
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize("energies", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [-np.inf, 0.0]])
+def test_degeneracy_report_refuses_nonfinite_energies(energies):
+    # [0, nan, 1] put the NaN level in one class with 1.0 and reported a level degeneracy
+    with pytest.raises(DimensionMismatch, match="energies must be finite"):
+        degeneracy_report(energies, 1e-9)
+
+
 def test_diagonalize_free_spin_levels():
     sys_ = QubitSystem(K=1, H=-PAULI_X)
     spec = diagonalize(sys_)
