@@ -9,6 +9,7 @@ time is 1/mu_2(A) (second-smallest eigenvalue of A), the decoherence time
 thermalization time is the larger of the two.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -231,7 +232,10 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
 
     Populations follow p(t) = exp(-A t) p(0), a stochastic matrix for every
     temperature; each off-diagonal element decays as exp(-mu[m, n] t). This
-    is the one function of the module that loads scipy (for ``expm``).
+    is the one function of the module that loads scipy (for ``expm``). As A = W S W^-1 with
+    cond(W) = e^{beta spread / 2}, p(t) of an ergodic A is the Gibbs state to rounding once
+    mu2 t > beta spread / 2 + ln(2M / eps), and is taken as such there: ``expm`` would lose
+    the trace, then give NaN.
     """
     if not (np.isfinite(t) and t >= 0):
         raise NegativeTime(f"t must be finite and >= 0, got {t}")
@@ -246,9 +250,13 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
     if np.linalg.eigvalsh(rho0).min() < -1e-10:
         raise InvalidDensityMatrix("rho0 is not positive semidefinite to 1e-10")
 
-    from scipy.linalg import expm
+    if M > 1 and pm.mu2 > TOL_ZERO * pm.eigenvalues[-1] and pm.mu2 * t > (
+            pm.beta * float(np.ptp(pm.energies)) / 2 + math.log(2 * M / np.finfo(float).eps)):
+        p_t = pm.stationary
+    else:
+        from scipy.linalg import expm
 
-    p_t = expm(-pm.A * t) @ np.diag(rho0).real
+        p_t = expm(-pm.A * t) @ np.diag(rho0).real
     rho_t = rho0 * np.exp(-mu * t)
     np.fill_diagonal(rho_t, p_t)
     return rho_t

@@ -5,7 +5,6 @@ all physical prefactors and multiplies the squared dipole matrix D.
 """
 
 import collections
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -111,9 +110,9 @@ def _check_product_size(factors, cap: int, name: str = "product dimension") -> i
 def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """All sums v1[i1] + ... + vn[in] in product-basis order, added left to right.
 
-    Product energies, product escape rates and the diagonal of a Kronecker
-    sum all come from here; adding left to right rounds exactly as the
-    chained build X(x)I + I(x)Y of the Kronecker sum does.
+    Product energies and product escape rates come from here; adding left to
+    right rounds exactly as ``_kronecker_sum`` and the chained build
+    X(x)I + I(x)Y of the Kronecker sum round its diagonal.
     """
     out = np.asarray(vectors[0])
     for v in vectors[1:]:
@@ -121,62 +120,23 @@ def _product_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-#: Factor-size tuples whose Kronecker-sum layout is kept (least recently used first out).
-LAYOUT_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _kronecker_layout(sizes: tuple) -> tuple:
-    """The shape-only half of ``_kronecker_sum`` for factors of these sizes: the read-only
-    (dim, width) column indices and one (left, m, right, slot, a, b) fill recipe per
-    factor, built once per size tuple and process.
-
-    Row (i_left, a, i_right) of factor m couples to b = j + (j >= a), the j-th
-    of the other m - 1 levels, at column row + (b - a) * right, in slots
-    slot .. slot + m - 2 of the (left, m, right) view of the rows. An entry holds
-    dim * width index words, fewer than the dim^2 entries of the sum it fills.
-    """
-    dim = math.prod(sizes)
-    width = 1 + sum(sizes) - len(sizes)
-    indices = np.empty((dim, width), dtype=np.intp)
-    rows = np.arange(dim)
-    indices[:, 0] = rows
-    recipes, left, slot = [], 1, 1
-    for m in sizes:
-        right = dim // (left * m)
-        a = np.arange(m)[:, None]
-        b = np.arange(m - 1)[None, :] + (np.arange(m - 1)[None, :] >= a)
-        indices.reshape(left, m, right, width)[..., slot:slot + m - 1] = (
-            rows.reshape(left, m, right, 1) + ((b - a) * right)[:, None, :])
-        for x in (a, b):
-            x.setflags(write=False)
-        recipes.append((left, m, right, slot, a, b))
-        left, slot = left * m, slot + m - 1
-    indices.setflags(write=False)
-    return indices, tuple(recipes)
-
-
 def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Dense Kronecker sum X1(x)I(x)... + ... + I(x)...(x)Xn of square matrices, in the
     factors' dtype: every product-space operator of a noninteracting ensemble is built here.
 
-    An off-diagonal entry of the sum comes from exactly one factor, so every row has one
-    slot for its diagonal (the product sum of the factor diagonals) and m - 1 slots per
-    factor of size m, filled in one broadcast over the (left, m, right) view of the rows
-    with no index repeated. The slot columns come read-only from the ``_kronecker_layout``
-    cache; only the values are filled per call. They are added into zeros, not assigned,
-    so every zero entry is +0.0, as in a sum of site-embedded Kronecker products
-    I(x)...(x)X(x)...(x)I (a zero slot of either sign, added into +0.0, leaves +0.0).
+    Each factor is added into the view of a zero matrix that is diagonal in the levels before
+    it (left) and after it (right). So an off-diagonal entry is one factor's entry added into
+    +0.0, and a diagonal entry sums the factor diagonals left to right from +0.0, rounded as
+    ``_product_sum`` and the site-embedded sum of I(x)...(x)X(x)...(x)I round it: none is -0.0.
     """
     if not mats:
         raise DimensionMismatch("a Kronecker sum needs at least one factor")
-    indices, recipes = _kronecker_layout(tuple(X.shape[0] for X in mats))
-    data = np.empty(indices.shape, dtype=np.result_type(*mats))
-    data[:, 0] = _product_sum([np.diag(X) for X in mats])
-    for X, (left, m, right, slot, a, b) in zip(mats, recipes):
-        data.reshape(left, m, right, -1)[..., slot:slot + m - 1] = X[a, b][:, None, :]
-    out = np.zeros((len(data),) * 2, dtype=data.dtype)
-    out[np.arange(len(data))[:, None], indices] += data
+    dim, left = math.prod(len(X) for X in mats), 1
+    out = np.zeros((dim, dim), dtype=np.result_type(*mats))
+    for X in mats:
+        shape = (left, len(X), dim // (left * len(X)))
+        np.einsum("iajibj->ijab", out.reshape(shape * 2))[...] += X  # a writeable view of out
+        left *= len(X)
     return out
 
 

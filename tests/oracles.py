@@ -329,6 +329,13 @@ def absorption_rate(Gamma, beta, gamma=1.0):
     return 2.0 * gamma * (2.0 * Gamma) ** 3 / math.expm1(2.0 * beta * Gamma)
 
 
+def uniform_qome_tau_P(Gamma, beta, gamma=1.0):
+    """The QOME dissipation time of N spins in a uniform field, 1 / (w_up + w_dn) at every N:
+    the one-spin value tanh(beta Gamma) / (2 gamma (2 Gamma)^3), with w_dn = w_up e^{2 beta
+    Gamma} the emission rate. A reading, not a derivation, as for the decoherence laws."""
+    return math.tanh(beta * Gamma) / (2.0 * gamma * (2.0 * Gamma) ** 3)
+
+
 def pair_qome_tau_Q(Gamma, beta, gamma=1.0):
     """The QOME decoherence time of two spins in a uniform field, 1 / w_up at any temperature.
 

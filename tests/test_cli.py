@@ -486,11 +486,10 @@ def test_analyze_runs_are_byte_identical(tmp_path):
                      "beta_grid": [0.1, 1.0, 10.0], "methods": ["qome"]}),
 ])
 def test_warm_runs_equal_cold_ones(records, raw):
-    # the total-spin pairs and the Kronecker slot layout are built at the first
-    # run of a shape in a process; the runs that find them built print the same
+    # the total-spin pairs are built at the first run of an N in a process; the
+    # runs that find them built print the same
     config = RunConfig.from_dict(raw)
     qome._spin_pairs.cache_clear()
-    model._kronecker_layout.cache_clear()
     cold = repr(records(config))
     assert qome._spin_pairs.cache_info().currsize  # the second run reads the cache
     assert repr(records(config)) == cold

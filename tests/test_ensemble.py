@@ -545,23 +545,20 @@ def test_kronecker_operator_at_lanczos_sizes(N, beta, monkeypatch):
         assert np.allclose(apply(x), diagonal * x, rtol=1e-14, atol=0)
 
 
-def test_kronecker_layout_is_built_once_and_read_only():
-    # the slot columns of a size tuple are cached and shared; the dense sum is filled
-    # into new zeros, so what a caller does to its S never reaches the next call
+def test_kronecker_sum_is_a_fresh_array():
+    # the dense sum is filled into new zeros, so what a caller does to its S never reaches
+    # the next call; a single factor is copied, and its -0.0 entries come back as +0.0
     rng = np.random.default_rng(44)
     mats = [_random_symmetric_factor(rng, M) for M in (2, 3, 2)]
-    model._kronecker_layout.cache_clear()
     S = model._kronecker_sum(mats)
-    indices, _ = model._kronecker_layout((2, 3, 2))
-    assert model._kronecker_layout.cache_info().misses == 1
-    with pytest.raises(ValueError):
-        indices[...] = 0
-    fresh, _ = model._kronecker_layout.__wrapped__((2, 3, 2))
-    assert indices.dtype == fresh.dtype and np.array_equal(indices, fresh)
     first = S.copy()
     S[...] = 0
     assert np.array_equal(model._kronecker_sum(mats), first)
-    assert model._kronecker_layout((2, 3, 2))[0] is indices
+    X = np.array([[1.0, -0.0], [-0.0, -2.0]])
+    one = model._kronecker_sum([X])
+    assert not np.shares_memory(one, X)
+    assert np.array_equal(one, X)
+    assert np.signbit(one).tolist() == [[False, False], [False, True]]  # only -2.0
 
 
 def test_smallest_ritz_pair_equals_eigh_tridiagonal():

@@ -373,6 +373,19 @@ def test_evolve_keeps_trace_at_low_temperature(beta):
     assert np.abs(np.diag(rho_t) - pm.stationary).max() <= 1e-12
 
 
+@pytest.mark.parametrize("beta, t", [(1.0, 1e8), (1.0, 1e300), (30.0, 1e38)])
+def test_evolve_keeps_trace_at_late_times(beta, t):
+    # expm(-A t) lost 1.6e-8 of the trace at t = 1e8 and gave NaN populations at
+    # t = 1e300 (beta 1) and from t = 1e38 (beta 30); long after tau_P it is the Gibbs state
+    spec, _, rates = free_spin_rates(beta=beta)
+    pm = pauli_matrix(rates, spec)
+    rho_t = evolve(pm, decoherence_rates(rates), np.full((2, 2), 0.5, dtype=complex), t)
+    p = np.diag(rho_t).real
+    assert np.isfinite(rho_t).all() and p.min() >= 0.0
+    assert abs(p.sum() - 1.0) <= 4 * np.finfo(float).eps
+    assert np.array_equal(p, pm.stationary)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     log_beta=st.floats(min_value=-3.0, max_value=4.0),

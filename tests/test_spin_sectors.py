@@ -42,6 +42,7 @@ from oracles import (
     sector_blocks,
     sector_eigenvalues,
     spin_sector_system,
+    uniform_qome_tau_P,
 )
 
 EPS = np.finfo(float).eps
@@ -276,6 +277,25 @@ def test_cold_spins_decohere_at_the_cold_law(N, Gamma, log_gamma):
     gamma, beta = 10.0 ** log_gamma, 6.0 / Gamma
     got = uniform_spin_spectrum(N, Gamma, beta, gamma)
     assert 0.99998 <= got.tau_Q / cold_qome_tau_Q(N, Gamma, beta, gamma) <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(min_value=1, max_value=14),
+       log_Gamma=st.floats(min_value=-2.0, max_value=math.log10(30.0)),
+       log_beta_Gamma=PAIR_INPUTS["log_beta_Gamma"], log_gamma=PAIR_INPUTS["log_gamma"])
+def test_uniform_spins_dissipate_at_the_one_spin_rate(N, log_Gamma, log_beta_Gamma, log_gamma):
+    # tau_P (w_up + w_dn) = 1 at every N; at most 2 eps off over 400 random inputs
+    Gamma, gamma = 10.0 ** log_Gamma, 10.0 ** log_gamma
+    beta = 10.0 ** log_beta_Gamma / Gamma
+    got = uniform_spin_spectrum(N, Gamma, beta, gamma)
+    assert abs(got.tau_P / uniform_qome_tau_P(Gamma, beta, gamma) - 1.0) <= 4 * EPS
+
+
+def test_uniform_tau_P_multiplicity():
+    # the slowest population mode's copies; at odd N the square of d_{1/2}, the J = 1/2 count
+    counts = [uniform_spin_spectrum(N, 1.0, 1.0).tau_P_multiplicity for N in range(1, 15)]
+    assert counts == [1, 2, 4, 12, 25, 90, 196, 784, 1764, 7560, 17424, 78408, 184041, 858858]
+    assert all(counts[N - 1] == catalan((N + 1) // 2) ** 2 for N in range(1, 15, 2))
 
 
 @pytest.mark.parametrize("N", range(1, 41))
