@@ -26,25 +26,15 @@ from .ensemble import (
     _member_analysis,
     free_spins_times,
 )
-from .errors import CapExceeded, ConfigError, ResonantMembers, ThermotimesError
+from .errors import CapExceeded, ConfigError, ThermotimesError
 from .model import (
-    QubitSystem,
     _check_product_size,
-    _kronecker_sum,
     diagonalize,
     dipole_data,
-    free_spin_chain,
     free_spin_system,
     system_from_json,
 )
-from .qome import (
-    TOL_ZERO,
-    _check_qome_size,
-    build_liouvillian,
-    mixture_spectrum,
-    qome_spectrum,
-    uniform_spin_spectrum,
-)
+from .qome import TOL_ZERO, _check_qome_size, ensemble_spectrum
 
 FAMILIES = ("free_spins_uniform", "free_spins_modulated", "custom_hamiltonian")
 METHODS = ("lba_analytic", "lba_numeric", "qome")
@@ -215,18 +205,14 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
     return modulated_gammas(N, **config.law)
 
 
-def _member_dim(config: RunConfig) -> int:
-    """The dimension of one member: 2 for a spin, ``dim`` of a custom Hamiltonian."""
-    return config.hamiltonian["dim"] if config.family == "custom_hamiltonian" else 2
-
-
 def _run_members(config: RunConfig, N_max: int):
     """``members(N)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis`` parts,
     built and analysed on the first call. Gamma_i is set by i alone, so modulated spins
     give the first N of N_max; a uniform or custom member gets count N. A run with
     ``lba_numeric`` is size-checked at N_max here, before any member is built."""
     if "lba_numeric" in config.methods:
-        _check_product_size([(_member_dim(config), N_max)], NUMERIC_CAP)
+        dim = config.hamiltonian["dim"] if config.family == "custom_hamiltonian" else 2
+        _check_product_size([(dim, N_max)], NUMERIC_CAP)
     parts = []
 
     def members(N: int) -> list:
@@ -248,41 +234,6 @@ def _run_members(config: RunConfig, N_max: int):
     return members
 
 
-def _composite_system(config: RunConfig, N: int) -> QubitSystem:
-    """The ensemble as one composite qubit register (QOME route of the custom
-    family and of resonant modulated spins), size-checked first."""
-    _check_qome_size(_member_dim(config), N)
-    if config.family == "custom_hamiltonian":
-        member = system_from_json(config.hamiltonian, gamma=config.gamma)
-        return QubitSystem(K=member.K * N, H=_kronecker_sum([member.H] * N), gamma=config.gamma)
-    return QubitSystem(K=N, H=free_spin_chain(_field_strengths(config, N)), gamma=config.gamma)
-
-
-def _run_qome(config: RunConfig, N: int, members):
-    """QOME spectrum of N members: modulated spins at the default tolerance go
-    through their own generators unless two share a transition frequency,
-    identical spins through their total-spin sectors under that route's own
-    size rule (N <= 14), every other ensemble through the composite register."""
-    # An explicit tolerance can chain composite gaps or levels (dipole-free
-    # ones too) that the premise, comparing member frequencies only, does not
-    # see; the default one is far below such chains (the default law keeps the
-    # member frequencies over 1e6 tolerances apart up to N = 13).
-    if config.family == "free_spins_modulated" and config.energy_tol is None:
-        try:
-            return mixture_spectrum([(m.spectrum, m.dipole) for m, *_ in members(N)],
-                                    config.beta, tol_zero=config.tol_zero)
-        except ResonantMembers:
-            pass
-    if config.family == "free_spins_uniform":
-        return uniform_spin_spectrum(N, config.Gamma, config.beta, config.gamma,
-                                     energy_tol=config.energy_tol, tol_zero=config.tol_zero)
-    system = _composite_system(config, N)
-    spec = diagonalize(system)
-    dip = dipole_data(system, spec)
-    L = build_liouvillian(spec, dip, config.beta, energy_tol=config.energy_tol)
-    return qome_spectrum(L, tol_zero=config.tol_zero)
-
-
 def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
     """One record from the run's shared ``members`` (``_run_members``). ``wall_s`` times the
     method, and the members' build and analysis if this record is the first to read them."""
@@ -295,7 +246,8 @@ def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
     elif method == "lba_numeric":
         times = _ensemble_times_numeric(members(N), config.beta)
     elif method == "qome":
-        times = _run_qome(config, N, members)
+        spec = EnsembleSpec([m for m, *_ in members(N)], config.beta)
+        times = ensemble_spectrum(spec, config.energy_tol, config.tol_zero)
         record["qome_zero_multiplicity"] = times.zero_multiplicity
     else:
         raise ConfigError(f"unknown method {method!r}")
@@ -400,9 +352,11 @@ def table1_rows(
     """Reference-table rows for the modulated free-spin family (gamma = 1).
 
     Sizes 1..13 carry the analytic and the explicit-matrix route, sizes up to
-    ``max_qome_n`` additionally the quantum optical master equation (through
-    the member generators at the default tolerance); the four large sizes
-    are analytic only. ``lba_cpu_s`` and ``qome_cpu_s`` hold the wall-clock
+    ``max_qome_n`` additionally the quantum optical master equation
+    (``qome.ensemble_spectrum``: the member route at the default tolerance,
+    each spin on its total-spin sectors, and one composite register of the
+    N >= 2 spins at an explicit one); the four large sizes are analytic
+    only. ``lba_cpu_s`` and ``qome_cpu_s`` hold the wall-clock
     seconds of the explicit-matrix and the master-equation method; the 13
     members, which every row shares, are built and analysed before the first
     row, so no row charges them. The warnings cell flags degenerate steady
@@ -450,8 +404,8 @@ def cmd_table1(
     max_qome_n = _number("--max-qome-n", max_qome_n, ">= 0", integer=True)
     if energy_tol is not None:
         energy_tol = _number("--energy-tol", energy_tol, ">= 0")
-        # only the default tolerance takes the member route (see _run_qome)
-        _check_qome_size(2, max_qome_n)
+        # an explicit tolerance puts N >= 2 on one register (qome.ensemble_spectrum)
+        _check_qome_size([(2, max_qome_n)])
     write_csv(table1_rows(max_qome_n=max_qome_n, energy_tol=energy_tol), TABLE1_COLUMNS, out_path)
     return out_path
 

@@ -18,12 +18,17 @@ coherences and fix the decoherence time. Only a block's dissipator is stored
 its size; one batched eigensolve per stack, -i omega put on the eigenvalues
 after it, keeps slow coherence rates at their own precision.
 
-Identical spins in a uniform field take ``uniform_spin_spectrum``: on one copy
-of each total-spin sector J, counted d_J times (Chase & Geremia, PRA 78,
-052101, 2008), the only jumps are m -> m +- 1, so each (J, J', m - n) block
-ordered by m is tridiagonal with positive off-diagonal products, similar to
-a real symmetric Jacobi matrix built from the ladder elements. Any other
-system is built as a composite register, where every block counts once.
+``ensemble_spectrum`` is the one entry for an ``EnsembleSpec``, by one rule: a
+single member takes ``_member_spectrum``; several members at the default
+tolerance take ``mixture_spectrum``; a resonance or an explicit ``energy_tol``
+sends the whole ensemble to one composite register, built in the product
+eigenbasis, where every block counts once. Only its summed squared dipole
+element enters the generator of a coupled two-level member, so its copies are
+spins and take ``uniform_spin_spectrum``: on one copy of each total-spin sector
+J, counted d_J times (Chase & Geremia, PRA 78, 052101, 2008), the only jumps are
+m -> m +- 1, so each (J, J', m - n) block ordered by m is tridiagonal with
+positive off-diagonal products, similar to a real symmetric Jacobi matrix
+built from the ladder elements. Any other member's copies form a register.
 
 A mixture of distinguishable members takes the member route when no
 transition frequency of one member lies within ``energy_tol`` of a frequency
@@ -32,7 +37,7 @@ so the generator is the Kronecker sum of the member generators and its
 spectrum is the set of all sums of one eigenvalue per member. tau_P and tau_Q
 are the largest member times (for distinct spin fields tau_Q = 2 max_i
 tau_P,i, the decoherence pathology in closed form) and the steady states
-count the product of the members' counts. ``mixture_spectrum`` builds each
+count the product of the members' counts. ``mixture_spectrum`` solves each
 member at the composite's default tolerance, the only one this route runs
 at, and refuses a resonant pair. The premise compares member frequencies
 only: a tolerance wide enough to merge levels or dipole-free gaps of the
@@ -46,12 +51,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyEnsemble,
-    NoDissipativeEigenvalue,
-    ResonantMembers,
-)
+from .ensemble import EnsembleMember, EnsembleSpec
+from .errors import DimensionMismatch, NoDissipativeEigenvalue, ResonantMembers
 from .lba import _blackbody_weight
 from .model import (
     DEGENERACY_RTOL,
@@ -65,7 +66,9 @@ from .model import (
     _check_size,
     _check_tolerance,
     _gap_structure,
+    _kronecker_sum,
     _pair_classes,
+    _product_sum,
     _stacks,
 )
 
@@ -76,10 +79,10 @@ LIOUVILLIAN_CAP = 4096
 AGREE_RTOL = 1e-6
 
 
-def _check_qome_size(dim: int, copies: int = 1) -> None:
-    """The QOME size rule: the generator of ``copies`` members of dimension ``dim``
-    acts on (dim^copies)^2 entries, at most LIOUVILLIAN_CAP (``model._check_product_size``)."""
-    _check_product_size([(dim, 2 * copies)], LIOUVILLIAN_CAP, "QOME dimension")
+def _check_qome_size(factors) -> None:
+    """The QOME size rule: the generator of the register of ``factors`` (dim, copies) acts on
+    (prod dim^copies)^2 entries, at most LIOUVILLIAN_CAP (``model._check_product_size``)."""
+    _check_product_size([(d, 2 * n) for d, n in factors], LIOUVILLIAN_CAP, "QOME dimension")
 
 
 def _default_energy_tol(spread: float) -> float:
@@ -146,7 +149,7 @@ def build_liouvillian(
         raise DimensionMismatch(
             f"dipole dimension {dip.M} does not match spectrum dimension {M}"
         )
-    _check_qome_size(M)
+    _check_qome_size([(M, 1)])
     E = spec.energies
     if energy_tol is None:
         energy_tol = _default_energy_tol(float(E[-1] - E[0]))
@@ -308,7 +311,7 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
     _check_positive("Gamma", Gamma)
     _check_positive("gamma", gamma)
     _check_beta(beta)
-    _check_qome_size((N // 2 + 1) * (N + 1 - N // 2))  # sum_J (2J + 1) levels, in O(1)
+    _check_qome_size([((N // 2 + 1) * (N + 1 - N // 2), 1)])  # sum_J (2J + 1) levels, in O(1)
     w_dn, w_up = w = _blackbody_weight(np.array([-2.0, 2.0]) * Gamma, beta, detailed_balance=True)
     blocks, rise, fall, ladder, bohr, weight = _spin_pairs(N)
     diag = -gamma * (rise * w_dn + fall * w_up)
@@ -378,12 +381,12 @@ def _check_member_premise(spectra: Sequence[EnergySpectrum], energy_tol: float) 
 
 @dataclass(frozen=True)
 class MixtureSpectrum:
-    """QOME times of a mixture of distinguishable members, from the members' generators.
+    """QOME times of a mixture of distinguishable members, from the members' own spectra.
 
     tau_P and tau_Q are the largest member times (tau_Q None when no member
     has a coherence block), ``zero_multiplicity`` is the product of the
     members' steady-state counts (an exact integer) and ``members`` holds each
-    member's LiouvillianSpectrum.
+    member's LiouvillianSpectrum, that of all its copies (``_member_spectrum``).
     """
 
     tau_P: float
@@ -392,27 +395,22 @@ class MixtureSpectrum:
     members: tuple
 
 
-def mixture_spectrum(
-    members: Sequence[Tuple[EnergySpectrum, DipoleData]],
-    beta: float,
-    tol_zero: float = TOL_ZERO,
-) -> MixtureSpectrum:
-    """QOME times and steady-state count of a mixture, one (spectrum, dipoles) per member.
+def mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> MixtureSpectrum:
+    """QOME times and steady-state count of a mixture of ``members``: EnsembleMembers or
+    (spectrum, dipoles[, count]) tuples, as ``EnsembleSpec`` takes them.
 
-    Each member generator is built at the composite's default tolerance (the
-    mixture's spread being the sum of the member spreads) and solved on its
-    own; the premise is checked first, so a resonant pair raises
-    ResonantMembers before anything is built.
+    Each member, with its copies, is solved on its own (``_member_spectrum``) at the
+    composite's default tolerance, the mixture's spread being the sum of the member
+    spreads. The premise is checked first on the spectrum of one copy of each member,
+    whose frequencies are all that its copies' one-body jumps carry, so a resonant pair
+    raises ResonantMembers before anything is built.
     """
-    if not members:
-        raise EmptyEnsemble("a mixture needs at least one member")
-    spectra = [spec for spec, _ in members]
-    energy_tol = _default_energy_tol(sum(float(s.energies[-1] - s.energies[0]) for s in spectra))
-    _check_member_premise(spectra, energy_tol)
-    parts = tuple(
-        qome_spectrum(build_liouvillian(spec, dip, beta, energy_tol=energy_tol), tol_zero=tol_zero)
-        for spec, dip in members
-    )
+    spec = EnsembleSpec(members, beta)
+    spread = sum(m.count * float(m.spectrum.energies[-1] - m.spectrum.energies[0])
+                 for m in spec.members)
+    energy_tol = _default_energy_tol(spread)
+    _check_member_premise([m.spectrum for m in spec.members], energy_tol)
+    parts = tuple(_member_spectrum(m, beta, energy_tol, tol_zero) for m in spec.members)
     tau_Q = [part.tau_Q for part in parts if part.tau_Q is not None]
     return MixtureSpectrum(
         tau_P=max(part.tau_P for part in parts),
@@ -420,6 +418,51 @@ def mixture_spectrum(
         zero_multiplicity=math.prod(part.zero_multiplicity for part in parts),
         members=parts,
     )
+
+
+def _member_spectrum(member: EnsembleMember, beta: float, energy_tol: Optional[float],
+                     tol_zero: float) -> LiouvillianSpectrum:
+    """QOME spectrum of the ``member.count`` copies of one member: the total-spin sectors
+    for a coupled two-level member (E_1 > E_0, D[0, 1] > 0), a spin of field (E_1 - E_0) / 2
+    and coupling D[0, 1] / 2, and the composite register of the copies for any other."""
+    E, D = member.spectrum.energies, member.dipole.D
+    if member.spectrum.M == 2 and E[1] > E[0] and D[0, 1] > 0:
+        return uniform_spin_spectrum(member.count, float(E[1] - E[0]) / 2, beta,
+                                     float(D[0, 1]) / 2, energy_tol, tol_zero)
+    return qome_spectrum(build_liouvillian(*_composite([member]), beta, energy_tol), tol_zero)
+
+
+def _composite(members: Sequence[EnsembleMember]) -> Tuple[EnergySpectrum, DipoleData]:
+    """The copies of ``members`` as one register, size-checked first: the sums of one level
+    per copy, sorted stably, and the Kronecker sums of their amplitudes, permuted to match, so
+    no Hamiltonian and no eigensolve. It takes the first member's gamma; member i enters with
+    amplitudes times sqrt(gamma_i / gamma) (exactly 1.0 for equal couplings), keeping its D."""
+    _check_qome_size([(m.spectrum.M, m.count) for m in members])
+    copies = [m for m in members for _ in range(m.count)]
+    gamma = members[0].dipole.gamma
+    E = _product_sum([m.spectrum.energies for m in copies])
+    order = np.argsort(E, kind="stable")
+    scaled = [[d * math.sqrt(m.dipole.gamma / gamma) for d in m.dipole.amplitudes] for m in copies]
+    d_x, d_y, d_z = (_kronecker_sum(axis)[np.ix_(order, order)] for axis in zip(*scaled))
+    return (EnergySpectrum(M=len(E), energies=E[order], eigenbasis=np.eye(len(E))),
+            DipoleData(d_x=d_x, d_y=d_y, d_z=d_z, gamma=gamma))
+
+
+def ensemble_spectrum(spec: EnsembleSpec, energy_tol: Optional[float] = None,
+                      tol_zero: float = TOL_ZERO):
+    """QOME times of an ensemble by the module's rule: a LiouvillianSpectrum, or a
+    MixtureSpectrum on the member route. Several members at an explicit ``energy_tol``,
+    which can chain composite levels or dipole-free gaps that the member frequencies do
+    not show, or with a resonant pair take one register, size-checked before it is built."""
+    if len(spec.members) == 1:
+        return _member_spectrum(spec.members[0], spec.beta, energy_tol, tol_zero)
+    if energy_tol is None:
+        try:
+            return mixture_spectrum(spec.members, spec.beta, tol_zero)
+        except ResonantMembers:
+            pass
+    L = build_liouvillian(*_composite(spec.members), spec.beta, energy_tol)
+    return qome_spectrum(L, tol_zero)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from thermotimes.cli import (
 )
 from thermotimes.ensemble import EnsembleSpec, ensemble_times_numeric
 from thermotimes.errors import ConfigError
-from thermotimes.model import QubitSystem, diagonalize, dipole_data, free_spin_chain, free_spin_system
+from thermotimes.model import free_spin_system
 from thermotimes.qome import (
-    build_liouvillian,
+    LiouvillianSpectrum,
+    ensemble_spectrum,
     mixture_spectrum,
-    qome_spectrum,
     uniform_spin_spectrum,
 )
 
@@ -192,7 +192,7 @@ def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, ra
     def refuse(*args, **kwargs):
         raise AssertionError(f"{builder} was reached before the size check")
 
-    monkeypatch.setattr({"_spin_pairs": qome, "_kronecker_sum": cli}[builder], builder, refuse)
+    monkeypatch.setattr(qome, builder, refuse)
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["qome"]})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
 
@@ -242,7 +242,7 @@ def test_uniform_qome_never_builds_the_composite(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the composite register was built")
 
-    for target, name in ((cli, "free_spin_chain"), (cli, "diagonalize"),
+    for target, name in ((qome, "_composite"), (qome, "build_liouvillian"), (cli, "diagonalize"),
                          (model, "total_spin_operator")):
         monkeypatch.setattr(target, name, refuse)
     cfg = write_config(tmp_path, "c.json", {
@@ -279,8 +279,10 @@ def test_modulated_qome_never_builds_the_composite(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the composite register was built")
 
-    for name in ("free_spin_chain", "diagonalize", "dipole_data"):
-        monkeypatch.setattr(cli, name, refuse)
+    # each spin takes its total-spin sectors: no register and no generator is built
+    for target, name in ((qome, "_composite"), (qome, "build_liouvillian"), (cli, "diagonalize"),
+                         (cli, "dipole_data")):
+        monkeypatch.setattr(target, name, refuse)
     cfg = write_config(tmp_path, "c.json", {
         "family": "free_spins_modulated", "N_list": list(range(1, 14)), "beta": 1.0,
         "methods": ["lba_analytic", "qome"], "output": "json",
@@ -304,8 +306,9 @@ def test_table1_checks_the_composite_size_before_anything_is_built(tmp_path, mon
     def refuse(*args, **kwargs):
         raise AssertionError("something was built")
 
-    for name in ("free_spin_chain", "diagonalize", "free_spin_system", "_ensemble_times_numeric"):
-        monkeypatch.setattr(cli, name, refuse)
+    for target, name in ((cli, "free_spin_system"), (cli, "_ensemble_times_numeric"),
+                         (qome, "_composite"), (qome, "_kronecker_sum")):
+        monkeypatch.setattr(target, name, refuse)
     # an explicit energy_tol, even an exact one, takes the composite route, capped at 6
     out = str(tmp_path / "t.csv")
     for tol in ("1.0", "0"):
@@ -317,10 +320,11 @@ def test_table1_checks_the_composite_size_before_anything_is_built(tmp_path, mon
 def test_modulated_qome_at_an_explicit_tolerance_is_the_composites(tmp_path, energy_tol):
     # G = 1, 1.3978, 0.518: the spin frequencies stay 0.7956 apart, but from 0.24
     # the composite levels +-0.120 merge, and at 0.75 dipole-free composite gaps
-    # chain 1.036 -> 2.0 and so join two spins' classes; the member route sees neither
-    system = QubitSystem(K=3, H=free_spin_chain(modulated_gammas(3)))
-    spec = diagonalize(system)
-    ref = qome_spectrum(build_liouvillian(spec, dipole_data(system, spec), 1.0, energy_tol=energy_tol))
+    # chain 1.036 -> 2.0 and so join two spins' classes; the member route sees neither.
+    # The register's referee is test_ensemble_spectrum's eigh-built one.
+    spins = [free_spin_system(G) for G in modulated_gammas(3)]
+    ref = ensemble_spectrum(EnsembleSpec(members=spins, beta=1.0), energy_tol)
+    assert isinstance(ref, LiouvillianSpectrum)
     cfg = write_config(tmp_path, "c.json", {
         "family": "free_spins_modulated", "N": 3, "beta": 1.0, "tolerances": {"energy_tol": energy_tol},
         "methods": ["qome"], "output": "json",
@@ -331,7 +335,7 @@ def test_modulated_qome_at_an_explicit_tolerance_is_the_composites(tmp_path, ene
         (record,) = json.load(fh)["records"]
     assert (record["tau_P"], record["tau_Q"]) == (ref.tau_P, ref.tau_Q)
     assert record["qome_zero_multiplicity"] == ref.zero_multiplicity
-    members = mixture_spectrum([free_spin_system(G) for G in modulated_gammas(3)], 1.0)
+    members = mixture_spectrum(spins, 1.0)
     assert (ref.tau_P, ref.tau_Q) != (members.tau_P, members.tau_Q)
 
 
@@ -349,7 +353,7 @@ def fresh_spins(N):
 @pytest.mark.parametrize("energy_tol, max_qome_n", [(None, 5), (1.0, 4)])
 def test_table1_rows_equal_the_per_n_public_route(beta, energy_tol, max_qome_n):
     # each row's shared members give what a fresh N-ensemble gives, bit for bit;
-    # at an explicit tolerance the QOME columns come from the composite register
+    # at an explicit tolerance the QOME columns come from one composite register
     rows = {row["N"]: row for row in cli.table1_rows(max_qome_n, energy_tol, beta)}
     for N in range(1, 14):
         times = ensemble_times_numeric(EnsembleSpec(members=fresh_spins(N), beta=beta))
@@ -358,10 +362,7 @@ def test_table1_rows_equal_the_per_n_public_route(beta, energy_tol, max_qome_n):
         if energy_tol is None:
             ref = mixture_spectrum(fresh_spins(N), beta)
         else:
-            system = QubitSystem(K=N, H=free_spin_chain(modulated_gammas(N)))
-            spec = diagonalize(system)
-            L = build_liouvillian(spec, dipole_data(system, spec), beta, energy_tol=energy_tol)
-            ref = qome_spectrum(L)
+            ref = ensemble_spectrum(EnsembleSpec(members=fresh_spins(N), beta=beta), energy_tol)
         assert (rows[N]["qome_tauP"], rows[N]["qome_tauQ"]) == (ref.tau_P, ref.tau_Q)
 
 

@@ -352,7 +352,7 @@ def test_uniform_analyze_never_gathers(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the gather route ran")
 
-    for module, name in [(cli, "build_liouvillian"), (qome, "build_liouvillian"),
+    for module, name in [(qome, "build_liouvillian"), (qome, "_composite"),
                          (qome, "_gap_structure"), (model, "_gap_structure"),
                          (np.linalg, "eigvals")]:
         monkeypatch.setattr(module, name, refuse)
