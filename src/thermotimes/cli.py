@@ -206,17 +206,21 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
 
 
 def _run_members(config: RunConfig, N_max: int):
-    """``members(N)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis`` parts,
-    built and analysed on the first call. Gamma_i is set by i alone, so modulated spins
-    give the first N of N_max; a uniform or custom member gets count N. A run with
-    ``lba_numeric`` is size-checked at N_max here, before any member is built."""
+    """``members(N, analysed=True)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis``
+    parts, or 1-tuples of its members if not ``analysed`` (the QOME takes the degenerate and
+    dark members the analysis refuses). Members are built on the first call and analysed on the
+    first analysed one; modulated spins give the first N of N_max (Gamma_i is set by i alone),
+    a uniform or custom member gets count N. ``lba_numeric``, and ``qome`` of a member of more
+    than two levels (always a register), are size-checked at N_max here, before any build."""
+    dim = config.hamiltonian["dim"] if config.family == "custom_hamiltonian" else 2
     if "lba_numeric" in config.methods:
-        dim = config.hamiltonian["dim"] if config.family == "custom_hamiltonian" else 2
         _check_product_size([(dim, N_max)], NUMERIC_CAP)
-    parts = []
+    if "qome" in config.methods and dim > 2:
+        _check_qome_size([(dim, N_max)])
+    built, parts = [], []
 
-    def members(N: int) -> list:
-        if not parts:
+    def members(N: int, analysed: bool = True) -> list:
+        if not built:
             if config.family == "custom_hamiltonian":
                 system = system_from_json(config.hamiltonian, gamma=config.gamma)
                 spec = diagonalize(system)
@@ -225,10 +229,13 @@ def _run_members(config: RunConfig, N_max: int):
                 pairs = [free_spin_system(config.Gamma, config.gamma)]
             else:
                 pairs = [free_spin_system(G, config.gamma) for G in _field_strengths(config, N_max)]
-            parts.extend(_member_analysis(EnsembleSpec(members=pairs, beta=config.beta)))
+            built.extend((m,) for m in EnsembleSpec(members=pairs, beta=config.beta).members)
+        if analysed and not parts:
+            parts.extend(_member_analysis(EnsembleSpec([m for m, in built], config.beta)))
+        chosen = parts if analysed else built
         if config.family == "free_spins_modulated":
-            return parts[:N]
-        (member, *analysis), = parts
+            return chosen[:N]
+        (member, *analysis), = chosen
         return [(replace(member, count=N), *analysis)]
 
     return members
@@ -246,7 +253,7 @@ def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
     elif method == "lba_numeric":
         times = _ensemble_times_numeric(members(N), config.beta)
     elif method == "qome":
-        spec = EnsembleSpec([m for m, *_ in members(N)], config.beta)
+        spec = EnsembleSpec([m for m, in members(N, analysed=False)], config.beta)
         times = ensemble_spectrum(spec, config.energy_tol, config.tol_zero)
         record["qome_zero_multiplicity"] = times.zero_multiplicity
     else:
@@ -351,16 +358,14 @@ def table1_rows(
 ) -> list:
     """Reference-table rows for the modulated free-spin family (gamma = 1).
 
-    Sizes 1..13 carry the analytic and the explicit-matrix route, sizes up to
-    ``max_qome_n`` additionally the quantum optical master equation
-    (``qome.ensemble_spectrum``: the member route at the default tolerance,
-    each spin on its total-spin sectors, and one composite register of the
-    N >= 2 spins at an explicit one); the four large sizes are analytic
-    only. ``lba_cpu_s`` and ``qome_cpu_s`` hold the wall-clock
-    seconds of the explicit-matrix and the master-equation method; the 13
-    members, which every row shares, are built and analysed before the first
-    row, so no row charges them. The warnings cell flags degenerate steady
-    states and undamped coherences of the microscopic route.
+    Sizes 1..13 carry the analytic and the explicit-matrix route, sizes up to ``max_qome_n``
+    additionally the quantum optical master equation (``qome.ensemble_spectrum``: each spin on
+    its total-spin sectors at the default tolerance, one register of the N >= 2 spins at an
+    explicit one); the four large sizes are analytic only. ``lba_cpu_s`` and ``qome_cpu_s``
+    hold the wall-clock seconds of the explicit-matrix and the master-equation method; the 13
+    members, which every row shares, are built and analysed before the first row, so no row
+    charges them. The warnings cell flags degenerate steady states and undamped coherences of
+    the microscopic route.
     """
     # every table reaches the Lanczos branch (N = 7..13): load its scipy.linalg (BLAS
     # and the tridiagonal eigensolver) here, so that the first Lanczos row does not time it

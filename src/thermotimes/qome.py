@@ -18,17 +18,16 @@ coherences and fix the decoherence time. Only a block's dissipator is stored
 its size; one batched eigensolve per stack, -i omega put on the eigenvalues
 after it, keeps slow coherence rates at their own precision.
 
-``ensemble_spectrum`` is the one entry for an ``EnsembleSpec``, by one rule: a
-single member takes ``_member_spectrum``; several members at the default
-tolerance take ``mixture_spectrum``; a resonance or an explicit ``energy_tol``
-sends the whole ensemble to one composite register, built in the product
-eigenbasis, where every block counts once. Only its summed squared dipole
-element enters the generator of a coupled two-level member, so its copies are
-spins and take ``uniform_spin_spectrum``: on one copy of each total-spin sector
-J, counted d_J times (Chase & Geremia, PRA 78, 052101, 2008), the only jumps are
-m -> m +- 1, so each (J, J', m - n) block ordered by m is tridiagonal with
-positive off-diagonal products, similar to a real symmetric Jacobi matrix
-built from the ladder elements. Any other member's copies form a register.
+``ensemble_spectrum`` is the one entry for an ``EnsembleSpec``: a single member
+takes ``_member_spectrum``, several at the default tolerance ``mixture_spectrum``,
+and a resonance or an explicit ``energy_tol`` one composite register, built in
+the product eigenbasis, where every block counts once. A coupled two-level
+member enters its generator through its summed squared dipole element alone,
+so its copies are spins and take ``uniform_spin_spectrum``: on one copy of each
+total-spin sector J, counted d_J times (Chase & Geremia, PRA 78, 052101, 2008),
+the only jumps are m -> m +- 1, so each (J, J', m - n) block ordered by m is
+tridiagonal with positive off-diagonal products, similar to a real symmetric
+Jacobi matrix from the ladder elements. Other members' copies form a register.
 
 A mixture of distinguishable members takes the member route when no
 transition frequency of one member lies within ``energy_tol`` of a frequency
@@ -146,9 +145,7 @@ def build_liouvillian(
     _check_beta(beta)
     M = spec.M
     if dip.M != M:
-        raise DimensionMismatch(
-            f"dipole dimension {dip.M} does not match spectrum dimension {M}"
-        )
+        raise DimensionMismatch(f"dipole dimension {dip.M} does not match spectrum dimension {M}")
     _check_qome_size([(M, 1)])
     E = spec.energies
     if energy_tol is None:
@@ -183,13 +180,8 @@ def build_liouvillian(
         _check_rates("the rate scale gamma max W~", *(b for *_, b in blocks),
                      scale=gamma * Wt.max())
 
-    return Liouvillian(
-        dim=M * M,
-        blocks=tuple(blocks),
-        energies=E.copy(),
-        energy_tol=float(energy_tol),
-        beta=float(beta),
-    )
+    return Liouvillian(dim=M * M, blocks=tuple(blocks), energies=E.copy(),
+                       energy_tol=float(energy_tol), beta=float(beta))
 
 
 def jump_operator_groups(energies: Sequence[float]) -> list:
@@ -383,40 +375,42 @@ def _check_member_premise(spectra: Sequence[EnergySpectrum], energy_tol: float) 
 class MixtureSpectrum:
     """QOME times of a mixture of distinguishable members, from the members' own spectra.
 
-    tau_P and tau_Q are the largest member times (tau_Q None when no member
-    has a coherence block), ``zero_multiplicity`` is the product of the
-    members' steady-state counts (an exact integer) and ``members`` holds each
-    member's LiouvillianSpectrum, that of all its copies (``_member_spectrum``).
+    tau_P and tau_Q are the largest member times (tau_Q None when no member has a coherence
+    block). The counts are the composite's, exact ints: ``zero_multiplicity`` the product of
+    the members' steady-state counts, ``tau_P_multiplicity`` each member at tau_P by its own
+    count times the others' steady states. ``members`` holds each one's ``_member_spectrum``.
     """
 
     tau_P: float
     tau_Q: Optional[float]
     zero_multiplicity: int
     members: tuple
+    tau_P_multiplicity: int = 1
 
 
 def mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> MixtureSpectrum:
     """QOME times and steady-state count of a mixture of ``members``: EnsembleMembers or
-    (spectrum, dipoles[, count]) tuples, as ``EnsembleSpec`` takes them.
-
-    Each member, with its copies, is solved on its own (``_member_spectrum``) at the
-    composite's default tolerance, the mixture's spread being the sum of the member
-    spreads. The premise is checked first on the spectrum of one copy of each member,
-    whose frequencies are all that its copies' one-body jumps carry, so a resonant pair
-    raises ResonantMembers before anything is built.
+    (spectrum, dipoles[, count]) tuples, as ``EnsembleSpec`` takes them. Each member, with its
+    copies, is solved on its own (``_member_spectrum``) at the composite's default tolerance,
+    of the summed member spreads. The premise, checked first on one copy of each member (the
+    one-body jumps of its copies carry its frequencies alone), refuses a resonant pair
+    (ResonantMembers) before anything is built.
     """
     spec = EnsembleSpec(members, beta)
-    spread = sum(m.count * float(m.spectrum.energies[-1] - m.spectrum.energies[0])
-                 for m in spec.members)
-    energy_tol = _default_energy_tol(spread)
+    energy_tol = _default_energy_tol(sum(m.count * float(np.ptp(m.spectrum.energies))
+                                         for m in spec.members))
     _check_member_premise([m.spectrum for m in spec.members], energy_tol)
     parts = tuple(_member_spectrum(m, beta, energy_tol, tol_zero) for m in spec.members)
+    tau_P = max(part.tau_P for part in parts)
     tau_Q = [part.tau_Q for part in parts if part.tau_Q is not None]
+    zeros = [part.zero_multiplicity for part in parts]
     return MixtureSpectrum(
-        tau_P=max(part.tau_P for part in parts),
+        tau_P=tau_P,
         tau_Q=max(tau_Q) if tau_Q else None,
-        zero_multiplicity=math.prod(part.zero_multiplicity for part in parts),
+        zero_multiplicity=math.prod(zeros),
         members=parts,
+        tau_P_multiplicity=sum(part.tau_P_multiplicity * math.prod(zeros[:i] + zeros[i + 1:])
+                               for i, part in enumerate(parts) if part.tau_P == tau_P),
     )
 
 

@@ -25,11 +25,19 @@ from thermotimes.cli import (
 )
 from thermotimes.ensemble import EnsembleSpec, ensemble_times_numeric
 from thermotimes.errors import ConfigError
-from thermotimes.model import free_spin_system
+from thermotimes.model import (
+    QubitSystem,
+    _kronecker_sum,
+    diagonalize,
+    dipole_data,
+    free_spin_system,
+)
 from thermotimes.qome import (
     LiouvillianSpectrum,
+    build_liouvillian,
     ensemble_spectrum,
     mixture_spectrum,
+    qome_spectrum,
     uniform_spin_spectrum,
 )
 
@@ -193,6 +201,7 @@ def test_qome_size_is_checked_before_anything_is_built(tmp_path, monkeypatch, ra
         raise AssertionError(f"{builder} was reached before the size check")
 
     monkeypatch.setattr(qome, builder, refuse)
+    monkeypatch.setattr(cli, "diagonalize", refuse)  # no custom member is built either
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["qome"]})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
 
@@ -529,6 +538,40 @@ def test_analyze_custom_hamiltonian(tmp_path):
     for row in rows:
         assert float(row["tau_P"]) == pytest.approx(0.04760, abs=1e-5)
         assert float(row["tau_Q"]) == pytest.approx(0.09520, abs=1e-5)
+
+
+# sigma_1 . sigma_2 in the computational basis, and sigma^z_1 + sigma^z_2
+HEISENBERG = np.array([[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]], dtype=float)
+FIELD = np.diag([2.0, 0.0, 0.0, -2.0])
+
+
+@pytest.mark.parametrize("H", [
+    np.diag([-2.0, 0.0, 0.0, 2.0]),  # two degenerate middle levels
+    0.25 * HEISENBERG + FIELD,  # a Heisenberg pair in a field: its singlet is dark
+], ids=["degenerate", "dark_singlet"])
+def test_qome_alone_takes_members_the_detailed_balance_route_refuses(tmp_path, H):
+    # thermal_rates refuses the degenerate spectrum and thermalization_times the
+    # dark singlet's second steady state; the QOME reports both, so a qome-only
+    # run never analyses its members and gives the eigh-built register's times
+    cfg = write_config(tmp_path, "c.json", {
+        "family": "custom_hamiltonian", "hamiltonian": {"dim": 4, "re": H.tolist()},
+        "N_list": [1, 2], "beta": 1.0, "methods": ["qome"], "output": "json",
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", "--config", cfg, "--out", out]) == 0
+    with open(out) as fh:
+        records = json.load(fh)["records"]
+    assert main(["analyze", "--config", write_config(tmp_path, "lba.json", {
+        "family": "custom_hamiltonian", "hamiltonian": {"dim": 4, "re": H.tolist()},
+        "N": 1, "methods": ["lba_analytic"]}), "--out", str(tmp_path / "lba.csv")]) == 1
+    for N, record in zip((1, 2), records):
+        system = QubitSystem(K=2 * N, H=_kronecker_sum([H] * N))
+        spec = diagonalize(system)
+        ref = qome_spectrum(build_liouvillian(spec, dipole_data(system, spec), 1.0))
+        assert record["qome_zero_multiplicity"] == ref.zero_multiplicity > 1
+        for new, old in ((record["tau_P"], ref.tau_P), (float(record["tau_Q"]), ref.tau_Q)):
+            assert math.isinf(new) == math.isinf(old)
+            assert abs(1.0 / new - 1.0 / old) <= 1e-13 * ref.scale
 
 
 def test_table1_columns_and_values(tmp_path):
