@@ -367,10 +367,6 @@ def table1_rows(
     charges them. The warnings cell flags degenerate steady states and undamped coherences of
     the microscopic route.
     """
-    # every table reaches the Lanczos branch (N = 7..13): load its scipy.linalg (BLAS
-    # and the tridiagonal eigensolver) here, so that the first Lanczos row does not time it
-    import scipy.linalg  # noqa: F401
-
     config = RunConfig(
         family="free_spins_modulated", N_list=(1,), beta=beta,
         energy_tol=energy_tol, include_timings=True,

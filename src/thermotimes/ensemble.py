@@ -9,14 +9,15 @@ The verification path reads mu2 from the Kronecker sum S: a dense numpy
 eigensolve for small products, and above DENSE_EIG_LIMIT a plain three-term
 Lanczos recurrence (no restarts, no reorthogonalization) for the smallest
 eigenvalue of S with the exact null vector sqrt(Gibbs) shifted out of the way;
-there S is never formed but applied block by block through BLAS. Only that
-branch imports scipy (``scipy.linalg``: LAPACK's dstebz and dstein for the
-tridiagonal Ritz pairs, BLAS's daxpy, ddot and dscal for the vector updates),
-at the point of use, so the closed forms and small products run on numpy alone.
+there S is never formed but applied block by block through numpy's matrix
+product, the vector updates are in-place numpy, and the tridiagonal Ritz pairs
+come from a pure-Python twisted-factorization kernel (``_smallest_ritz_pair``).
+Both routes run on numpy alone; nothing here imports scipy.
 """
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -50,8 +51,8 @@ from .model import (
 NUMERIC_CAP = 8192
 
 #: Above this dimension the explicit path switches from a dense numpy eigensolve to a
-#: Lanczos recurrence for the smallest eigenvalue of the Gibbs-deflated S; only products
-#: above it load scipy. A dense eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool,
+#: Lanczos recurrence for the smallest eigenvalue of the Gibbs-deflated S, on numpy alone
+#: like the dense one. A dense eigvalsh at 128 or 256 wakes numpy's OpenBLAS thread pool,
 #: whose worker then spins for about 0.1 s (a table job without the QOME took 0.17 CPU-s
 #: for 0.09 s of wall time at 256, as much CPU as wall at 64); Lanczos does not (BLOCK_LIMIT).
 DENSE_EIG_LIMIT = 64
@@ -66,6 +67,10 @@ BLOCK_LIMIT = 32
 #: The Gibbs null vector q of S must satisfy |S q|_inf <= this fraction of the
 #: Gershgorin bound; detailed balance makes the residual a rounding error.
 NULL_VECTOR_RTOL = 1e-10
+
+#: Passes over the tridiagonal after which ``_smallest_ritz_pair`` gives up: bisection
+#: alone halves a bracket of 2 max|beta| to 2 eps ||T|| in about 53.
+_RITZ_MAX_PASSES = 128
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,13 @@ def _kronecker_operator(mats: Sequence[np.ndarray]):
     with ``rest`` levels left, which need k groups, stops before its dimension g has
     g^k > rest (13 spins: 16, 16, 32, not 32, 32, 8). A group's block A is its
     ``model._kronecker_sum`` (one factor is its own block), and S x is the sum over
-    the blocks of (I (x) A (x) I) x, one matmul each on a view of x: A @ X.reshape(left,
-    d, right), batched over left, or X.reshape(left, d) @ A.T for the last block."""
+    the blocks of (I (x) A (x) I) x, one matmul each on a view of x: A @ X.reshape(d,
+    right) for the first block, A @ X.reshape(left, d, right), batched over left, for a
+    middle one, X.reshape(left, d) @ A.T for the last, A.T copied C-contiguous once (BLAS's
+    NN product took 9.7 us where the transposed view's took 16 at N = 13). Each matmul
+    writes into a buffer of its own, allocated once, and the later ones are added in
+    place into the first's, in block order. The returned S x is that buffer, overwritten
+    by the next call."""
     groups, rest = [], math.prod(len(X) for X in mats)
     for X in mats:
         grown = len(X) * math.prod(len(Y) for Y in groups[-1]) if groups else math.inf
@@ -187,14 +197,25 @@ def _kronecker_operator(mats: Sequence[np.ndarray]):
     dim, left, terms = math.prod(len(A) for A in blocks), 1, []
     for A in blocks:
         right = dim // (left * len(A))
-        terms.append((A, (left, len(A)) if right == 1 else (left, len(A), right)))
+        if right == 1:
+            terms.append(((left, len(A)), np.ascontiguousarray(A.T), False))
+        else:
+            terms.append(((len(A), right) if left == 1 else (left, len(A), right), A, True))
         left *= len(A)
     off = [np.abs(A - np.diag(np.diag(A))).sum(axis=1) for A in blocks]
     c = float((np.abs(_product_sum([np.diag(A) for A in blocks])) + _product_sum(off)).max())
+    outs = [np.empty(shape) for shape, *_ in terms]
+    y, rest = outs[0].reshape(dim), [out.reshape(dim) for out in outs[1:]]
 
     def apply(x):
-        return sum((x.reshape(s) @ A.T if len(s) == 2 else A @ x.reshape(s)).ravel()
-                   for A, s in terms)
+        for (shape, B, first), out in zip(terms, outs):
+            if first:
+                np.matmul(B, x.reshape(shape), out)
+            else:
+                np.matmul(x.reshape(shape), B, out)
+        for term in rest:
+            np.add(y, term, y)
+        return y
 
     return apply, c
 
@@ -205,65 +226,178 @@ def _deterministic_start(dim: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def _smallest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> Tuple[float, float]:
-    """Smallest eigenvalue theta of the symmetric tridiagonal (alpha, beta) and the
-    last component of its unit eigenvector s.
+def _sweep(diagonal, beta2, x: float, pivmin: float):
+    """Pivots of T - x from one end of the tridiagonal towards the twist row r, in that
+    order: ``diagonal`` holds the rows before r, ``beta2`` the squared couplings of each
+    to the next, the last one to r.
 
-    LAPACK's dstebz (bisection, index range 1..1, block order) and dstein
-    (inverse iteration), called as ``scipy.linalg.eigh_tridiagonal(alpha, beta,
-    select="i", select_range=(0, 0))`` calls them, 1 x 1 shortcut included, so
-    theta and s are its values bit for bit without its argument checks. Raises
-    NoConvergence if either routine reports a failure.
+    The pivots are d_1 = alpha_1 - x and d_i = alpha_i - x - beta_(i-1)^2 / d_(i-1), one
+    smaller than ``pivmin`` in modulus taken as -pivmin (as LAPACK's dstebz takes it); each
+    d_i' = -1 + beta_(i-1)^2 d_(i-1)' / d_(i-1)^2. The null vector of the factorization
+    has z_1 = 1 and z_(i+1) = -d_i z_i / beta_i: a product of pivots. Returns the number
+    of negative pivots, the last one's index (-1 for none), the term t = beta^2 / d the
+    twist subtracts and -t', z_r^2, the sum of z_i^2 before r, and the largest z_i^2 and
+    its index.
     """
-    from scipy.linalg.lapack import dstebz, dstein
+    d, dd, zz, total, peak, at, neg, last = diagonal[0] - x, -1.0, 1.0, 1.0, 1.0, 0, 0, -1
+    i = 0
+    for a, b2 in zip(diagonal[1:], beta2):
+        if d < pivmin:
+            if d > -pivmin:
+                d = -pivmin
+            neg, last = neg + 1, i
+        i += 1
+        t = b2 / d
+        zz *= d * d / b2
+        total += zz
+        if zz > peak:
+            peak, at = zz, i
+        dd = t / d * dd - 1.0
+        d = a - x - t
+    if d < pivmin:
+        if d > -pivmin:
+            d = -pivmin
+        neg, last = neg + 1, i
+    t = beta2[-1] / d
+    zz *= d * d / beta2[-1]
+    return neg, last, t, t / d * dd, max(zz, sys.float_info.min), total, peak, at
 
-    if alpha.size == 1:
-        return float(alpha[0]), 1.0
-    m, w, iblock, isplit, info = dstebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0:
-        z, info = dstein(alpha, beta, w[:m], iblock, isplit)
-    if info != 0:
-        raise NoConvergence(
-            f"LAPACK failed on the {alpha.size} x {alpha.size} Lanczos tridiagonal (info {info})"
-        )
-    return float(w[0]), float(z[-1, 0])
+
+def _pivots(alpha, beta2, x: float, pivmin: float, r: int):
+    """One pass over the unreduced tridiagonal T - x, factored twisted at row r.
+
+    ``_sweep`` runs down to row r and up to it. The twist gamma_r = alpha_r - x minus the
+    terms of both sweeps is 1 / (T - x)^-1_rr, zero at the eigenvalues of T, and gamma_r'
+    is -1 plus the terms' derivatives. Its null vector, z_r = 1, joins the two sweeps'
+    vectors, both built towards r, so a tiny |z_k| keeps its relative accuracy when |z_r|
+    is not small. Returns the number of negative pivots of the factorization (the
+    eigenvalues of T below x), gamma_r, gamma_r', s = |z_k| / |z| and the row where |z|
+    peaks, or, when gamma_r is not the one negative pivot, the row of the one that is.
+    """
+    k = len(alpha)
+    no_sweep = (0, -1, 0.0, 0.0, 1.0, 0.0, 0.0, 0)
+    top = _sweep(alpha[:r], beta2[:r], x, pivmin) if r > 0 else no_sweep
+    bottom = _sweep(alpha[:r:-1], beta2[r:][::-1], x, pivmin) if r < k - 1 else no_sweep
+    neg_up, last_up, t_up, dt_up, zr2_up, sum_up, peak_up, at_up = top
+    neg_dn, last_dn, t_dn, dt_dn, zr2_dn, sum_dn, peak_dn, at_dn = bottom
+    gamma = alpha[r] - x - t_up - t_dn
+    if -pivmin < gamma < pivmin:
+        gamma = -pivmin
+    neg = neg_up + neg_dn + (gamma < 0.0)
+    # squares relative to z_r = 1: the sweep from the top has z_1 = 1, the other z_k = 1
+    above, below, z_k2 = sum_up / zr2_up, sum_dn / zr2_dn, 1.0 / zr2_dn
+    norm2 = 1.0 + above + below
+    s = math.sqrt(z_k2 / norm2) if norm2 < math.inf else 0.0
+    peak_up, peak_dn = peak_up / zr2_up, peak_dn / zr2_dn
+    if neg == 1 and gamma > 0.0:
+        peak = last_up if neg_up else k - 1 - last_dn
+    elif max(peak_up, peak_dn) <= 1.0:
+        peak = r
+    else:
+        peak = at_up if peak_up >= peak_dn else k - 1 - at_dn
+    return neg, gamma, -1.0 + dt_up + dt_dn, s, peak
+
+
+def _smallest_ritz_pair(alpha, beta2, x=None, lower=None, loose=False, twist=0):
+    """Smallest eigenvalue theta of the symmetric tridiagonal T with diagonal ``alpha``
+    and squared off-diagonal ``beta2`` (sequences of Python floats), the modulus s of the
+    last component of its unit eigenvector, and the row where that eigenvector peaks.
+
+    Each pass is one ``_pivots`` at a trial point x, twisted at the peak row of the last
+    pass (``twist`` for the first). Its negative-pivot count brackets theta (dstebz's
+    Sturm count) inside [``lower``, min(alpha)], ``lower`` defaulting to min(alpha) -
+    2 max|beta|. Below the poles of the twist gamma_r, gamma_r is concave and decreasing,
+    so from x above theta, where gamma_r is the one negative pivot, the Newton step x -
+    gamma_r / gamma_r' lands in [theta, x], and from x below theta it lands above theta;
+    a trial point outside the bracket halves it instead. ``x`` is the first trial point
+    (a Lanczos caller's last theta: Ritz values only fall as the tridiagonal grows). The
+    solve stops when a Newton step is at most 2 eps ||T|| + pivmin at the peak row, or,
+    if ``loose``, after the first step down to theta. A zero beta^2 splits T into blocks
+    solved alone; s is 0 unless theta is the bottom block's. Raises NoConvergence after
+    _RITZ_MAX_PASSES passes.
+    """
+    k = len(alpha)
+    if 0.0 in beta2:
+        ends = [i + 1 for i, b2 in enumerate(beta2) if b2 == 0.0] + [k]
+        blocks = [(_smallest_ritz_pair(alpha[u:v], beta2[u:v - 1], lower=lower), v)
+                  for u, v in zip([0] + ends, ends)]
+        (theta, s, _), v = min(blocks, key=lambda block: block[0][0])
+        return theta, s if v == k else 0.0, 0
+    if k == 1:
+        return alpha[0], 1.0, 0
+    pivmin = sys.float_info.min * max(1.0, max(beta2))
+    hi, bound = min(alpha), 2.0 * math.sqrt(max(beta2))
+    lo = hi - bound if lower is None else min(lower, hi)
+    prec = 2.0 * sys.float_info.epsilon * (max(max(alpha), -hi) + bound) + pivmin
+    x, r, at_hi = (hi if x is None else min(x, hi)), min(twist, k - 1), None
+    for _ in range(_RITZ_MAX_PASSES):
+        neg, gamma, dgamma, s, peak = _pivots(alpha, beta2, x, pivmin, r)
+        if neg == 0:
+            lo = x
+        else:
+            hi, at_hi = x, (x, s, peak)
+        if neg == 0 or (neg == 1 and gamma < 0.0):  # x below theta, or between it and a pole
+            step = gamma / dgamma
+            if (loose and neg) or (abs(step) <= prec and peak == r):
+                return x - step, s, peak
+            x -= step
+        r = peak
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= prec and at_hi is not None:
+            return at_hi
+    raise NoConvergence(
+        f"the Ritz pair of the {k} x {k} Lanczos tridiagonal did not converge in "
+        f"{_RITZ_MAX_PASSES} passes"
+    )
 
 
 def _lanczos_smallest(apply, v, scale: float, max_steps: int) -> float:
-    """Smallest eigenvalue of the symmetric operator ``apply``, whose norm ``scale`` bounds.
+    """Smallest eigenvalue of the positive semidefinite operator ``apply``, whose norm
+    ``scale`` bounds.
 
     Plain three-term Lanczos from the unit vector ``v``: no restarts and no
-    reorthogonalization, only the tridiagonal's alpha and beta are kept, in
-    arrays of ``max_steps``. Every five steps, and at once when beta_j itself
-    falls to the tolerance (an invariant subspace), the smallest Ritz pair
-    (theta, s) of the tridiagonal is taken from LAPACK's dstebz and dstein
-    (``_smallest_ritz_pair``), and theta is returned once its Ritz estimate
-    |beta_j s_j| is at most sqrt(n) eps scale; even after orthogonality is
-    lost, that estimate bounds the distance from theta to an eigenvalue of
-    the operator (Paige, Linear Algebra Appl. 34, 235 (1980)). The sqrt(n)
-    puts the tolerance just above the rounding floor of a length-n residual:
-    at eps scale the estimate of a converged theta hovers between one and a
-    few tolerances, and 11 of 750 products of random members never stopped.
-    Raises NoConvergence after ``max_steps``, or if LAPACK fails.
+    reorthogonalization. The tridiagonal's alpha and beta^2 are kept as Python floats,
+    and the vector updates run in place on numpy buffers: w = apply(v) - beta v_prev,
+    alpha = v.w, w -= alpha v, beta = |w|, v_prev = w / beta. At a check, the smallest
+    Ritz pair (theta, s) of the tridiagonal comes from ``_smallest_ritz_pair``, with 0
+    as the lower bracket and warm-started at the last theta and twist row: loosely, and
+    to full precision once the Ritz estimate |beta_j s_j| is within 100 tolerances.
+    theta is returned once that estimate is at most sqrt(n) eps scale; even after
+    orthogonality is lost, it bounds the distance from theta to an eigenvalue of the
+    operator (Paige, Linear Algebra Appl. 34, 235 (1980)). The sqrt(n) puts the
+    tolerance just above the rounding floor of a length-n residual: at eps scale the
+    estimate of a converged theta hovered between one and a few tolerances, and 11 of
+    750 products of random members never stopped. The first check is at step 5, the
+    next where the geometric decay of the last two estimates reaches the tolerance, at
+    least 1 and at most 10 steps on (5 while the estimate has not fallen), and one at
+    once when beta_j itself falls to the tolerance (an invariant subspace). Raises
+    NoConvergence after ``max_steps``, or if a Ritz pair does not converge.
     """
-    from scipy.linalg.blas import daxpy, ddot, dscal
-
     tol = math.sqrt(v.size) * np.finfo(float).eps * scale
-    alpha, beta = np.empty(max_steps), np.empty(max_steps)
-    v_prev, b = np.zeros_like(v), 0.0
+    alpha, beta2, theta, twist, check, last = [], [], None, 0, 5, None
+    v, v_prev, scratch, b = v.copy(), np.zeros_like(v), np.empty_like(v), 0.0
     for step in range(1, max_steps + 1):
-        w = daxpy(v_prev, apply(v), a=-b)  # BLAS works in place on a contiguous double w
-        a = ddot(v, w)
-        w = daxpy(v, w, a=-a)
-        b = math.sqrt(ddot(w, w))
-        alpha[step - 1], beta[step - 1] = a, b
-        if step % 5 == 0 or b <= tol or step == max_steps:
-            theta, s_last = _smallest_ritz_pair(alpha[:step], beta[:step - 1])
-            estimate = abs(b * s_last)
+        w = apply(v)  # w is the caller's buffer, or a fresh array: updated in place
+        w -= np.multiply(v_prev, b, scratch)
+        a = float(v.dot(w))
+        w -= np.multiply(v, a, scratch)
+        b = math.sqrt(w.dot(w))
+        alpha.append(a)
+        if step == check or b <= tol or step == max_steps:
+            theta, s_last, twist = _smallest_ritz_pair(alpha, beta2, theta, 0.0, True, twist)
+            if b * s_last <= 100.0 * tol:
+                theta, s_last, twist = _smallest_ritz_pair(alpha, beta2, theta, 0.0, False, twist)
+            estimate = b * s_last
             if estimate <= tol:
                 return theta
-        w = dscal(1.0 / b, w)
-        v_prev, v = v, w
+            gap = 5  # the next check: where the last two estimates' geometric decay meets tol
+            if last is not None and estimate < last[1]:
+                rate = math.log(estimate / last[1]) / (step - last[0])
+                gap = math.ceil(math.log(tol / estimate) / rate)
+            last, check = (step, estimate), step + min(max(gap, 1), 10)
+        beta2.append(b * b)
+        v_prev, v = v, np.multiply(w, 1.0 / b, v_prev)
     raise NoConvergence(
         f"Lanczos on dimension {v.size} took {max_steps} steps without converging: "
         f"last Ritz estimate {estimate:.3e} > {tol:.3e}"
@@ -307,10 +441,12 @@ def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
                 f"sqrt(Gibbs) is not a null vector of S: |S q|_inf = {residual:.3e}, "
                 f"row-sum bound {c:.3e}"
             )
-        from scipy.linalg.blas import daxpy, ddot
+        scratch = np.empty(dim)
 
         def deflated(x):
-            return daxpy(q, S(x), a=c * ddot(q, x))
+            y = S(x)
+            y += np.multiply(q, c * q.dot(x), scratch)
+            return y
 
         mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
@@ -159,6 +160,66 @@ def chained_kronecker_sum(mats):
         out = sp.kron(out, sp.identity(X.shape[0], format="csr"), format="csr") \
             + sp.kron(sp.identity(out.shape[0], format="csr"), sp.csr_matrix(X), format="csr")
     return out
+
+
+def mp_jacobi_smallest(alpha, beta, dps=50) -> Tuple[float, float]:
+    """Smallest eigenvalue theta of the symmetric tridiagonal with diagonal ``alpha`` and
+    off-diagonal ``beta``, and |y_k|, the last component of its unit eigenvector, in
+    ``dps``-digit mpmath arithmetic.
+
+    theta by Sturm bisection: the count of negative LDL^T pivots of T - x (a zero pivot
+    counted negative) is the number of eigenvalues below x. The bracket starts from
+    numpy's dense ``eigvalsh`` +- 1e-8 ||T||, widened until the counts confirm it, and
+    halves to 10^(30 - dps) ||T||. y from two steps of inverse iteration at the bracket's
+    lower end sigma, just below theta, from the vector of ones: T - sigma is positive
+    definite, so its LDL^T solve needs no pivoting, and the other eigenvectors keep a
+    weight of ((theta - sigma) / gap)^2 relative to y. Off-diagonals of 0 or 1e-300 are
+    exact couplings here; nothing is split.
+    """
+    with mpmath.workdps(dps):
+        a, b = [mpmath.mpf(float(x)) for x in alpha], [mpmath.mpf(float(x)) for x in beta]
+        if len(a) == 1:
+            return float(a[0]), 1.0
+        norm = float(max(abs(x) for x in a) + 2 * max(abs(x) for x in b)) or 1.0
+        tiny = mpmath.mpf(10) ** (-2 * dps)
+
+        def count_below(x):
+            d, count = a[0] - x, 0
+            for i in range(len(a)):
+                if i:
+                    d = a[i] - x - b[i - 1] ** 2 / d
+                if d == 0:
+                    d = -tiny
+                count += d < 0
+            return count
+
+        guess = float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))[0])
+        width = 1e-8 * norm
+        while count_below(mpmath.mpf(guess - width)) or not count_below(mpmath.mpf(guess + width)):
+            width *= 16.0
+        lo, hi = mpmath.mpf(guess - width), mpmath.mpf(guess + width)
+        while hi - lo > mpmath.mpf(10) ** (30 - dps) * norm:
+            mid = (lo + hi) / 2
+            if count_below(mid):
+                hi = mid
+            else:
+                lo = mid
+        # two solves of (T - lo) z = z by L D L^T, l_i = b_(i-1) / d_(i-1), from z = 1
+        d = [a[0] - lo]
+        for i in range(1, len(a)):
+            d.append(a[i] - lo - b[i - 1] ** 2 / d[-1])
+        z = [mpmath.mpf(1)] * len(a)
+        for _ in range(2):
+            y = [z[0]]
+            for i in range(1, len(a)):
+                y.append(z[i] - b[i - 1] / d[i - 1] * y[-1])
+            z = [y[-1] / d[-1]]
+            for i in range(len(a) - 2, -1, -1):
+                z.append((y[i] - b[i] * z[-1]) / d[i])
+            z.reverse()
+            scale = mpmath.sqrt(mpmath.fsum(t * t for t in z))
+            z = [t / scale for t in z]
+        return float((lo + hi) / 2), float(abs(z[-1]))
 
 
 def embedded_kronecker_sum(mats):

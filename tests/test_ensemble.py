@@ -561,8 +561,25 @@ def test_kronecker_sum_is_a_fresh_array():
     assert np.signbit(one).tolist() == [[False, False], [False, True]]  # only -2.0
 
 
+RITZ_THETA_BOUND = 4.0  # |theta - referee| <= 4 k eps ||T|| for a k x k tridiagonal
+
+
+def _assert_ritz_pair_matches(alpha, beta, theta, s_last, reference, s_rtol=0.0, s_atol=0.0):
+    """theta within RITZ_THETA_BOUND k eps ||T|| of the referee's, s within its bounds."""
+    ref_theta, ref_s = reference
+    norm = np.abs(alpha).max() + 2.0 * np.abs(beta).max(initial=0.0)
+    assert abs(theta - ref_theta) <= RITZ_THETA_BOUND * len(alpha) * np.finfo(float).eps * norm
+    assert abs(s_last - ref_s) <= s_rtol * ref_s + s_atol
+
+
+def _ritz_pair(alpha, beta):
+    theta, s_last, _ = ensemble._smallest_ritz_pair(alpha.tolist(), (beta * beta).tolist())
+    return theta, s_last
+
+
 def test_smallest_ritz_pair_equals_eigh_tridiagonal():
-    # split blocks included: off-diagonals of exactly 0 and of 1e-300
+    # split blocks included: off-diagonals of exactly 0 and of 1e-300 (whose square is 0);
+    # LAPACK's dstebz and dstein, through scipy, within the bound of the 50-digit referee
     from scipy.linalg import eigh_tridiagonal
 
     rng = np.random.default_rng(47)
@@ -571,25 +588,48 @@ def test_smallest_ritz_pair_equals_eigh_tridiagonal():
             alpha, beta = rng.normal(size=n), rng.normal(size=n - 1)
             if split is not None:
                 beta[rng.random(n - 1) < 0.2] = split
-            theta, s_last = ensemble._smallest_ritz_pair(alpha, beta)
             w, v = eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
-            assert theta == w[0]
-            assert abs(s_last) == abs(v[-1, 0])
+            _assert_ritz_pair_matches(alpha, beta, *_ritz_pair(alpha, beta),
+                                      (w[0], abs(v[-1, 0])), s_atol=1e-12)
 
 
-@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
-def test_smallest_ritz_pair_raises_a_typed_error_on_a_lapack_failure(monkeypatch, routine):
-    from scipy.linalg import lapack
+def test_smallest_ritz_pair_matches_the_50_digit_referee():
+    # random tridiagonals, split ones included, n = 1..150 (every n to 10, then every 7th)
+    rng = np.random.default_rng(48)
+    for n in [*range(1, 11), *range(11, 151, 7)]:
+        for split in (0.0, 1e-300, None):
+            alpha, beta = rng.normal(size=n), rng.normal(size=n - 1)
+            if split is not None:
+                beta[rng.random(n - 1) < 0.2] = split
+            _assert_ritz_pair_matches(alpha, beta, *_ritz_pair(alpha, beta),
+                                      oracles.mp_jacobi_smallest(alpha, beta), s_atol=1e-12)
 
-    real = getattr(lapack, routine)
 
-    def failing(*args):
-        *out, _ = real(*args)
-        return (*out, 1)
+def test_smallest_ritz_pair_keeps_a_converged_s_to_relative_accuracy(monkeypatch):
+    # the tridiagonals of a table's N = 7 and 8 Lanczos runs where |s| < 1e-12, near their
+    # stop: the stopping test |beta_k s| <= tol needs s itself, not s to within eps
+    kernel, seen = ensemble._smallest_ritz_pair, []
 
-    monkeypatch.setattr(lapack, routine, failing)
-    with pytest.raises(NoConvergence, match=r"4 x 4 Lanczos tridiagonal \(info 1\)"):
-        ensemble._smallest_ritz_pair(np.arange(4.0), np.ones(3))
+    def recorded(alpha, beta2, *args):
+        out = kernel(alpha, beta2, *args)
+        seen.append((np.array(alpha), np.sqrt(beta2), out[1]))
+        return out
+
+    monkeypatch.setattr(ensemble, "_smallest_ritz_pair", recorded)
+    for N in (7, 8):
+        for beta in (1e-3, 1.0, 100.0):
+            ensemble_times_numeric(_spin_ensemble(modulated_gammas(N), beta))
+    converged = [(alpha, beta) for alpha, beta, s_last in seen if s_last < 1e-12]
+    assert len(converged) >= 6
+    for alpha, beta in converged:
+        _assert_ritz_pair_matches(alpha, beta, *_ritz_pair(alpha, beta),
+                                  oracles.mp_jacobi_smallest(alpha, beta), s_rtol=1e-9)
+
+
+def test_smallest_ritz_pair_raises_a_typed_error_when_it_does_not_converge(monkeypatch):
+    monkeypatch.setattr(ensemble, "_RITZ_MAX_PASSES", 1)
+    with pytest.raises(NoConvergence, match=r"4 x 4 Lanczos tridiagonal .* 1 passes"):
+        ensemble._smallest_ritz_pair([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
 
 def test_lanczos_converges_on_random_custom_members():
