@@ -626,10 +626,16 @@ def test_smallest_ritz_pair_keeps_a_converged_s_to_relative_accuracy(monkeypatch
                                   oracles.mp_jacobi_smallest(alpha, beta), s_rtol=1e-9)
 
 
-def test_smallest_ritz_pair_raises_a_typed_error_when_it_does_not_converge(monkeypatch):
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_smallest_ritz_pair_raises_a_typed_error_on_a_lapack_failure(monkeypatch, routine):
+    # the kernel does the work of LAPACK's dstebz (a cold start: the Sturm count brackets
+    # theta) and of dstein (a caller's trial point just above theta: the twisted null
+    # vector refines it); cut short at the pass cap, either raises NoConvergence
+    alpha, beta2 = [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0]
+    x = None if routine == "dstebz" else ensemble._smallest_ritz_pair(alpha, beta2)[0] + 1e-3
     monkeypatch.setattr(ensemble, "_RITZ_MAX_PASSES", 1)
     with pytest.raises(NoConvergence, match=r"4 x 4 Lanczos tridiagonal .* 1 passes"):
-        ensemble._smallest_ritz_pair([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        ensemble._smallest_ritz_pair(alpha, beta2, x=x)
 
 
 def test_lanczos_converges_on_random_custom_members():
