@@ -298,18 +298,18 @@ def _pivots(alpha, beta2, x: float, pivmin: float, r: int):
     return neg, gamma, -1.0 + dt_up + dt_dn, s, peak
 
 
-def _smallest_ritz_pair(alpha, beta2, x=None, lower=None, loose=False, twist=0):
+def _smallest_ritz_pair(alpha, beta2, x=None, loose=False, twist=0):
     """Smallest eigenvalue theta of the symmetric tridiagonal T with diagonal ``alpha``
     and squared off-diagonal ``beta2`` (sequences of Python floats), the modulus s of the
     last component of its unit eigenvector, and the row where that eigenvector peaks.
 
     Each pass is one ``_pivots`` at a trial point x, twisted at the peak row of the last
     pass (``twist`` for the first). Its negative-pivot count brackets theta (dstebz's
-    Sturm count) inside [``lower``, min(alpha)], ``lower`` defaulting to min(alpha) -
-    2 max|beta|. Below the poles of the twist gamma_r, gamma_r is concave and decreasing,
-    so from x above theta, where gamma_r is the one negative pivot, the Newton step x -
-    gamma_r / gamma_r' lands in [theta, x], and from x below theta it lands above theta;
-    a trial point outside the bracket halves it instead. ``x`` is the first trial point
+    Sturm count) inside [min(alpha) - 2 max|beta|, min(alpha)]. Below the poles of the
+    twist gamma_r, gamma_r is concave and decreasing, so from x above theta, where gamma_r
+    is the one negative pivot, the Newton step x - gamma_r / gamma_r' lands in [theta, x],
+    and from x below theta it lands above theta; a trial point outside the bracket halves
+    it instead. ``x`` is the first trial point
     (a Lanczos caller's last theta: Ritz values only fall as the tridiagonal grows). The
     solve stops when a Newton step is at most 2 eps ||T|| + pivmin at the peak row, or,
     if ``loose``, after the first step down to theta. A zero beta^2 splits T into blocks
@@ -319,7 +319,7 @@ def _smallest_ritz_pair(alpha, beta2, x=None, lower=None, loose=False, twist=0):
     k = len(alpha)
     if 0.0 in beta2:
         ends = [i + 1 for i, b2 in enumerate(beta2) if b2 == 0.0] + [k]
-        blocks = [(_smallest_ritz_pair(alpha[u:v], beta2[u:v - 1], lower=lower), v)
+        blocks = [(_smallest_ritz_pair(alpha[u:v], beta2[u:v - 1]), v)
                   for u, v in zip([0] + ends, ends)]
         (theta, s, _), v = min(blocks, key=lambda block: block[0][0])
         return theta, s if v == k else 0.0, 0
@@ -327,7 +327,7 @@ def _smallest_ritz_pair(alpha, beta2, x=None, lower=None, loose=False, twist=0):
         return alpha[0], 1.0, 0
     pivmin = sys.float_info.min * max(1.0, max(beta2))
     hi, bound = min(alpha), 2.0 * math.sqrt(max(beta2))
-    lo = hi - bound if lower is None else min(lower, hi)
+    lo = hi - bound
     prec = 2.0 * sys.float_info.epsilon * (max(max(alpha), -hi) + bound) + pivmin
     x, r, at_hi = (hi if x is None else min(x, hi)), min(twist, k - 1), None
     for _ in range(_RITZ_MAX_PASSES):
@@ -353,29 +353,26 @@ def _smallest_ritz_pair(alpha, beta2, x=None, lower=None, loose=False, twist=0):
 
 
 def _lanczos_smallest(apply, v, scale: float, max_steps: int) -> float:
-    """Smallest eigenvalue of the positive semidefinite operator ``apply``, whose norm
-    ``scale`` bounds.
+    """Smallest eigenvalue of the symmetric operator ``apply``, whose norm ``scale`` bounds.
 
     Plain three-term Lanczos from the unit vector ``v``: no restarts and no
     reorthogonalization. The tridiagonal's alpha and beta^2 are kept as Python floats,
     and the vector updates run in place on numpy buffers: w = apply(v) - beta v_prev,
-    alpha = v.w, w -= alpha v, beta = |w|, v_prev = w / beta. At a check, the smallest
-    Ritz pair (theta, s) of the tridiagonal comes from ``_smallest_ritz_pair``, with 0
-    as the lower bracket and warm-started at the last theta and twist row: loosely, and
-    to full precision once the Ritz estimate |beta_j s_j| is within 100 tolerances.
-    theta is returned once that estimate is at most sqrt(n) eps scale; even after
-    orthogonality is lost, it bounds the distance from theta to an eigenvalue of the
-    operator (Paige, Linear Algebra Appl. 34, 235 (1980)). The sqrt(n) puts the
-    tolerance just above the rounding floor of a length-n residual: at eps scale the
-    estimate of a converged theta hovered between one and a few tolerances, and 11 of
-    750 products of random members never stopped. The first check is at step 5, the
-    next where the geometric decay of the last two estimates reaches the tolerance, at
-    least 1 and at most 10 steps on (5 while the estimate has not fallen), and one at
-    once when beta_j itself falls to the tolerance (an invariant subspace). Raises
-    NoConvergence after ``max_steps``, or if a Ritz pair does not converge.
+    alpha = v.w, w -= alpha v, beta = |w|, v_prev = w / beta. Every five steps, and at
+    once when beta_j itself falls to the tolerance (an invariant subspace), the smallest
+    Ritz pair (theta, s) of the tridiagonal comes from ``_smallest_ritz_pair``,
+    warm-started at the last theta and twist row: loosely, and to full precision once
+    the Ritz estimate |beta_j s_j| is within 100 tolerances. theta is returned once that
+    estimate is at most sqrt(n) eps scale; even after orthogonality is lost, it bounds
+    the distance from theta to an eigenvalue of the operator (Paige, Linear Algebra
+    Appl. 34, 235 (1980)). The sqrt(n) puts the tolerance just above the rounding floor
+    of a length-n residual: at eps scale the estimate of a converged theta hovered
+    between one and a few tolerances, and 11 of 750 products of random members never
+    stopped. Raises NoConvergence after ``max_steps``, or if a Ritz pair does not
+    converge.
     """
     tol = math.sqrt(v.size) * np.finfo(float).eps * scale
-    alpha, beta2, theta, twist, check, last = [], [], None, 0, 5, None
+    alpha, beta2, theta, twist = [], [], None, 0
     v, v_prev, scratch, b = v.copy(), np.zeros_like(v), np.empty_like(v), 0.0
     for step in range(1, max_steps + 1):
         w = apply(v)  # w is the caller's buffer, or a fresh array: updated in place
@@ -384,18 +381,13 @@ def _lanczos_smallest(apply, v, scale: float, max_steps: int) -> float:
         w -= np.multiply(v, a, scratch)
         b = math.sqrt(w.dot(w))
         alpha.append(a)
-        if step == check or b <= tol or step == max_steps:
-            theta, s_last, twist = _smallest_ritz_pair(alpha, beta2, theta, 0.0, True, twist)
+        if step % 5 == 0 or b <= tol or step == max_steps:
+            theta, s_last, twist = _smallest_ritz_pair(alpha, beta2, theta, True, twist)
             if b * s_last <= 100.0 * tol:
-                theta, s_last, twist = _smallest_ritz_pair(alpha, beta2, theta, 0.0, False, twist)
+                theta, s_last, twist = _smallest_ritz_pair(alpha, beta2, theta, False, twist)
             estimate = b * s_last
             if estimate <= tol:
                 return theta
-            gap = 5  # the next check: where the last two estimates' geometric decay meets tol
-            if last is not None and estimate < last[1]:
-                rate = math.log(estimate / last[1]) / (step - last[0])
-                gap = math.ceil(math.log(tol / estimate) / rate)
-            last, check = (step, estimate), step + min(max(gap, 1), 10)
         beta2.append(b * b)
         v_prev, v = v, np.multiply(w, 1.0 / b, v_prev)
     raise NoConvergence(

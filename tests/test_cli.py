@@ -826,7 +826,6 @@ config = cli.RunConfig.from_dict({"family": "free_spins_modulated", "N_list": [1
                                   "beta": 1.0, "methods": ["lba_numeric"]})
 members = cli._run_members(config, 13)
 cli._run_method(config, 13, "lba_numeric", members)  # builds the members
-time.sleep(0.5)  # past the start-up spin of numpy's OpenBLAS pool (below)
 wall, cpu = time.perf_counter(), time.process_time()
 for _ in range(10):
     cli._run_method(config, 13, "lba_numeric", members)
@@ -837,9 +836,7 @@ print(json.dumps([time.perf_counter() - wall, time.process_time() - cpu]))
 def test_lanczos_records_keep_blas_on_the_calling_thread():
     # every GEMM of the block product stays under OpenBLAS's single-thread bound;
     # blocks of 64 and 128 at N = 13 woke its worker, which spun: process CPU
-    # (all threads) read 1.98 times the wall time. The pool's worker also spins for
-    # about 0.13 s after numpy is imported, with no BLAS call at all; the timed records
-    # start after that, as they did while the first Lanczos record imported scipy
+    # (all threads) read 1.98 times the wall time
     wall, cpu = run_fresh(CPU_PROBE)
     assert cpu < 1.3 * wall
 
