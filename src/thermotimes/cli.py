@@ -21,9 +21,8 @@ import numpy as np
 from .ensemble import (
     NUMERIC_CAP,
     EnsembleSpec,
-    _ensemble_times,
-    _ensemble_times_numeric,
-    _member_analysis,
+    ensemble_times,
+    ensemble_times_numeric,
     free_spins_times,
 )
 from .errors import CapExceeded, ConfigError, ThermotimesError
@@ -206,55 +205,51 @@ def _field_strengths(config: RunConfig, N: int) -> np.ndarray:
 
 
 def _run_members(config: RunConfig, N_max: int):
-    """``members(N, analysed=True)``, N <= N_max: the N-ensemble's ``ensemble._member_analysis``
-    parts, or 1-tuples of its members if not ``analysed`` (the QOME takes the degenerate and
-    dark members the analysis refuses). Members are built on the first call and analysed on the
-    first analysed one; modulated spins give the first N of N_max (Gamma_i is set by i alone),
-    a uniform or custom member gets count N. ``lba_numeric``, and ``qome`` of a member of more
-    than two levels (always a register), are size-checked at N_max here, before any build."""
+    """``spec(N)``, N <= N_max: the N-ensemble's ``EnsembleSpec``. Members are built on the first
+    call; modulated spins give the first N of N_max (Gamma_i is set by i alone), a uniform or
+    custom member gets count N by ``replace``, which keeps the member's analysis. So the first
+    detailed-balance record to read a member analyses it, and the QOME, which never does, takes
+    the degenerate and dark members that analysis refuses. ``lba_numeric``, and ``qome`` of a
+    member of more than two levels (a register), are size-checked at N_max before any build."""
     dim = config.hamiltonian["dim"] if config.family == "custom_hamiltonian" else 2
     if "lba_numeric" in config.methods:
         _check_product_size([(dim, N_max)], NUMERIC_CAP)
     if "qome" in config.methods and dim > 2:
         _check_qome_size([(dim, N_max)])
-    built, parts = [], []
+    built = []
 
-    def members(N: int, analysed: bool = True) -> list:
+    def spec(N: int) -> EnsembleSpec:
         if not built:
             if config.family == "custom_hamiltonian":
                 system = system_from_json(config.hamiltonian, gamma=config.gamma)
-                spec = diagonalize(system)
-                pairs = [(spec, dipole_data(system, spec))]
+                spectrum = diagonalize(system)
+                pairs = [(spectrum, dipole_data(system, spectrum))]
             elif config.family == "free_spins_uniform":
                 pairs = [free_spin_system(config.Gamma, config.gamma)]
             else:
                 pairs = [free_spin_system(G, config.gamma) for G in _field_strengths(config, N_max)]
-            built.extend((m,) for m in EnsembleSpec(members=pairs, beta=config.beta).members)
-        if analysed and not parts:
-            parts.extend(_member_analysis(EnsembleSpec([m for m, in built], config.beta)))
-        chosen = parts if analysed else built
+            built.extend(EnsembleSpec(members=pairs, beta=config.beta).members)
         if config.family == "free_spins_modulated":
-            return chosen[:N]
-        (member, *analysis), = chosen
-        return [(replace(member, count=N), *analysis)]
+            return EnsembleSpec(built[:N], config.beta)
+        return EnsembleSpec([replace(built[0], count=N)], config.beta)
 
-    return members
+    return spec
 
 
 def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
     """One record from the run's shared ``members`` (``_run_members``). ``wall_s`` times the
-    method, and the members' build and analysis if this record is the first to read them."""
+    method, the members' build in the run's first record, and each member's analysis in the
+    first detailed-balance record that reads it."""
     record = {"N": N, "method": method, "qome_zero_multiplicity": None, "wall_s": None}
     t0 = time.perf_counter()
     if method == "lba_analytic" and config.family in ("free_spins_uniform", "free_spins_modulated"):
         times = free_spins_times(_field_strengths(config, N), config.beta, config.gamma)
     elif method == "lba_analytic":
-        times = _ensemble_times(members(N))
+        times = ensemble_times(members(N))
     elif method == "lba_numeric":
-        times = _ensemble_times_numeric(members(N), config.beta)
+        times = ensemble_times_numeric(members(N))
     elif method == "qome":
-        spec = EnsembleSpec([m for m, in members(N, analysed=False)], config.beta)
-        times = ensemble_spectrum(spec, config.energy_tol, config.tol_zero)
+        times = ensemble_spectrum(members(N), config.energy_tol, config.tol_zero)
         record["qome_zero_multiplicity"] = times.zero_multiplicity
     else:
         raise ConfigError(f"unknown method {method!r}")
@@ -372,7 +367,8 @@ def table1_rows(
         energy_tol=energy_tol, include_timings=True,
     )
     members = _run_members(config, TABLE1_SMALL_N[-1])
-    members(1)  # build them here, so that no row times it
+    # built and analysed here, so no row times it (rows that analyse made warm tables 2% slower)
+    ensemble_times(members(TABLE1_SMALL_N[-1]))
     rows = []
     for N in list(TABLE1_SMALL_N) + list(TABLE1_LARGE_N):
         lba = _run_method(config, N, "lba_analytic", members)

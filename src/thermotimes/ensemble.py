@@ -18,7 +18,7 @@ Both routes run on numpy alone; nothing here imports scipy.
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -75,11 +75,15 @@ _RITZ_MAX_PASSES = 128
 
 @dataclass(frozen=True)
 class EnsembleMember:
-    """One species in the ensemble: spectrum, dipole data and copy count (an integer >= 1)."""
+    """One species in the ensemble: spectrum, dipole data and copy count (an integer >= 1).
+
+    ``_analyses`` keeps the member's analysis per beta (``_member_analysis``); it is out of
+    comparison, repr and positional construction, and ``dataclasses.replace`` passes it on."""
 
     spectrum: EnergySpectrum
     dipole: DipoleData
     count: int = 1
+    _analyses: dict = field(default_factory=dict, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "count", _check_size("member count", self.count, EmptyEnsemble))
@@ -128,13 +132,18 @@ class EnsembleTimes:
 
 
 def _member_analysis(spec: EnsembleSpec):
-    """Per-member (member, rates, pm, tt): the parts the two route bodies take."""
+    """Per-member (member, rates, pm, tt) at the spec's beta. A member's memo entry for beta,
+    (spectrum, dipole, rates, pm, tt), is read only if it holds the member's own spectrum and
+    dipole objects: a ``replace`` of the count reuses it, one of the spectrum or dipole not."""
     out = []
     for member in spec.members:
-        rates = thermal_rates(member.spectrum, member.dipole, spec.beta)
-        pm = pauli_matrix(rates, member.spectrum)
-        tt = thermalization_times(pm, rates)
-        out.append((member, rates, pm, tt))
+        entry = member._analyses.get(spec.beta)
+        if entry is None or entry[0] is not member.spectrum or entry[1] is not member.dipole:
+            rates = thermal_rates(member.spectrum, member.dipole, spec.beta)
+            pm = pauli_matrix(rates, member.spectrum)
+            entry = (member.spectrum, member.dipole, rates, pm, thermalization_times(pm, rates))
+            member._analyses[spec.beta] = entry
+        out.append((member, *entry[2:]))
     return out
 
 
@@ -145,19 +154,17 @@ def ensemble_times(spec: EnsembleSpec) -> EnsembleTimes:
     member mu2, independent of the counts. The slowest coherence decays at
     half the smallest sum of two distinct product-space escape rates, i.e.
     tau_Q = 2 / (2 sum_i n_i B_min,i + min_i (B_second,i - B_min,i)); for N
-    equal members this is 2 / ((2N-1) B_(1) + B_(2)).
+    equal members this is 2 / ((2N-1) B_(1) + B_(2)). Each member is analysed by the
+    first entry call that reads it at this beta (``_member_analysis``).
     """
-    return _ensemble_times(_member_analysis(spec))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is refused
-def _ensemble_times(parts) -> EnsembleTimes:
-    mu2s = np.array([tt.mu2 for _, _, _, tt in parts])
-    B_min_total = sum(m.count * tt.B1 for m, _, _, tt in parts)
-    min_second_gap = min(tt.B2 - tt.B1 for _, _, _, tt in parts)
-    _check_rates("the member escape rates", 2.0 * B_min_total + min_second_gap)
-    tau_P = float(1.0 / mu2s.min())
-    tau_Q = float(2.0 / (2.0 * B_min_total + min_second_gap))
+    parts = _member_analysis(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused
+        mu2s = np.array([tt.mu2 for _, _, _, tt in parts])
+        B_min_total = sum(m.count * tt.B1 for m, _, _, tt in parts)
+        min_second_gap = min(tt.B2 - tt.B1 for _, _, _, tt in parts)
+        _check_rates("the member escape rates", 2.0 * B_min_total + min_second_gap)
+        tau_P = float(1.0 / mu2s.min())
+        tau_Q = float(2.0 / (2.0 * B_min_total + min_second_gap))
     return EnsembleTimes(
         tau_P=tau_P,
         tau_Q=tau_Q,
@@ -411,40 +418,36 @@ def ensemble_times_numeric(spec: EnsembleSpec) -> EnsembleTimes:
 
     Raises CapExceeded above NUMERIC_CAP, DetailedBalanceViolation if |S q|_inf exceeds
     NULL_VECTOR_RTOL * c, and NoConvergence if the recurrence has not converged in dim steps.
+    The size is checked first; each member is analysed as in ``ensemble_times``.
     """
-    _check_product_size([(m.spectrum.M, m.count) for m in spec.members], NUMERIC_CAP)
-    return _ensemble_times_numeric(_member_analysis(spec), spec.beta)
+    dim = _check_product_size([(m.spectrum.M, m.count) for m in spec.members], NUMERIC_CAP)
+    parts = _member_analysis(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused
+        copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
+        B = _product_sum([rates.B for rates, _ in copies])  # the product escape rates, S's diagonal
+        _check_rates("the member escape rates", 2.0 * B.max())
+        if dim <= DENSE_EIG_LIMIT:
+            mu2 = float(np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))[1])
+        else:
+            S, c = _kronecker_operator([pm.S for _, pm in copies])
+            q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), spec.beta))
+            residual = float(np.abs(S(q)).max())
+            if residual > NULL_VECTOR_RTOL * c:
+                raise DetailedBalanceViolation(
+                    f"sqrt(Gibbs) is not a null vector of S: |S q|_inf = {residual:.3e}, "
+                    f"row-sum bound {c:.3e}"
+                )
+            scratch = np.empty(dim)
 
+            def deflated(x):
+                y = S(x)
+                y += np.multiply(q, c * q.dot(x), scratch)
+                return y
 
-@np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is refused
-def _ensemble_times_numeric(parts, beta: float) -> EnsembleTimes:
-    dim = _check_product_size([(m.spectrum.M, m.count) for m, *_ in parts], NUMERIC_CAP)
-    copies = [(rates, pm) for member, rates, pm, _ in parts for _ in range(member.count)]
-    B = _product_sum([rates.B for rates, _ in copies])  # the product escape rates, S's diagonal
-    _check_rates("the member escape rates", 2.0 * B.max())
-    if dim <= DENSE_EIG_LIMIT:
-        mu2 = float(np.linalg.eigvalsh(_kronecker_sum([pm.S for _, pm in copies]))[1])
-    else:
-        S, c = _kronecker_operator([pm.S for _, pm in copies])
-        q = np.sqrt(gibbs_state(_product_sum([pm.energies for _, pm in copies]), beta))
-        residual = float(np.abs(S(q)).max())
-        if residual > NULL_VECTOR_RTOL * c:
-            raise DetailedBalanceViolation(
-                f"sqrt(Gibbs) is not a null vector of S: |S q|_inf = {residual:.3e}, "
-                f"row-sum bound {c:.3e}"
-            )
-        scratch = np.empty(dim)
-
-        def deflated(x):
-            y = S(x)
-            y += np.multiply(q, c * q.dot(x), scratch)
-            return y
-
-        mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
-
-    B0, B1 = np.partition(B, 1)[:2]
-    tau_P = 1.0 / mu2
-    tau_Q = float(2.0 / (B0 + B1))
+            mu2 = _lanczos_smallest(deflated, _deterministic_start(dim), c, dim)
+        B0, B1 = np.partition(B, 1)[:2]
+        tau_P = 1.0 / mu2
+        tau_Q = float(2.0 / (B0 + B1))
     return EnsembleTimes(
         tau_P=tau_P,
         tau_Q=tau_Q,

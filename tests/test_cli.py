@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -220,8 +221,8 @@ def test_numeric_size_is_checked_before_any_member_is_built(tmp_path, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a member was built before the size check")
 
-    for name in ("free_spin_system", "_member_analysis"):
-        monkeypatch.setattr(cli, name, refuse)
+    for target, name in ((cli, "free_spin_system"), (ensemble, "thermal_rates")):
+        monkeypatch.setattr(target, name, refuse)
     cfg = write_config(tmp_path, "c.json", {**raw, "methods": ["lba_numeric"]})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 3
     assert f"size cap exceeded: product dimension {factors} exceeds cap 8192" \
@@ -315,7 +316,7 @@ def test_table1_checks_the_composite_size_before_anything_is_built(tmp_path, mon
     def refuse(*args, **kwargs):
         raise AssertionError("something was built")
 
-    for target, name in ((cli, "free_spin_system"), (cli, "_ensemble_times_numeric"),
+    for target, name in ((cli, "free_spin_system"), (cli, "ensemble_times_numeric"),
                          (qome, "_composite"), (qome, "_kronecker_sum")):
         monkeypatch.setattr(target, name, refuse)
     # an explicit energy_tol, even an exact one, takes the composite route, capped at 6
@@ -699,7 +700,7 @@ def test_dense_lba_numeric_record_builds_s_alone(monkeypatch):
     config = RunConfig.from_dict({"family": "free_spins_modulated", "N_list": [6], "beta": 1.0,
                                   "methods": ["lba_numeric"]})
     members = cli._run_members(config, 6)
-    members(6)  # the shared build and analysis, which the record does not repeat
+    members(6)  # the shared build, which the record does not repeat
     calls = dict.fromkeys(("_kronecker_sum", "gibbs_state"), 0)
     for name in calls:
         monkeypatch.setattr(ensemble, name, counted(calls, name, getattr(ensemble, name)))
@@ -707,6 +708,16 @@ def test_dense_lba_numeric_record_builds_s_alone(monkeypatch):
     assert calls == {"_kronecker_sum": 1, "gibbs_state": 0}
     assert record["tau_P"] == ensemble_times_numeric(EnsembleSpec(
         tuple(free_spin_system(G) for G in modulated_gammas(6)), beta=1.0)).tau_P
+
+
+def test_cli_imports_no_private_name_from_ensemble():
+    # the CLI reaches the detailed-balance route through its public entries alone, so a
+    # tracer that wraps public names sees every call of that route
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.level == 1 and node.module == "ensemble" for alias in node.names]
+    assert {"ensemble_times", "ensemble_times_numeric"} <= set(names)
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def test_table1_builds_and_analyses_each_member_once(monkeypatch):
@@ -820,12 +831,30 @@ def test_table1_loads_the_sparse_solver_before_its_first_record():
 
 
 CPU_PROBE = """
-import json, time
+import glob, json, os, time
 from thermotimes import cli
+
+def pool_ticks():
+    # CPU clock ticks (utime + stime) of this process's threads other than the main one
+    ticks = 0
+    for stat in glob.glob("/proc/self/task/*/stat"):
+        if stat.split("/")[-2] != str(os.getpid()):
+            with open(stat) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
 config = cli.RunConfig.from_dict({"family": "free_spins_modulated", "N_list": [13],
                                   "beta": 1.0, "methods": ["lba_numeric"]})
 members = cli._run_members(config, 13)
-cli._run_method(config, 13, "lba_numeric", members)  # builds the members
+cli._run_method(config, 13, "lba_numeric", members)  # builds and analyses the members
+# numpy's OpenBLAS worker spins for about 0.1 s from the import on, with no BLAS call: the
+# window opens once the other threads' ticks have stood still for five 10 ms polls (2 s at most)
+last, still, deadline = pool_ticks(), 0, time.perf_counter() + 2.0
+while still < 5 and time.perf_counter() < deadline:
+    time.sleep(0.01)
+    ticks = pool_ticks()
+    still, last = (still + 1 if ticks == last else 0), ticks
 wall, cpu = time.perf_counter(), time.process_time()
 for _ in range(10):
     cli._run_method(config, 13, "lba_numeric", members)

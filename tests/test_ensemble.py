@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,86 @@ def test_numeric_cap_names_the_factors_not_their_product():
     with pytest.raises(CapExceeded, match=r"product dimension 2\^15000 exceeds cap 8192") as exc:
         ensemble_times_numeric(spec)
     assert len(str(exc.value)) < 200
+
+
+ENTRIES = (ensemble_times, ensemble_times_numeric)
+
+
+def bits(times):
+    """Every field of an EnsembleTimes, for an exact comparison."""
+    return (times.tau_P, times.tau_Q, times.tau, times.B_min_total, times.min_second_gap,
+            times.per_member_mu2.tolist())
+
+
+def fresh_bits(entry, spectrum, dipole, count, beta):
+    """``entry``'s times for a member built anew from ``spectrum`` and ``dipole``."""
+    return bits(entry(EnsembleSpec((EnsembleMember(spectrum, dipole, count),), beta)))
+
+
+def count_analyses(monkeypatch):
+    """The betas of the member analyses (``thermal_rates`` as ``ensemble`` calls it)."""
+    betas, rates = [], ensemble.thermal_rates
+
+    def counted(spectrum, dipole, beta):
+        betas.append(beta)
+        return rates(spectrum, dipole, beta)
+
+    monkeypatch.setattr(ensemble, "thermal_rates", counted)
+    return betas
+
+
+def test_a_member_is_analysed_once_per_beta(monkeypatch):
+    spectrum, dipole = free_spin_system(1.3)
+    want = {(entry, beta): fresh_bits(entry, spectrum, dipole, 1, beta)
+            for entry in ENTRIES for beta in (0.5, 2.0)}
+    betas = count_analyses(monkeypatch)
+    member = EnsembleMember(spectrum, dipole)
+    for beta in (0.5, 2.0, 0.5, 2.0):
+        for entry in ENTRIES:
+            assert bits(entry(EnsembleSpec((member,), beta))) == want[entry, beta]
+    assert betas == [0.5, 2.0]
+
+
+def test_a_copy_with_another_count_shares_the_analysis(monkeypatch):
+    spectrum, dipole = free_spin_system(1.3)
+    want = {entry: fresh_bits(entry, spectrum, dipole, 3, 1.0) for entry in ENTRIES}
+    betas = count_analyses(monkeypatch)
+    member = EnsembleMember(spectrum, dipole)
+    ensemble_times(EnsembleSpec((member,), 1.0))
+    for entry in ENTRIES:
+        assert bits(entry(EnsembleSpec((replace(member, count=3),), 1.0))) == want[entry]
+    assert betas == [1.0]
+
+
+@pytest.mark.parametrize("changes", [
+    lambda b: {"spectrum": b.spectrum, "dipole": b.dipole},
+    lambda b: {"spectrum": b.spectrum},
+    lambda b: {"dipole": b.dipole},
+], ids=["both", "spectrum", "dipole"])
+def test_a_copy_with_another_spectrum_or_dipole_is_analysed_anew(monkeypatch, changes):
+    # a memo that replace passed on unchecked gave such a copy the original's times: a spin
+    # at Gamma = 1 given the spectrum and dipole of one at Gamma = 2 read tau_P 0.0476, not 0.00753
+    a, b = spin_member(1.0), EnsembleMember(*synthetic_system(np.random.default_rng(5), 2))
+    copy = replace(a, **changes(b))
+    want = {entry: fresh_bits(entry, copy.spectrum, copy.dipole, 1, 1.0) for entry in ENTRIES}
+    own = {entry: fresh_bits(entry, a.spectrum, a.dipole, 1, 1.0) for entry in ENTRIES}
+    assert want[ensemble_times][0] != own[ensemble_times][0]
+    betas = count_analyses(monkeypatch)
+    for member, times in ((a, own), (copy, want), (a, own)):
+        for entry in ENTRIES:
+            assert bits(entry(EnsembleSpec((member,), 1.0))) == times[entry]
+        if member is copy:
+            assert betas == [1.0, 1.0]
+
+
+def test_the_member_memo_is_not_part_of_its_value():
+    spectrum, dipole = free_spin_system(1.3)
+    member = EnsembleMember(spectrum, dipole)
+    ensemble_times(EnsembleSpec((member,), 1.0))
+    assert member == EnsembleMember(spectrum, dipole)
+    assert repr(member) == repr(EnsembleMember(spectrum, dipole))
+    with pytest.raises(TypeError):
+        EnsembleMember(spectrum, dipole, 1, {})
 
 
 def test_numeric_size_is_checked_before_any_member_is_analysed(monkeypatch):
