@@ -6,7 +6,7 @@ bath but not a Hamiltonian coupling. In the product eigenbasis the ensemble
 rate matrix is a Kronecker sum, which pins the slowest population rate to
 the single-system value: the dissipation time does not depend on N. The
 coherences tell a different story: the slowest pair of product-space escape
-rates grows linearly with N, so the decoherence time falls off as 1/N,
+rates grows linearly with N, so the decoherence time falls off as O(1/N),
 
     tau_Q = 2 / ((2N - 1) B_(1) + B_(2)).
 
@@ -73,4 +73,4 @@ for N in [1, 2, 3, 6, 13]:
     times = free_spins_times(Gs[:N], beta=beta)
     print(f"{N:5d}   {times.tau_P:.5f}   {times.tau_Q:.5f}")
 print("\ntau_P jumps whenever a weaker field enters the ensemble (smaller gaps")
-print("relax slower) and then saturates; tau_Q keeps its 1/N trend.")
+print("relax slower) and then saturates; tau_Q keeps its O(1/N) trend.")

@@ -8,15 +8,18 @@ detailed-balance construction. An ensemble unavoidably breaks it: equal
 subsystems produce degenerate levels, and even unequal two-level subsystems
 produce degenerate gaps (each spin's splitting appears on both parity
 branches). The frequency grouping then couples matrix elements that should
-stay independent, and three symptoms appear:
+stay independent. Each pathology is a departure from the detailed-balance
+route at one ensemble size N, which ``compare`` measures as the relative
+deviations dev_P and dev_Q of the two times:
 
   * several steady states (zero eigenvalue of the Liouvillian degenerates),
-  * a decoherence time that refuses to fall off as 1/N,
-  * for strong degeneracy, undamped coherences.
+  * a decoherence time off the detailed-balance law
+    tau_Q = 2 / ((2N - 1) B_(1) + B_(2)), which falls as O(1/N),
+  * for strong degeneracy, undamped coherences (dev_Q = inf).
 
 This script prints the jump-operator grouping, the Liouvillian spectrum
-summary and the side-by-side comparison for a uniform pair/triple and for
-the nonuniform pair.
+summary and the verdict for a uniform pair/triple and for the nonuniform
+pair, then the verdict size by size for N = 1..6 at beta = 1.
 
 Run: python demos/03_master_equation_pathologies.py
 """
@@ -24,36 +27,36 @@ Run: python demos/03_master_equation_pathologies.py
 import numpy as np
 
 from thermotimes import (
+    EnsembleSpec,
     QubitSystem,
     build_liouvillian,
     compare,
     degeneracy_report,
     diagonalize,
     dipole_data,
+    ensemble_spectrum,
+    ensemble_times,
     free_spin_chain,
+    free_spin_system,
     free_spins_times,
     jump_operator_groups,
     qome_spectrum,
 )
 
 
-def composite(Gammas, beta=1.0):
+def modulated(N):
+    i = np.arange(1, N + 1)
+    return 1.0 + np.sin((i - 1) * np.pi / np.sqrt(2.0)) / 2.0
+
+
+def show(name, Gammas):
     system = QubitSystem(K=len(Gammas), H=free_spin_chain(Gammas))
     spec = diagonalize(system)
-    return spec, build_liouvillian(spec, dipole_data(system, spec), beta)
-
-
-def show(name, Gammas, series=None):
-    spec, L = composite(Gammas)
+    L = build_liouvillian(spec, dipole_data(system, spec), beta=1.0)
     spectrum = qome_spectrum(L)
     deg = degeneracy_report(spec.energies, L.energy_tol)
     lba = free_spins_times(Gammas, beta=1.0)
-    report = compare(lba, spectrum, qome_series=series)
-    report_pathologies(name, spec, deg, spectrum, lba, report)
-    return spectrum
-
-
-def report_pathologies(name, spec, deg, spectrum, lba, report):
+    report = compare(lba, spectrum)
     print(f"\n=== {name} ===")
     print("levels:", np.round(spec.energies, 4))
     print(f"level degeneracy: {deg.has_level_degeneracy}, "
@@ -63,31 +66,39 @@ def report_pathologies(name, spec, deg, spectrum, lba, report):
     print(f"zero-eigenvalue multiplicity: {spectrum.zero_multiplicity}")
     print(f"detailed balance: tau_P = {lba.tau_P:.5f}  tau_Q = {lba.tau_Q:.5f}")
     print(f"microscopic:      tau_P = {spectrum.tau_P:.5f}  tau_Q = {spectrum.tau_Q:.5f}")
-    print(f"agree on tau_P: {report.agree_P}, on tau_Q: {report.agree_Q}")
-    print("pathology flags:", report.pathology_flags)
+    print(f"dev_P = {report.dev_P:.3g} (agree: {report.agree_P}), "
+          f"dev_Q = {report.dev_Q:.3g} (agree: {report.agree_Q})")
+
+
+def series(name, spec):
+    print(f"\n=== {name}: one verdict per size, beta = 1 ===")
+    print(" N   LBA tau_Q  QOME tau_Q     dev_P    dev_Q  steady states")
+    for N in range(1, 7):
+        lba, qome = ensemble_times(spec(N)), ensemble_spectrum(spec(N))
+        report = compare(lba, qome)
+        print(f"{N:2d}  {lba.tau_Q:9.5f}  {qome.tau_Q:10.5f}  {report.dev_P:8.2g}  "
+              f"{report.dev_Q:7.3g}  {qome.zero_multiplicity:13d}")
 
 
 print("single spin: no degeneracies, the two routes must coincide")
 show("one spin, Gamma = 1", [1.0])
 
 print("\nuniform ensembles: level AND gap degeneracies")
-series = []
 for N in (2, 3):
-    spectrum = show(f"{N} equal spins, Gamma = 1", [1.0] * N)
-    series.append((N, spectrum.tau_P, spectrum.tau_Q))
-
-# with results for two sizes the comparison can also judge the N-scaling
-combined = compare(free_spins_times([1.0] * 3, beta=1.0), spectrum, qome_series=series)
-print("\nsize-dependence flags from the uniform series:", combined.pathology_flags)
+    show(f"{N} equal spins, Gamma = 1", [1.0] * N)
 
 print("\nnonuniform pair: levels fine, gaps degenerate by parity")
-i = np.arange(1, 3)
-Gs = 1.0 + np.sin((i - 1) * np.pi / np.sqrt(2.0)) / 2.0
-show("2 spins, modulated field", list(Gs))
+show("2 spins, modulated field", list(modulated(2)))
+
+series("N equal spins, Gamma = 1", lambda N: EnsembleSpec([(*free_spin_system(1.0), N)], 1.0))
+series("N spins, modulated field",
+       lambda N: EnsembleSpec([free_spin_system(G) for G in modulated(N)], 1.0))
 
 print("""
-Summary: the uniform ensembles develop extra steady states (multiplicity
-grows with N) and their decoherence time *increases* with N. The nonuniform
-pair keeps a unique steady state and the correct dissipation time, but its
-decoherence time stays pinned at the single-spin value instead of falling
-as 1/N. The detailed-balance route shows none of these artifacts.""")
+Summary: both series keep the detailed-balance dissipation time (dev_P at
+most 2.4e-16) and agree on tau_Q only for one spin. The uniform ensembles
+develop extra steady states (2 -> 132 for N = 2..6, the Catalan numbers) and
+their decoherence time *increases* with N, so dev_Q grows from 4.19 to 36.0.
+The nonuniform spins keep a unique steady state, but their decoherence time
+stays at the slowest spin's, 2 max_i tau_P,i, instead of following the
+detailed-balance law: dev_Q grows from 0.27 to 5.52.""")

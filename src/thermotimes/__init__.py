@@ -63,12 +63,10 @@ from .qome import (
     Liouvillian,
     LiouvillianSpectrum,
     MixtureSpectrum,
-    PathologyFlags,
     build_liouvillian,
     compare,
     ensemble_spectrum,
     jump_operator_groups,
-    mixture_spectrum,
     qome_spectrum,
     uniform_spin_spectrum,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "NonHermitian",
     "NonPositiveBeta",
     "NonPositiveField",
-    "PathologyFlags",
     "PauliMatrix",
     "QubitSystem",
     "RateData",
@@ -123,7 +120,6 @@ __all__ = [
     "gibbs_state",
     "jump_operator_groups",
     "lba_liouvillian",
-    "mixture_spectrum",
     "pauli_matrix",
     "qome_spectrum",
     "system_from_json",

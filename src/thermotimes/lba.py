@@ -23,7 +23,15 @@ from .errors import (
     NegativeTime,
     NonPositiveBeta,
 )
-from .model import TOL_ZERO, DipoleData, EnergySpectrum, _check_beta, _check_finite, _check_rates
+from .model import (
+    TOL_ZERO,
+    DipoleData,
+    EnergySpectrum,
+    _check_beta,
+    _check_finite,
+    _check_rates,
+    _check_size,
+)
 
 #: Below beta*|dE| = SMALL_X the thermal weight switches to its small-gap
 #: series to avoid 0/0; the two-term series is exact to double precision
@@ -58,6 +66,7 @@ def gibbs_state(spec: Union[EnergySpectrum, Sequence[float]], beta: float) -> np
     distribution.
     """
     energies = spec.energies if isinstance(spec, EnergySpectrum) else np.asarray(spec, float)
+    _check_size("M", energies.size)
     _check_finite("energies", energies)
     if not np.isfinite(beta):
         raise NonPositiveBeta(f"beta must be finite, got {beta}")
@@ -222,6 +231,7 @@ def decoherence_rates(rates: RateData, eff_energies: Optional[Sequence[float]] =
         Ep = np.asarray(eff_energies, dtype=float)
         if Ep.shape != (M,):
             raise DimensionMismatch(f"eff_energies must have length {M}")
+        _check_finite("eff_energies", Ep)
         mu += 1.0j * (Ep[:, None] - Ep[None, :])
     np.fill_diagonal(mu, 0.0)
     return mu
@@ -243,6 +253,10 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
     M = pm.M
     if rho0.shape != (M, M) or mu.shape != (M, M):
         raise DimensionMismatch("rho0 and mu must match the rate-matrix dimension")
+    _check_finite("mu", mu)
+    # NaN passes every comparison below, so it is refused first
+    if not np.isfinite(rho0).all():
+        raise InvalidDensityMatrix("rho0 must be finite")
     if np.abs(rho0 - rho0.conj().T).max() > 1e-10:
         raise InvalidDensityMatrix("rho0 is not Hermitian to 1e-10")
     if abs(np.trace(rho0).real - 1.0) > 1e-10:

@@ -5,10 +5,11 @@ operators by transition frequency. Its generator therefore carries Kronecker
 deltas on level energies and on energy gaps; whenever levels or gaps are
 degenerate these deltas couple matrix elements that the detailed-balance
 construction keeps independent, which is the source of the reported
-pathologies (degenerate steady states, size-dependent dissipation time,
-decoherence time not falling off with ensemble size). The Lamb-shift term is
-dropped throughout: its defining integral is ultraviolet divergent and it
-does not affect either characteristic time.
+pathologies, each a departure from the detailed-balance route at one ensemble
+size N (``compare``): degenerate steady states, a decoherence time off that
+route's law tau_Q = 2/((2N-1)B_(1)+B_(2)), undamped coherences. The Lamb-shift
+term is dropped throughout: its defining integral is ultraviolet divergent and
+it does not affect either characteristic time.
 
 The secular generator commutes with [H, .], so it is block diagonal by Bohr
 frequency (Buca & Prosen, NJP 14, 073007, 2012): the omega = 0 block holds the
@@ -19,7 +20,7 @@ its size; one batched eigensolve per stack, -i omega put on the eigenvalues
 after it, keeps slow coherence rates at their own precision.
 
 ``ensemble_spectrum`` is the one entry for an ``EnsembleSpec``: a single member
-takes ``_member_spectrum``, several at the default tolerance ``mixture_spectrum``,
+takes ``_member_spectrum``, several at the default tolerance ``_mixture_spectrum``,
 and a resonance or an explicit ``energy_tol`` one composite register, built in
 the product eigenbasis, where every block counts once. A coupled two-level
 member enters its generator through its summed squared dipole element alone,
@@ -36,7 +37,7 @@ so the generator is the Kronecker sum of the member generators and its
 spectrum is the set of all sums of one eigenvalue per member. tau_P and tau_Q
 are the largest member times (for distinct spin fields tau_Q = 2 max_i
 tau_P,i, the decoherence pathology in closed form) and the steady states
-count the product of the members' counts. ``mixture_spectrum`` solves each
+count the product of the members' counts. ``_mixture_spectrum`` solves each
 member at the composite's default tolerance, the only one this route runs
 at, and refuses a resonant pair. The premise compares member frequencies
 only: a tolerance wide enough to merge levels or dipole-free gaps of the
@@ -379,6 +380,9 @@ class MixtureSpectrum:
     block). The counts are the composite's, exact ints: ``zero_multiplicity`` the product of
     the members' steady-state counts, ``tau_P_multiplicity`` each member at tau_P by its own
     count times the others' steady states. ``members`` holds each one's ``_member_spectrum``.
+    It carries no eigenvalues, ``scale`` or ``tol_zero``: each member is classified on its own
+    scale, and the composite's (the largest |sum of one eigenvalue per member|) lies between the
+    largest member scale and their sum, so no one value is exact without the composite.
     """
 
     tau_P: float
@@ -388,7 +392,7 @@ class MixtureSpectrum:
     tau_P_multiplicity: int = 1
 
 
-def mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> MixtureSpectrum:
+def _mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> MixtureSpectrum:
     """QOME times and steady-state count of a mixture of ``members``: EnsembleMembers or
     (spectrum, dipoles[, count]) tuples, as ``EnsembleSpec`` takes them. Each member, with its
     copies, is solved on its own (``_member_spectrum``) at the composite's default tolerance,
@@ -452,7 +456,7 @@ def ensemble_spectrum(spec: EnsembleSpec, energy_tol: Optional[float] = None,
         return _member_spectrum(spec.members[0], spec.beta, energy_tol, tol_zero)
     if energy_tol is None:
         try:
-            return mixture_spectrum(spec.members, spec.beta, tol_zero)
+            return _mixture_spectrum(spec.members, spec.beta, tol_zero)
         except ResonantMembers:
             pass
     L = build_liouvillian(*_composite(spec.members), spec.beta, energy_tol)
@@ -460,77 +464,27 @@ def ensemble_spectrum(spec: EnsembleSpec, energy_tol: Optional[float] = None,
 
 
 @dataclass(frozen=True)
-class PathologyFlags:
-    """Symptoms distinguishing the microscopic equation from the detailed-balance one.
-
-    The two size-dependence flags stay None unless results for at least two
-    ensemble sizes are supplied; they are meaningful heuristics for N >= 3.
-    """
-
-    multiple_steady_states: bool
-    tauP_depends_on_N: Optional[bool] = None
-    tauQ_not_1_over_N: Optional[bool] = None
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side comparison of the two approaches for one composite system."""
+    """The verdict at one ensemble size: each QOME time's relative deviation from the
+    detailed-balance one, and whether it agrees within AGREE_RTOL."""
 
     agree_P: bool
     agree_Q: bool
-    dev_P: Optional[float]
-    dev_Q: Optional[float]
-    pathology_flags: PathologyFlags
+    dev_P: float
+    dev_Q: float
 
 
-def compare(
-    lba_times,
-    qome: LiouvillianSpectrum,
-    qome_series: Optional[Sequence[Tuple[int, float, float]]] = None,
-) -> ComparisonReport:
-    """Compare detailed-balance times against the microscopic spectrum.
+def compare(lba_times, qome) -> ComparisonReport:
+    """Judge the microscopic times ``qome`` (a LiouvillianSpectrum or MixtureSpectrum) against
+    the detailed-balance ``lba_times`` (anything with tau_P/tau_Q attributes) of one ensemble.
 
-    ``lba_times`` is anything with tau_P/tau_Q attributes; a time agrees when
-    it deviates by at most AGREE_RTOL relative. ``qome_series``
-    optionally supplies (N, tau_P, tau_Q) triples from which the
-    size-dependence pathology flags are estimated: tau_P spreading by more
-    than 0.1% flags a size-dependent dissipation time, and tau_Q is flagged
-    as not scaling like 1/N when the two largest sizes deviate from that
-    scaling by more than 25%.
+    dev = |tau_qome - tau_lba| / tau_lba; an undamped QOME coherence (tau_Q = inf) reads
+    dev_Q = inf, and so does a generator without coherence blocks (tau_Q None). A series
+    verdict is one call per size, ``[compare(lba(N), qome(N)) for N in Ns]``; the
+    steady-state count stays the spectrum's ``zero_multiplicity``.
     """
-    lP, lQ = float(lba_times.tau_P), float(lba_times.tau_Q)
-    qP, qQ = qome.tau_P, qome.tau_Q
-    dev_P = abs(qP - lP) / lP if qP is not None else None
-    dev_Q = (
-        abs(qQ - lQ) / lQ
-        if qQ is not None and math.isfinite(qQ)
-        else None
-    )
-    agree_P = dev_P is not None and dev_P <= AGREE_RTOL
-    agree_Q = dev_Q is not None and dev_Q <= AGREE_RTOL
-
-    tauP_dep = tauQ_flat = None
-    if qome_series is not None and len(qome_series) >= 2:
-        series = sorted(qome_series)
-        taups = [p for _, p, _ in series if p is not None]
-        if len(taups) >= 2:
-            tauP_dep = (max(taups) - min(taups)) > 1e-3 * max(taups)
-        tail = [(n, q) for n, _, q in series if q is not None and math.isfinite(q)]
-        if len(tail) >= 2:
-            (n_a, q_a), (n_b, q_b) = tail[-2], tail[-1]
-            ratio = (q_b / q_a) * (n_b / n_a)  # 1 under exact 1/N scaling
-            tauQ_flat = abs(ratio - 1.0) > 0.25
-        elif any(q is not None and math.isinf(q) for _, _, q in series):
-            tauQ_flat = True
-
-    return ComparisonReport(
-        agree_P=agree_P,
-        agree_Q=agree_Q,
-        dev_P=dev_P,
-        dev_Q=dev_Q,
-        pathology_flags=PathologyFlags(
-            multiple_steady_states=qome.zero_multiplicity > 1,
-            tauP_depends_on_N=tauP_dep,
-            tauQ_not_1_over_N=tauQ_flat,
-        ),
-    )
+    dev_P, dev_Q = (math.inf if q is None else abs(q - lba) / lba
+                    for q, lba in ((qome.tau_P, float(lba_times.tau_P)),
+                                   (qome.tau_Q, float(lba_times.tau_Q))))
+    return ComparisonReport(agree_P=dev_P <= AGREE_RTOL, agree_Q=dev_Q <= AGREE_RTOL,
+                            dev_P=dev_P, dev_Q=dev_Q)

@@ -35,9 +35,9 @@ from thermotimes.model import (
 )
 from thermotimes.qome import (
     LiouvillianSpectrum,
+    _mixture_spectrum,
     build_liouvillian,
     ensemble_spectrum,
-    mixture_spectrum,
     qome_spectrum,
     uniform_spin_spectrum,
 )
@@ -345,7 +345,7 @@ def test_modulated_qome_at_an_explicit_tolerance_is_the_composites(tmp_path, ene
         (record,) = json.load(fh)["records"]
     assert (record["tau_P"], record["tau_Q"]) == (ref.tau_P, ref.tau_Q)
     assert record["qome_zero_multiplicity"] == ref.zero_multiplicity
-    members = mixture_spectrum(spins, 1.0)
+    members = _mixture_spectrum(spins, 1.0)
     assert (ref.tau_P, ref.tau_Q) != (members.tau_P, members.tau_Q)
 
 
@@ -370,7 +370,7 @@ def test_table1_rows_equal_the_per_n_public_route(beta, energy_tol, max_qome_n):
         assert (rows[N]["lba_num_tauP"], rows[N]["lba_num_tauQ"]) == (times.tau_P, times.tau_Q)
     for N in range(1, max_qome_n + 1):
         if energy_tol is None:
-            ref = mixture_spectrum(fresh_spins(N), beta)
+            ref = _mixture_spectrum(fresh_spins(N), beta)
         else:
             ref = ensemble_spectrum(EnsembleSpec(members=fresh_spins(N), beta=beta), energy_tol)
         assert (rows[N]["qome_tauP"], rows[N]["qome_tauQ"]) == (ref.tau_P, ref.tau_Q)

@@ -430,6 +430,38 @@ def test_evolve_rejects_bad_inputs():
         evolve(pm, mu, np.diag([1.5, -0.5]).astype(complex), 1.0)  # not PSD
 
 
+@pytest.mark.parametrize("entry, value", [((0, 0), math.nan), ((0, 1), math.nan),
+                                          ((1, 1), math.inf)])
+def test_evolve_refuses_a_nonfinite_rho0(entry, value):
+    # NaN passed the Hermitian, trace and PSD comparisons and came out as a NaN state
+    spec, _, rates = free_spin_rates()
+    rho0 = np.eye(2, dtype=complex) / 2.0
+    rho0[entry] = value
+    with pytest.raises(InvalidDensityMatrix, match="finite"):
+        evolve(pauli_matrix(rates, spec), decoherence_rates(rates), rho0, 1.0)
+
+
+def test_evolve_refuses_a_nonfinite_mu():
+    spec, _, rates = free_spin_rates()
+    mu = decoherence_rates(rates)
+    mu[0, 1] = math.nan
+    with pytest.raises(DimensionMismatch, match="mu must be finite"):
+        evolve(pauli_matrix(rates, spec), mu, np.eye(2, dtype=complex) / 2.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_decoherence_rates_refuse_nonfinite_eff_energies(value):
+    _, _, rates = free_spin_rates()
+    with pytest.raises(DimensionMismatch, match="eff_energies must be finite"):
+        decoherence_rates(rates, [1.0, value])
+
+
+def test_gibbs_state_refuses_an_empty_spectrum():
+    # the max of an empty array raised a raw ValueError
+    with pytest.raises(DimensionMismatch, match="M must be an integer >= 1"):
+        gibbs_state([], 1.0)
+
+
 def test_gibbs_state_uniform_at_beta_zero():
     np.testing.assert_allclose(gibbs_state(np.array([0.0, 1.0, 5.0]), 0.0),
                                np.full(3, 1.0 / 3.0))

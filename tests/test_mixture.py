@@ -27,8 +27,8 @@ from thermotimes.model import (
 from thermotimes.qome import (
     _check_member_premise,
     _default_energy_tol,
+    _mixture_spectrum,
     build_liouvillian,
-    mixture_spectrum,
     qome_spectrum,
 )
 
@@ -42,7 +42,7 @@ def spins(Gammas):
 
 
 def default_tolerance(spectra):
-    """The composite's default tolerance, the one mixture_spectrum runs at."""
+    """The composite's default tolerance, the one _mixture_spectrum runs at."""
     return _default_energy_tol(sum(spec.energies[-1] - spec.energies[0] for spec in spectra))
 
 
@@ -75,7 +75,7 @@ def assert_times_agree(ref, got):
 @pytest.mark.parametrize("beta", BETAS)
 def test_full_spectrum_is_the_sum_of_member_spectra(N, beta):
     ref = composite_route(N, beta)
-    got = mixture_spectrum(spins(modulated_gammas(N)), beta)
+    got = _mixture_spectrum(spins(modulated_gammas(N)), beta)
     assert_same_multiset(ref.eigenvalues, all_sums(got), ref.scale)
     assert_times_agree(ref, got)
     assert got.zero_multiplicity == 1
@@ -83,7 +83,7 @@ def test_full_spectrum_is_the_sum_of_member_spectra(N, beta):
 
 @pytest.mark.parametrize("beta", BETAS)
 def test_times_match_the_composite_at_six_spins(beta):
-    got = mixture_spectrum(spins(modulated_gammas(6)), beta)
+    got = _mixture_spectrum(spins(modulated_gammas(6)), beta)
     assert_times_agree(composite_route(6, beta), got)
     # the decoherence pathology in closed form: tau_Q = 2 max_i tau_P,i, the detailed-balance tau_P doubled
     assert got.tau_P == pytest.approx(free_spins_times(modulated_gammas(6), beta).tau_P, rel=1e-12)
@@ -117,23 +117,23 @@ def test_synthetic_members_with_disjoint_frequencies(seed, beta):
     spectra = [spec for spec, _ in members]
     _check_member_premise(spectra, 1e3 * default_tolerance(spectra))
     ref = qome_spectrum(build_liouvillian(*product_system(members), beta))
-    got = mixture_spectrum(members, beta)
+    got = _mixture_spectrum(members, beta)
     assert_same_multiset(ref.eigenvalues, all_sums(got), ref.scale)
     assert_times_agree(ref, got)
 
 
 def test_premise_fails_for_two_equal_fields():
     with pytest.raises(ResonantMembers, match=r"members 0 and 2 share the transition frequency 2 ~ 2"):
-        mixture_spectrum(spins([1.0, 1.25, 1.0]), 1.0)
+        _mixture_spectrum(spins([1.0, 1.25, 1.0]), 1.0)
     # within the default tolerance (1e-9 of the spread 4) is the same as equal
     with pytest.raises(ResonantMembers, match="energy_tol 4e-09"):
-        mixture_spectrum(spins([1.0, 1.0 + 1e-9]), 1.0)
+        _mixture_spectrum(spins([1.0, 1.0 + 1e-9]), 1.0)
     # an exact tolerance refuses only exact equality
     _check_member_premise([spec for spec, _ in spins([1.0, 1.0 + 1e-9])], 0.0)
     with pytest.raises(ResonantMembers):
         _check_member_premise([spec for spec, _ in spins([1.0, 1.0])], 0.0)
     with pytest.raises(EmptyEnsemble):
-        mixture_spectrum([], 1.0)
+        _mixture_spectrum([], 1.0)
 
 
 def test_premise_is_checked_before_anything_is_built(monkeypatch):
@@ -144,7 +144,7 @@ def test_premise_is_checked_before_anything_is_built(monkeypatch):
 
     monkeypatch.setattr(qome, "build_liouvillian", refuse)
     with pytest.raises(ResonantMembers):
-        mixture_spectrum(spins([1.0, 1.0]), 1.0)
+        _mixture_spectrum(spins([1.0, 1.0]), 1.0)
 
 
 def test_tolerance_is_the_composites():
@@ -154,7 +154,7 @@ def test_tolerance_is_the_composites():
         _check_member_premise([spec for spec, _ in spins([1.0, 1.5])], 1.0)
     # the default: DEGENERACY_RTOL times the summed spread (here 0.4), at least 1
     with pytest.raises(ResonantMembers, match="energy_tol 1e-09"):
-        mixture_spectrum(spins([0.1, 0.1 + 1e-10]), 1.0)
+        _mixture_spectrum(spins([0.1, 0.1 + 1e-10]), 1.0)
     assert default_tolerance([spec for spec, _ in spins([1.0, 1.5])]) == pytest.approx(5e-9, rel=1e-15)
     # one member leaves nothing to resonate
     _check_member_premise([free_spin_system(1.0)[0]], 1e9)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from thermotimes import qome
-from thermotimes.ensemble import free_spins_times
+from thermotimes.ensemble import EnsembleSpec, ensemble_times, free_spins_times
 from thermotimes.errors import (
     CapExceeded,
     NoDissipativeEigenvalue,
@@ -30,8 +32,10 @@ from thermotimes.model import (
     free_spin_system,
 )
 from thermotimes.qome import (
+    Liouvillian,
     build_liouvillian,
     compare,
+    ensemble_spectrum,
     jump_operator_groups,
     qome_spectrum,
 )
@@ -108,8 +112,6 @@ def test_qome_refuses_rates_beyond_the_float_range():
 
 def test_qome_spectrum_purely_real_generator():
     # a generator without oscillatory modes: decoherence time is undefined
-    from thermotimes.qome import Liouvillian
-
     L = Liouvillian(
         dim=4,
         blocks=((np.zeros(1), np.arange(4)[None], np.diag([0.0, -1.0, -1.0, -2.0])[None] + 0j),),
@@ -231,8 +233,7 @@ def test_compare_modulated_pair():
     assert report.agree_P  # both 0.04760
     assert not report.agree_Q  # 0.07493 vs 0.09520
     assert report.dev_Q == pytest.approx(abs(0.09520 - 0.07493) / 0.07493, rel=1e-2)
-    assert not report.pathology_flags.multiple_steady_states
-    assert report.pathology_flags.tauP_depends_on_N is None
+    assert spectrum.zero_multiplicity == 1
 
 
 def test_compare_single_system_all_agree():
@@ -244,24 +245,68 @@ def test_compare_single_system_all_agree():
     report = compare(lba, spectrum)
     assert not deg.has_level_degeneracy and not deg.has_gap_degeneracy
     assert report.agree_P and report.agree_Q
-    assert not report.pathology_flags.multiple_steady_states
+    assert spectrum.zero_multiplicity == 1
 
 
-def test_compare_uniform_series_flags():
-    series = []
-    spectra = {}
-    for N in (2, 3):
-        spectra[N] = qome_spectrum(composite_liouvillian([1.0] * N))
-        series.append((N, spectra[N].tau_P, spectra[N].tau_Q))
-    lba = free_spins_times([1.0] * 3, beta=1.0)
+def test_compare_uniform_series_size_by_size():
+    # the composite register of 2 and 3 equal spins, each size judged against its own LBA
     deg = degeneracy_report(
         diagonalize(QubitSystem(K=3, H=free_spin_chain([1.0] * 3))).energies,
         1e-9,
     )
-    report = compare(lba, spectra[3], qome_series=series)
-    assert report.pathology_flags.multiple_steady_states
-    assert report.pathology_flags.tauQ_not_1_over_N is True
     assert deg.has_level_degeneracy and deg.has_gap_degeneracy
+    reports = []
+    for N, zeros in ((2, 2), (3, 5)):
+        spectrum = qome_spectrum(composite_liouvillian([1.0] * N))
+        assert spectrum.zero_multiplicity == zeros
+        reports.append(compare(free_spins_times([1.0] * N, beta=1.0), spectrum))
+    assert all(r.agree_P and not r.agree_Q for r in reports)
+    assert 1.0 < reports[0].dev_Q < reports[1].dev_Q  # the QOME tau_Q grows, the LBA's falls
+
+
+def test_compare_reads_an_undamped_or_missing_coherence_as_infinite():
+    lba = SimpleNamespace(tau_P=1.0, tau_Q=2.0)
+    # populations decay at rate 1; the coherences at omega = -+1 do not decay at all
+    undamped = Liouvillian(
+        dim=4,
+        blocks=((np.array([-1.0, 1.0]), np.array([[1], [2]]), np.zeros((2, 1, 1), complex)),
+                (np.zeros(1), np.array([[0, 3]]), np.diag([0.0, -1.0])[None] + 0j)),
+        energies=np.array([0.0, 1.0]), energy_tol=1e-9, beta=1.0,
+    )
+    spectrum = qome_spectrum(undamped)
+    assert spectrum.tau_P == 1.0 and spectrum.tau_Q == math.inf
+    report = compare(lba, spectrum)
+    assert report.agree_P and report.dev_P == 0.0
+    assert not report.agree_Q and report.dev_Q == math.inf
+    no_coherence = SimpleNamespace(tau_P=1.0, tau_Q=None)
+    assert compare(lba, no_coherence).dev_Q == math.inf
+
+
+def modulated_spec(N, beta):
+    return EnsembleSpec([free_spin_system(G) for G in modulated_gammas(N)], beta)
+
+
+def uniform_spec(N, beta):
+    return EnsembleSpec([(*free_spin_system(1.0), N)], beta)
+
+
+@pytest.mark.parametrize("spec, last_dev_Q, zeros", [
+    (modulated_spec, 5.524, [1] * 6),
+    (uniform_spec, 36.00, [1, 2, 5, 14, 42, 132]),  # the Catalan numbers
+], ids=["modulated", "uniform"])
+def test_the_routes_agree_on_tau_P_and_on_tau_Q_only_for_one_spin(spec, last_dev_Q, zeros):
+    # the verdict at beta 1, size by size: the QOME from its one entry, the LBA from its closed forms
+    eps = np.finfo(float).eps
+    reports, spectra = [], []
+    for N in range(1, 7):
+        spectra.append(ensemble_spectrum(spec(N, 1.0)))
+        reports.append(compare(ensemble_times(spec(N, 1.0)), spectra[-1]))
+    assert all(r.dev_P <= 4 * eps and r.agree_P for r in reports)
+    assert [r.agree_Q for r in reports] == [True] + [False] * 5
+    dev_Q = [r.dev_Q for r in reports]
+    assert dev_Q[0] <= 4 * eps and all(a < b for a, b in zip(dev_Q, dev_Q[1:]))
+    assert dev_Q[-1] == pytest.approx(last_dev_Q, rel=1e-3)
+    assert [s.zero_multiplicity for s in spectra] == zeros
 
 
 def test_equivalence_theorem_times_also_agree():
