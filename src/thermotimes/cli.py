@@ -33,7 +33,7 @@ from .model import (
     free_spin_system,
     system_from_json,
 )
-from .qome import TOL_ZERO, _check_qome_size, ensemble_spectrum
+from .qome import _check_qome_size, ensemble_spectrum
 
 FAMILIES = ("free_spins_uniform", "free_spins_modulated", "custom_hamiltonian")
 METHODS = ("lba_analytic", "lba_numeric", "qome")
@@ -85,7 +85,6 @@ class RunConfig:
     law: dict = field(default_factory=dict)
     hamiltonian: Optional[dict] = None
     energy_tol: Optional[float] = None
-    tol_zero: float = TOL_ZERO
     output: str = "csv"
     include_timings: bool = False
     beta_grid: Optional[tuple] = None
@@ -101,10 +100,9 @@ class RunConfig:
         law = raw.get("law", {})
         if not isinstance(law, dict):
             raise ConfigError("law must be a JSON object")
-        tol_keys = {"energy_tol", "tol_zero"}
-        top_keys = {f.name for f in fields(cls)} - tol_keys | {"N", "tolerances"}
+        top_keys = {f.name for f in fields(cls)} - {"energy_tol"} | {"N", "tolerances"}
         unknown = sorted(set(raw) - top_keys) \
-            + sorted(f"tolerances.{k}" for k in set(tols) - tol_keys) \
+            + sorted(f"tolerances.{k}" for k in set(tols) - {"energy_tol"}) \
             + sorted(f"law.{k}" for k in set(law) - LAW_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -165,7 +163,6 @@ class RunConfig:
             law=law,
             hamiltonian=hamiltonian,
             energy_tol=energy_tol,
-            tol_zero=_number("tolerances.tol_zero", tols.get("tol_zero", TOL_ZERO)),
             output=output,
             include_timings=include_timings,
             beta_grid=_numbers(raw, "beta_grid") if "beta_grid" in raw else None,
@@ -249,7 +246,7 @@ def _run_method(config: RunConfig, N: int, method: str, members) -> dict:
     elif method == "lba_numeric":
         times = ensemble_times_numeric(members(N))
     elif method == "qome":
-        times = ensemble_spectrum(members(N), config.energy_tol, config.tol_zero)
+        times = ensemble_spectrum(members(N), config.energy_tol)
         record["qome_zero_multiplicity"] = times.zero_multiplicity
     else:
         raise ConfigError(f"unknown method {method!r}")

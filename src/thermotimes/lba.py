@@ -192,22 +192,25 @@ class ThermalizationTimes:
     B2: float
 
 
+def _is_ergodic(pm: PauliMatrix) -> bool:
+    """The one ergodicity decision: the zero eigenvalue of A is simple (a unique stationary
+    state), that is M > 1 and mu_2 above TOL_ZERO mu_max."""
+    return pm.M > 1 and pm.mu2 > TOL_ZERO * pm.eigenvalues[-1]
+
+
 def thermalization_times(pm: PauliMatrix, rates: RateData) -> ThermalizationTimes:
     """Extract the characteristic times from a rate-matrix decomposition.
 
-    Raises ErgodicityViolation when the zero eigenvalue of A is degenerate
-    (the stationary state is not unique): mu_2 at most TOL_ZERO mu_max.
+    Raises ErgodicityViolation unless A is ergodic (``_is_ergodic``).
     """
     if pm.M != rates.M:
         raise DimensionMismatch("PauliMatrix and RateData dimensions differ")
-    mu = pm.eigenvalues
-    scale = float(mu[-1])
-    if pm.M < 2 or mu[1] <= TOL_ZERO * scale:
+    if not _is_ergodic(pm):
         raise ErgodicityViolation(
             "second eigenvalue of the rate matrix is numerically zero; "
             "no unique stationary state"
         )
-    mu2 = float(mu[1])
+    mu2 = pm.mu2
     Bs = np.sort(rates.B)
     B1, B2 = float(Bs[0]), float(Bs[1])
     tau_P = 1.0 / mu2
@@ -264,7 +267,7 @@ def evolve(pm: PauliMatrix, mu: np.ndarray, rho0: np.ndarray, t: float) -> np.nd
     if np.linalg.eigvalsh(rho0).min() < -1e-10:
         raise InvalidDensityMatrix("rho0 is not positive semidefinite to 1e-10")
 
-    if M > 1 and pm.mu2 > TOL_ZERO * pm.eigenvalues[-1] and pm.mu2 * t > (
+    if _is_ergodic(pm) and pm.mu2 * t > (
             pm.beta * float(np.ptp(pm.energies)) / 2 + math.log(2 * M / np.finfo(float).eps)):
         p_t = pm.stationary
     else:

@@ -221,37 +221,35 @@ class LiouvillianSpectrum:
     zero_multiplicity: int
     tau_P: Optional[float]
     tau_Q: Optional[float]
-    tol_zero: float
     scale: float
     tau_P_multiplicity: int = 1
 
 
-def qome_spectrum(L: Liouvillian, tol_zero: float = TOL_ZERO) -> LiouvillianSpectrum:
+def qome_spectrum(L: Liouvillian) -> LiouvillianSpectrum:
     """Diagonalize the Liouvillian per block size and extract the characteristic times.
 
     One batched eigensolve per stack, -i omega put on the eigenvalues after
     it. Raises NoDissipativeEigenvalue when the omega = 0 block has no nonzero
-    eigenvalue (e.g. a decoupled system), and NonPositiveField unless
-    ``tol_zero`` is finite and > 0; a missing oscillatory block is reported
-    as tau_Q = None.
+    eigenvalue (e.g. a decoupled system); a missing oscillatory block is
+    reported as tau_Q = None.
     """
     ev = np.concatenate([(np.linalg.eigvals(stack) - 1j * omegas[:, None]).ravel()
                          for omegas, _, stack in L.blocks])
     static = np.concatenate([np.repeat(omegas == 0.0, idx.shape[1]) for omegas, idx, _ in L.blocks])
-    return _classify(ev, static, np.ones(len(ev), dtype=int), tol_zero)
+    return _classify(ev, static, np.ones(len(ev), dtype=int))
 
 
 @np.errstate(over="ignore")  # an eigenvalue past the float range is refused
-def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
-              tol_zero: float) -> LiouvillianSpectrum:
+def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray) -> LiouvillianSpectrum:
     """The times and counts of the eigenvalues ``ev`` of a blocked generator, with ``static``
-    the omega = 0 mask, ``weight`` the multiplicity of each and ``tol_zero`` (> 0) the zero cut."""
-    _check_positive("tol_zero", tol_zero)
+    the omega = 0 mask and ``weight`` the multiplicity of each. One cut, TOL_ZERO of the
+    largest modulus, decides the zero eigenvalues, the copies of tau_P and an undamped tau_Q."""
     scale = float(np.abs(ev).max(initial=0.0))
     _check_rates("the rate scale gamma max W~", scale)  # the eigenvalues of finite rates
     if scale == 0.0:
         raise NoDissipativeEigenvalue("the generator vanishes identically")
-    zero = static & (np.abs(ev) < tol_zero * scale)
+    cut = TOL_ZERO * scale
+    zero = static & (np.abs(ev) < cut)
     osc = ev[~static]
 
     rates = np.abs(ev[static & ~zero].real)
@@ -261,12 +259,12 @@ def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
         )
     slowest_real = float(rates.min())
     tau_P = 1.0 / slowest_real
-    tau_P_mult = int(weight[static & ~zero][np.abs(rates - slowest_real) <= tol_zero * scale].sum())
+    tau_P_mult = int(weight[static & ~zero][np.abs(rates - slowest_real) <= cut].sum())
 
     tau_Q: Optional[float]
     if len(osc):
         slowest = float(np.abs(osc.real).min())
-        tau_Q = math.inf if slowest < tol_zero * scale else 1.0 / slowest
+        tau_Q = math.inf if slowest < cut else 1.0 / slowest
     else:
         tau_Q = None
 
@@ -275,7 +273,6 @@ def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
         zero_multiplicity=int(weight[zero].sum()),
         tau_P=tau_P,
         tau_Q=tau_Q,
-        tol_zero=tol_zero,
         scale=scale,
         tau_P_multiplicity=tau_P_mult,
     )
@@ -283,8 +280,7 @@ def _classify(ev: np.ndarray, static: np.ndarray, weight: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")  # rates past the float range are refused
 def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
-                          energy_tol: Optional[float] = None,
-                          tol_zero: float = TOL_ZERO) -> LiouvillianSpectrum:
+                          energy_tol: Optional[float] = None) -> LiouvillianSpectrum:
     """QOME spectrum of N identical spins in the uniform field Gamma, by total-spin sector.
 
     The block of the sector pair (J, J') and Bohr index 2(m - n) holds the level
@@ -322,7 +318,7 @@ def uniform_spin_spectrum(N: int, Gamma: float, beta: float, gamma: float = 1.0,
         T[:, ::s + 1], T[:, s::s + 1] = diag[rows], off[rows[:, 1:]]
         lam[rows] = np.linalg.eigvalsh(T.reshape(nb, s, s))
     omega = Gamma * bohr  # E_m - E_n
-    return _classify(lam - 1j * omega, omega == 0.0, weight, tol_zero)
+    return _classify(lam - 1j * omega, omega == 0.0, weight)
 
 
 @functools.lru_cache(maxsize=14)  # one entry per N the QOME size rule admits
@@ -380,7 +376,7 @@ class MixtureSpectrum:
     block). The counts are the composite's, exact ints: ``zero_multiplicity`` the product of
     the members' steady-state counts, ``tau_P_multiplicity`` each member at tau_P by its own
     count times the others' steady states. ``members`` holds each one's ``_member_spectrum``.
-    It carries no eigenvalues, ``scale`` or ``tol_zero``: each member is classified on its own
+    It carries no eigenvalues or ``scale``: each member is classified against its own
     scale, and the composite's (the largest |sum of one eigenvalue per member|) lies between the
     largest member scale and their sum, so no one value is exact without the composite.
     """
@@ -392,7 +388,7 @@ class MixtureSpectrum:
     tau_P_multiplicity: int = 1
 
 
-def _mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> MixtureSpectrum:
+def _mixture_spectrum(members, beta: float) -> MixtureSpectrum:
     """QOME times and steady-state count of a mixture of ``members``: EnsembleMembers or
     (spectrum, dipoles[, count]) tuples, as ``EnsembleSpec`` takes them. Each member, with its
     copies, is solved on its own (``_member_spectrum``) at the composite's default tolerance,
@@ -404,7 +400,7 @@ def _mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> Mixtu
     energy_tol = _default_energy_tol(sum(m.count * float(np.ptp(m.spectrum.energies))
                                          for m in spec.members))
     _check_member_premise([m.spectrum for m in spec.members], energy_tol)
-    parts = tuple(_member_spectrum(m, beta, energy_tol, tol_zero) for m in spec.members)
+    parts = tuple(_member_spectrum(m, beta, energy_tol) for m in spec.members)
     tau_P = max(part.tau_P for part in parts)
     tau_Q = [part.tau_Q for part in parts if part.tau_Q is not None]
     zeros = [part.zero_multiplicity for part in parts]
@@ -418,16 +414,16 @@ def _mixture_spectrum(members, beta: float, tol_zero: float = TOL_ZERO) -> Mixtu
     )
 
 
-def _member_spectrum(member: EnsembleMember, beta: float, energy_tol: Optional[float],
-                     tol_zero: float) -> LiouvillianSpectrum:
+def _member_spectrum(member: EnsembleMember, beta: float,
+                     energy_tol: Optional[float]) -> LiouvillianSpectrum:
     """QOME spectrum of the ``member.count`` copies of one member: the total-spin sectors
     for a coupled two-level member (E_1 > E_0, D[0, 1] > 0), a spin of field (E_1 - E_0) / 2
     and coupling D[0, 1] / 2, and the composite register of the copies for any other."""
     E, D = member.spectrum.energies, member.dipole.D
     if member.spectrum.M == 2 and E[1] > E[0] and D[0, 1] > 0:
         return uniform_spin_spectrum(member.count, float(E[1] - E[0]) / 2, beta,
-                                     float(D[0, 1]) / 2, energy_tol, tol_zero)
-    return qome_spectrum(build_liouvillian(*_composite([member]), beta, energy_tol), tol_zero)
+                                     float(D[0, 1]) / 2, energy_tol)
+    return qome_spectrum(build_liouvillian(*_composite([member]), beta, energy_tol))
 
 
 def _composite(members: Sequence[EnsembleMember]) -> Tuple[EnergySpectrum, DipoleData]:
@@ -446,21 +442,19 @@ def _composite(members: Sequence[EnsembleMember]) -> Tuple[EnergySpectrum, Dipol
             DipoleData(d_x=d_x, d_y=d_y, d_z=d_z, gamma=gamma))
 
 
-def ensemble_spectrum(spec: EnsembleSpec, energy_tol: Optional[float] = None,
-                      tol_zero: float = TOL_ZERO):
+def ensemble_spectrum(spec: EnsembleSpec, energy_tol: Optional[float] = None):
     """QOME times of an ensemble by the module's rule: a LiouvillianSpectrum, or a
     MixtureSpectrum on the member route. Several members at an explicit ``energy_tol``,
     which can chain composite levels or dipole-free gaps that the member frequencies do
     not show, or with a resonant pair take one register, size-checked before it is built."""
     if len(spec.members) == 1:
-        return _member_spectrum(spec.members[0], spec.beta, energy_tol, tol_zero)
+        return _member_spectrum(spec.members[0], spec.beta, energy_tol)
     if energy_tol is None:
         try:
-            return _mixture_spectrum(spec.members, spec.beta, tol_zero)
+            return _mixture_spectrum(spec.members, spec.beta)
         except ResonantMembers:
             pass
-    L = build_liouvillian(*_composite(spec.members), spec.beta, energy_tol)
-    return qome_spectrum(L, tol_zero)
+    return qome_spectrum(build_liouvillian(*_composite(spec.members), spec.beta, energy_tol))
 
 
 @dataclass(frozen=True)

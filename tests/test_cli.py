@@ -428,11 +428,12 @@ def test_keys_the_subcommand_does_not_read_are_config_errors(tmp_path, command, 
 
 
 def test_known_tolerance_keys_are_read():
-    config = RunConfig.from_dict({
-        "family": "free_spins_uniform", "Gamma": 1.0,
-        "tolerances": {"energy_tol": 1e-6, "tol_zero": 1e-11},
-    })
-    assert (config.energy_tol, config.tol_zero) == (1e-6, 1e-11)
+    raw = {"family": "free_spins_uniform", "Gamma": 1.0, "tolerances": {"energy_tol": 1e-6}}
+    assert RunConfig.from_dict(raw).energy_tol == 1e-6
+    # the zero cut is the constant TOL_ZERO of both routes, not a setting
+    raw["tolerances"]["tol_zero"] = 1e-11
+    with pytest.raises(ConfigError, match=r"unknown config keys: tolerances\.tol_zero"):
+        RunConfig.from_dict(raw)
 
 
 def test_analyze_uniform_single_row(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,32 @@ def test_ergodicity_violation_detected():
     rates = thermal_rates(spec, dip, 1.0)
     with pytest.raises(ErgodicityViolation):
         thermalization_times(pauli_matrix(rates, spec), rates)
+
+
+def test_one_ergodicity_decision_for_the_times_and_the_gibbs_shortcut():
+    # the decoupled spin (D = 0) has no unique stationary state: thermalization_times
+    # refuses it, and evolve keeps rho0 even at t = 1e300 instead of taking the Gibbs state
+    spec, _ = free_spin_system(1.0)
+    zero = np.zeros((2, 2), dtype=complex)
+    rates = thermal_rates(spec, DipoleData(d_x=zero, d_y=zero, d_z=zero), 1.0)
+    pm = pauli_matrix(rates, spec)
+    with pytest.raises(ErgodicityViolation):
+        thermalization_times(pm, rates)
+    rho0 = np.array([[0.9, 0.2], [0.2, 0.1]], dtype=complex)
+    assert np.array_equal(evolve(pm, decoherence_rates(rates), rho0, 1e300), rho0)
+    # three decoupled levels (A = 0) given a hand-set mu_2: rounding noise below the cut
+    # TOL_ZERO mu_max is refused and takes no shortcut; a mu_2 above it takes the shortcut
+    spec = EnergySpectrum(M=3, energies=np.array([0.0, 1.0, 2.5]), eigenbasis=np.eye(3))
+    zero = np.zeros((3, 3), dtype=complex)
+    rates = thermal_rates(spec, DipoleData(d_x=zero, d_y=zero, d_z=zero), 1.0)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    for mu2, ergodic in ((1e-17, False), (1e-9, True)):
+        pm = replace(pauli_matrix(rates, spec), eigenvalues=np.array([0.0, mu2, 1.0]))
+        p_t = np.diag(evolve(pm, decoherence_rates(rates), rho0, 1e300)).real
+        assert np.array_equal(p_t, pm.stationary if ergodic else [0.5, 0.3, 0.2])
+        if not ergodic:
+            with pytest.raises(ErgodicityViolation):
+                thermalization_times(pm, rates)
 
 
 def test_thermal_rates_refuse_rates_beyond_the_float_range():

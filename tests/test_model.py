@@ -36,7 +36,6 @@ from thermotimes.model import (
 from thermotimes.qome import (
     _check_member_premise,
     build_liouvillian,
-    qome_spectrum,
     uniform_spin_spectrum,
 )
 
@@ -459,7 +458,3 @@ def test_energy_tolerance_is_checked_once(tol):
         degeneracy_report([], tol)
     with pytest.raises(NonPositiveField, match="energy tolerance"):
         _check_member_premise([free_spin_system(1.0)[0]] * 2, tol)
-    # tol_zero follows the same rule: at nan or -1 no eigenvalue counted as
-    # zero and tau_P came out as 2.25e15 instead of 0.0476
-    with pytest.raises(NonPositiveField, match="tol_zero"):
-        qome_spectrum(build_liouvillian(*free_spin_system(1.0), 1.0), tol_zero=tol)

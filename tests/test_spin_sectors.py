@@ -27,7 +27,6 @@ from thermotimes.model import (
     free_spin_system,
 )
 from thermotimes.qome import (
-    TOL_ZERO,
     _classify,
     _spin_pairs,
     build_liouvillian,
@@ -77,7 +76,7 @@ def jacobi_eigenvalues(N, beta, Gamma):
 
 
 def gather_route(N, beta, Gamma):
-    return _classify(*sector_eigenvalues(N, Gamma, beta), TOL_ZERO)
+    return _classify(*sector_eigenvalues(N, Gamma, beta))
 
 
 def assert_routes_agree(ref, got):
@@ -118,7 +117,7 @@ def test_jacobi_blocks_match_the_gather_referee(N, beta, Gamma):
     cost = np.abs(ref_ev[:, None] - ev[None, :])
     cost[ref_w[:, None] != weight[None, :]] = np.inf
     rows, cols = linear_sum_assignment(cost)
-    ref, got = _classify(ref_ev, ref_static, ref_w, TOL_ZERO), jacobi_route(N, beta, Gamma)
+    ref, got = _classify(ref_ev, ref_static, ref_w), jacobi_route(N, beta, Gamma)
     assert cost[rows, cols].max() <= 1e-12 * ref.scale
     assert got.scale == pytest.approx(ref.scale, rel=1e-12)
     assert_routes_agree(ref, got)
