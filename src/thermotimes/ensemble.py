@@ -77,8 +77,8 @@ _RITZ_MAX_PASSES = 128
 class EnsembleMember:
     """One species in the ensemble: spectrum, dipole data and copy count (an integer >= 1).
 
-    ``_analyses`` keeps the member's analysis per beta (``_member_analysis``); it is out of
-    comparison, repr and positional construction, and ``dataclasses.replace`` passes it on."""
+    ``_analyses`` keeps the member's analyses (``_member_analysis``); it is out of comparison,
+    repr and positional construction, and ``dataclasses.replace`` passes it on."""
 
     spectrum: EnergySpectrum
     dipole: DipoleData
@@ -132,17 +132,19 @@ class EnsembleTimes:
 
 
 def _member_analysis(spec: EnsembleSpec):
-    """Per-member (member, rates, pm, tt) at the spec's beta. A member's memo entry for beta,
-    (spectrum, dipole, rates, pm, tt), is read only if it holds the member's own spectrum and
-    dipole objects: a ``replace`` of the count reuses it, one of the spectrum or dipole not."""
+    """Per-member (member, rates, pm, tt) at the spec's beta. A member's memo entry
+    (spectrum, dipole, rates, pm, tt) is keyed by beta and the ids of the spectrum and dipole
+    objects, which it holds, so no id is reused while it lives: a ``replace`` of the count
+    reuses the entry, one of the spectrum or dipole adds its own beside it."""
     out = []
     for member in spec.members:
-        entry = member._analyses.get(spec.beta)
-        if entry is None or entry[0] is not member.spectrum or entry[1] is not member.dipole:
+        key = (spec.beta, id(member.spectrum), id(member.dipole))
+        entry = member._analyses.get(key)
+        if entry is None:
             rates = thermal_rates(member.spectrum, member.dipole, spec.beta)
             pm = pauli_matrix(rates, member.spectrum)
             entry = (member.spectrum, member.dipole, rates, pm, thermalization_times(pm, rates))
-            member._analyses[spec.beta] = entry
+            member._analyses[key] = entry
         out.append((member, *entry[2:]))
     return out
 

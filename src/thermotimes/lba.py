@@ -21,7 +21,6 @@ from .errors import (
     ErgodicityViolation,
     InvalidDensityMatrix,
     NegativeTime,
-    NonPositiveBeta,
 )
 from .model import (
     TOL_ZERO,
@@ -31,6 +30,7 @@ from .model import (
     _check_finite,
     _check_rates,
     _check_size,
+    _check_vector,
 )
 
 #: Below beta*|dE| = SMALL_X the thermal weight switches to its small-gap
@@ -63,14 +63,12 @@ def gibbs_state(spec: Union[EnergySpectrum, Sequence[float]], beta: float) -> np
     """Gibbs populations exp(-beta E_m) / Z, shifted for overflow safety.
 
     beta <= 0 is allowed for formal checks; beta = 0 gives the uniform
-    distribution.
+    distribution. Plain energies are one-dimensional and finite.
     """
-    energies = spec.energies if isinstance(spec, EnergySpectrum) else np.asarray(spec, float)
-    _check_size("M", energies.size)
-    _check_finite("energies", energies)
-    if not np.isfinite(beta):
-        raise NonPositiveBeta(f"beta must be finite, got {beta}")
-    expo = -beta * energies
+    E = spec.energies if isinstance(spec, EnergySpectrum) else _check_vector("energies", spec)
+    _check_size("M", E.size)
+    _check_beta(beta, positive=False)
+    expo = -beta * E
     expo = expo - expo.max()
     p = np.exp(expo)
     return p / p.sum()

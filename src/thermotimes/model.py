@@ -76,10 +76,28 @@ def _check_finite(name: str, values) -> None:
         raise DimensionMismatch(f"{name} must be finite numbers")
 
 
-def _check_beta(beta) -> None:
-    """Raise NonPositiveBeta unless the inverse temperature is finite and > 0."""
-    if not (np.isfinite(beta) and beta > 0):
-        raise NonPositiveBeta(f"beta must be positive and finite, got {beta}")
+def _check_vector(name: str, values) -> np.ndarray:
+    """``values`` as a one-dimensional array of finite floats (``_check_finite``), else
+    DimensionMismatch: the one rule for energies and field strengths given as plain numbers."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"{name} must be one-dimensional, got shape {v.shape}")
+    _check_finite(name, v)
+    return v
+
+
+def _check_beta(beta, positive: bool = True) -> None:
+    """Raise NonPositiveBeta unless the inverse temperature is one real number (an int or a
+    float, numpy's too, never a bool or an array) inside the float range and, if ``positive``
+    (every route; only ``gibbs_state`` admits beta <= 0), > 0."""
+    real = isinstance(beta, (int, float, np.integer, np.floating)) and not isinstance(beta, bool)
+    try:
+        ok = real and math.isfinite(beta) and (beta > 0 or not positive)
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        rule = " > 0" if positive else ""
+        raise NonPositiveBeta(f"beta must be one finite number{rule}, got {beta!r}")
 
 
 def _check_size(name: str, value, error=DimensionMismatch) -> int:
@@ -147,8 +165,8 @@ def total_spin_operator(K: int, axis: str) -> np.ndarray:
 
 def free_spin_chain(Gammas: Sequence[float]) -> np.ndarray:
     """Hamiltonian -sum_i Gamma_i sigma_i^x of K independent spins in local x fields."""
-    Gammas = np.asarray(Gammas, dtype=float)
     _check_positive("every field strength Gamma_i", Gammas)
+    Gammas = _check_vector("the field strengths", Gammas)
     return _kronecker_sum([-G * PAULI_X for G in Gammas])
 
 
@@ -414,8 +432,7 @@ class DegeneracyReport:
 
 def degeneracy_report(energies: Sequence[float], tol: float) -> DegeneracyReport:
     """Detect level and gap degeneracies with tolerance ``tol``."""
-    E = np.asarray(energies, dtype=float)
-    _check_finite("energies", E)
+    E = _check_vector("energies", energies)
     lev_ids, gap_ids, _ = _gap_structure(E, tol)
     if len(E) == 0:
         return DegeneracyReport(False, False, (), (), tol)

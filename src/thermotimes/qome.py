@@ -65,6 +65,7 @@ from .model import (
     _check_rates,
     _check_size,
     _check_tolerance,
+    _check_vector,
     _gap_structure,
     _kronecker_sum,
     _pair_classes,
@@ -194,7 +195,7 @@ def jump_operator_groups(energies: Sequence[float]) -> list:
     exactly the multi-dyad situation produced by level or gap degeneracies.
     Returns (omega, pairs) entries sorted by omega.
     """
-    E = np.asarray(energies, dtype=float)
+    E = _check_vector("energies", energies)
     if len(E) < 2:
         return []
     _, gap_ids, gap_rep = _gap_structure(E, _default_energy_tol(float(E.max() - E.min())))

@@ -357,6 +357,8 @@ def test_a_copy_with_another_spectrum_or_dipole_is_analysed_anew(monkeypatch, ch
             assert bits(entry(EnsembleSpec((member,), 1.0))) == times[entry]
         if member is copy:
             assert betas == [1.0, 1.0]
+    # the member read again finds its own entry beside the copy's: it analyses nothing
+    assert betas == [1.0, 1.0]
 
 
 def test_the_member_memo_is_not_part_of_its_value():

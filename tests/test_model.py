@@ -3,16 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermotimes.ensemble import EnsembleMember
+from thermotimes.ensemble import EnsembleMember, EnsembleSpec, free_spins_times
 from thermotimes.errors import (
     CapExceeded,
     DegenerateSpectrum,
     DimensionMismatch,
     EmptyEnsemble,
     NonHermitian,
+    NonPositiveBeta,
     NonPositiveField,
 )
-from thermotimes.lba import thermal_rates
+from thermotimes.lba import gibbs_state, thermal_rates
 from thermotimes.model import (
     DipoleData,
     EnergySpectrum,
@@ -36,6 +37,7 @@ from thermotimes.model import (
 from thermotimes.qome import (
     _check_member_premise,
     build_liouvillian,
+    jump_operator_groups,
     uniform_spin_spectrum,
 )
 
@@ -458,3 +460,45 @@ def test_energy_tolerance_is_checked_once(tol):
         degeneracy_report([], tol)
     with pytest.raises(NonPositiveField, match="energy tolerance"):
         _check_member_premise([free_spin_system(1.0)[0]] * 2, tol)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda beta: EnsembleSpec([free_spin_system(1.0)], beta),
+    lambda beta: thermal_rates(*free_spin_system(1.0), beta),
+    lambda beta: build_liouvillian(*free_spin_system(1.0), beta),
+    lambda beta: uniform_spin_spectrum(2, 1.0, beta),
+    lambda beta: free_spins_times([1.0], beta),
+    lambda beta: gibbs_state([0.0, 1.0], beta),
+], ids=["EnsembleSpec", "thermal_rates", "build_liouvillian", "uniform_spin_spectrum",
+        "free_spins_times", "gibbs_state"])
+def test_beta_is_one_real_number(entry):
+    # an array beta passed the rule: np.array([1.0]) gave an EnsembleSpec whose
+    # ensemble_times raised a raw TypeError (an unhashable memo key), a two-element one
+    # a raw ValueError, and free_spins_times([1.0], [1.0]) a raw TypeError
+    for beta in (np.array([1.0]), np.array([1.0, 2.0]), [1.0], "1.0", True, 10**400):
+        with pytest.raises(NonPositiveBeta, match="beta must be one finite number"):
+            entry(beta)
+    for beta in (2, np.int64(2), np.float64(2.0), np.float32(2.0)):
+        entry(beta)
+
+
+TWO_BY_TWO = [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gibbs_state(TWO_BY_TWO, 1.0), "energies must be one-dimensional"),
+    (lambda: gibbs_state(0.5, 1.0), "energies must be one-dimensional"),
+    (lambda: degeneracy_report(1.0, 1e-9), "energies must be one-dimensional"),
+    (lambda: degeneracy_report(TWO_BY_TWO, 1e-9), "energies must be one-dimensional"),
+    (lambda: jump_operator_groups(1.0), "energies must be one-dimensional"),
+    (lambda: jump_operator_groups(TWO_BY_TWO), "energies must be one-dimensional"),
+    (lambda: jump_operator_groups([np.nan, 1.0]), "energies must be finite"),
+    (lambda: free_spin_chain([[1.0, 2.0]]), "field strengths must be one-dimensional"),
+], ids=["gibbs_state-2d", "gibbs_state-scalar", "degeneracy_report-scalar",
+        "degeneracy_report-2d", "jump_operator_groups-scalar", "jump_operator_groups-2d",
+        "jump_operator_groups-nan", "free_spin_chain-2d"])
+def test_energies_and_fields_given_as_plain_numbers_are_one_dimensional(call, match):
+    # a 2-D or scalar input gave a 2x2 Gibbs state, 1.0, a raw TypeError or ValueError, or
+    # (free_spin_chain) a non-Hermitian 2x2 matrix; a NaN energy blamed the tolerance
+    with pytest.raises(DimensionMismatch, match=match):
+        call()
