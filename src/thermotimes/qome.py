@@ -377,7 +377,7 @@ class MixtureSpectrum:
     block). The counts are the composite's, exact ints: ``zero_multiplicity`` the product of
     the members' steady-state counts, ``tau_P_multiplicity`` each member at tau_P by its own
     count times the others' steady states. ``members`` holds each one's ``_member_spectrum``.
-    It carries no eigenvalues or ``scale``: each member is classified against its own
+    It carries no eigenvalues or ``scale``: each member is classified on its own
     scale, and the composite's (the largest |sum of one eigenvalue per member|) lies between the
     largest member scale and their sum, so no one value is exact without the composite.
     """

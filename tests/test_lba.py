@@ -240,15 +240,6 @@ def test_times_against_matrix_exponential_fit():
     assert 2.0 / (2.0 * rate_q) == pytest.approx(times.tau_Q, rel=1e-6)
 
 
-def test_ergodicity_violation_detected():
-    spec, _ = free_spin_system(1.0)
-    zero = np.zeros((2, 2), dtype=complex)
-    dip = DipoleData(d_x=zero, d_y=zero, d_z=zero, gamma=1.0)
-    rates = thermal_rates(spec, dip, 1.0)
-    with pytest.raises(ErgodicityViolation):
-        thermalization_times(pauli_matrix(rates, spec), rates)
-
-
 def test_one_ergodicity_decision_for_the_times_and_the_gibbs_shortcut():
     # the decoupled spin (D = 0) has no unique stationary state: thermalization_times
     # refuses it, and evolve keeps rho0 even at t = 1e300 instead of taking the Gibbs state
